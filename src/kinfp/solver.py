@@ -236,7 +236,19 @@ def velocity_rhs(
 
 
 class Stepper:
-    """Precomputed-coefficient stepping engine for one (grid, model) pair."""
+    """Precomputed-coefficient stepping engine for one (grid, model) pair.
+
+    One step is transport(dt/2) . velocity(dt) . transport(dt/2), each
+    substep a Heun pair.  The stepper owns a workspace allocated once: the
+    Heun increments k1 and k2, the stage state, and a ``kernels.Workspace``
+    (three more field-sized arrays and two masks), so a step allocates no
+    array.  The kernels are looked up on the ``kernels`` module at each
+    call, so a wrapper installed there (a profiler, a tracer) sees them all.
+
+    ``step(values, dt)`` leaves ``values`` untouched and returns a new array;
+    ``step(values, dt, out=values)`` advances in place.  The workspace holds
+    no state between steps, so fields on the same grid may share a stepper.
+    """
 
     def __init__(
         self,
@@ -254,31 +266,46 @@ class Stepper:
         self.bc_code = {"specular": kernels.BC_SPECULAR, "periodic": kernels.BC_PERIODIC}[bc]
         self.cp, self.cm = velocity_face_coefficients(grid, params, freeze_x)
         self._v = np.ascontiguousarray(grid.v_centers)
-        self._scratch = np.empty((grid.Nx, grid.Nv))
+        shape = (grid.Nx, grid.Nv)
+        self._k1 = np.empty(shape)
+        self._k2 = np.empty(shape)
+        self._stage = np.empty(shape)
+        self._work = kernels.Workspace(shape)
 
-    def _heun(self, rhs, values, dt):
-        k1 = rhs(values).copy()
-        k2 = rhs(values + dt * k1)
-        return values + 0.5 * dt * (k1 + k2)
+    def _heun(self, rhs, values, dt, out):
+        """out = values + dt/2 (k1 + k2), k1 = rhs(values), k2 = rhs(values + dt k1)."""
+        k1 = rhs(values, self._k1)
+        stage = np.multiply(dt, k1, out=self._stage)
+        np.add(values, stage, out=stage)
+        k2 = rhs(stage, self._k2)
+        np.add(k1, k2, out=k2)
+        np.multiply(0.5 * dt, k2, out=k2)
+        return np.add(values, k2, out=out)
 
-    def _transport(self, values):
+    def _transport(self, values, out):
         return kernels.transport_rhs_kernel(
-            values, self._v, self.grid.dx, self.bc_code, self._scratch
+            values, self._v, self.grid.dx, self.bc_code, out, self._work
         )
 
-    def _velocity(self, values):
+    def _velocity(self, values, out):
         return kernels.velocity_rhs_kernel(
-            values, self.cp, self.cm, self.grid.dv, self._scratch
+            values, self.cp, self.cm, self.grid.dv, out, self._work
         )
 
-    def step(self, values: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, values: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Advance one split step; the result goes to ``out`` (new array if None)."""
+        if out is None:
+            out = np.empty_like(values)
+        src = values
         if self.transport_enabled:
-            values = self._heun(self._transport, values, 0.5 * dt)
+            src = self._heun(self._transport, src, 0.5 * dt, out)
         if self.velocity_enabled:
-            values = self._heun(self._velocity, values, dt)
+            src = self._heun(self._velocity, src, dt, out)
         if self.transport_enabled:
-            values = self._heun(self._transport, values, 0.5 * dt)
-        return values
+            src = self._heun(self._transport, src, 0.5 * dt, out)
+        if src is not out:
+            np.copyto(out, src)
+        return out
 
 
 def strang_step(field: Field, params: ModelParams, dt: float, *, _stepper=None) -> Field:
@@ -349,7 +376,7 @@ def run(
     stepper = Stepper(config.grid, config.model)
     values = field0.values.copy()
     for k in range(start_step, n_steps):
-        values = stepper.step(values, dt)
+        stepper.step(values, dt, out=values)
         step = k + 1
         emit_diag = step % config.diagnostics_cadence == 0 or step == n_steps
         emit_snap = step % config.snapshot_cadence == 0 or step == n_steps
@@ -394,7 +421,7 @@ def steady_state_reference(
     while step < n_steps:
         todo = min(window, n_steps - step)
         for _ in range(todo):
-            values = stepper.step(values, dt)
+            stepper.step(values, dt, out=values)
         step += todo
         if not np.all(np.isfinite(values)):
             raise NumericalAbort(step)

@@ -1,8 +1,4 @@
-"""Numba and numpy kernel paths must agree; env flag selects the fallback."""
-
-import os
-import subprocess
-import sys
+"""The workspace kernels match the plain vectorised formulas bit for bit."""
 
 import numpy as np
 import pytest
@@ -12,64 +8,71 @@ from kinfp import kernels
 from kinfp.solver import velocity_face_coefficients
 
 
-@pytest.fixture()
-def workload(rng):
-    grid = build_grid(50.0, 50.0, 64, 96)
-    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    values = rng.random((grid.Nx, grid.Nv))
-    cp, cm = velocity_face_coefficients(grid, params)
-    return grid, values, cp, cm
+def reference_transport_rhs(values, v_centers, dx, bc_code):
+    Nx, Nv = values.shape
+    ext = np.empty((Nx + 4, Nv))
+    ext[2 : Nx + 2] = values
+    if bc_code == kernels.BC_PERIODIC:
+        ext[0] = values[Nx - 2]
+        ext[1] = values[Nx - 1]
+        ext[Nx + 2] = values[0]
+        ext[Nx + 3] = values[1]
+    else:
+        ext[0] = values[1, ::-1]
+        ext[1] = values[0, ::-1]
+        ext[Nx + 2] = values[Nx - 1, ::-1]
+        ext[Nx + 3] = values[Nx - 2, ::-1]
+    d = ext[1:] - ext[:-1]
+    a, b = d[:-1], d[1:]
+    slope = np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b)) / dx
+    left = ext[1 : Nx + 2] + 0.5 * dx * slope[: Nx + 1]
+    right = ext[2 : Nx + 3] - 0.5 * dx * slope[1 : Nx + 2]
+    flux = np.where(v_centers >= 0.0, v_centers * left, v_centers * right)
+    out = np.empty_like(values)
+    np.subtract(flux[:-1], flux[1:], out=out)
+    out /= dx
+    return out
 
 
-def test_backend_selection_roundtrip():
-    original = kernels.active_backend()
-    try:
-        kernels.set_backend("numpy")
-        assert kernels.active_backend() == "numpy"
-        if kernels.HAS_NUMBA:
-            kernels.set_backend("numba")
-            assert kernels.active_backend() == "numba"
-    finally:
-        kernels.set_backend(original)
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+def reference_velocity_rhs(values, cp, cm, dv):
+    out = np.empty_like(values)
+    flux = cp * values[:, 1:] + cm * values[:, :-1]
+    out[:, 0] = flux[:, 0] / dv
+    np.subtract(flux[:, 1:], flux[:, :-1], out=out[:, 1:-1])
+    out[:, 1:-1] /= dv
+    out[:, -1] = -flux[:, -1] / dv
+    return out
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_transport_backends_agree(workload):
-    grid, values, _, _ = workload
-    v = grid.v_centers
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "L, v_max, nx, nv",
+    [(50.0, 50.0, 64, 96), (50.0, 50.0, 128, 128), (1.0, 1.5, 128, 2)],
+)
+def test_kernels_bitwise_match_reference(rng, L, v_max, nx, nv):
+    grid = build_grid(L, v_max, nx, nv)
+    cp, cm = velocity_face_coefficients(grid, ModelParams(alpha=1.5, kind="exp", beta=0.5))
+    work = kernels.Workspace((nx, nv))
+    out = np.empty((nx, nv))
+    # the same workspace twice on different inputs: stale buffer state would show
+    for _ in range(2):
+        values = rng.standard_normal((nx, nv))
+        for bc in (kernels.BC_SPECULAR, kernels.BC_PERIODIC):
+            ref = reference_transport_rhs(values, grid.v_centers, grid.dx, bc)
+            got = kernels.transport_rhs_kernel(values, grid.v_centers, grid.dx, bc, out, work)
+            assert got is out
+            assert np.array_equal(bits(got), bits(ref)), bc
+        ref = reference_velocity_rhs(values, cp, cm, grid.dv)
+        got = kernels.velocity_rhs_kernel(values, cp, cm, grid.dv, out, work)
+        assert got is out
+        assert np.array_equal(bits(got), bits(ref))
+    # without out/work arguments the kernels allocate their own
     for bc in (kernels.BC_SPECULAR, kernels.BC_PERIODIC):
-        out_np = kernels.transport_rhs_numpy(values, v, grid.dx, bc, np.empty_like(values))
-        original = kernels.active_backend()
-        try:
-            kernels.set_backend("numba")
-            out_nb = kernels.transport_rhs_kernel(values, v, grid.dx, bc)
-        finally:
-            kernels.set_backend(original)
-        np.testing.assert_allclose(out_nb, out_np, rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_velocity_backends_agree(workload):
-    grid, values, cp, cm = workload
-    out_np = kernels.velocity_rhs_numpy(values, cp, cm, grid.dv, np.empty_like(values))
-    original = kernels.active_backend()
-    try:
-        kernels.set_backend("numba")
-        out_nb = kernels.velocity_rhs_kernel(values, cp, cm, grid.dv)
-    finally:
-        kernels.set_backend(original)
-    np.testing.assert_allclose(out_nb, out_np, rtol=1e-14, atol=1e-14)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, KINFP_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from kinfp import kernels; print(kernels.active_backend(), kernels.HAS_NUMBA)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.split() == ["numpy", "False"]
+        ref = reference_transport_rhs(values, grid.v_centers, grid.dx, bc)
+        got = kernels.transport_rhs_kernel(values, grid.v_centers, grid.dx, bc)
+        assert np.array_equal(bits(got), bits(ref))
+    got = kernels.velocity_rhs_kernel(values, cp, cm, grid.dv)
+    assert np.array_equal(bits(got), bits(reference_velocity_rhs(values, cp, cm, grid.dv)))

@@ -1,5 +1,7 @@
 """Grid construction, finite-volume substeps, stepping, run loop, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ def test_transport_smooth_advection_order():
         stepper = Stepper(grid, ModelParams(alpha=2.0, kind="exp", beta=2.0), bc="periodic")
         vals = fld.values
         for _ in range(n):
-            vals = stepper._heun(stepper._transport, vals, dt)
+            vals = stepper._heun(stepper._transport, vals, dt, np.empty_like(vals))
         row = 1
         exact = 2.0 + np.sin(np.pi * (x - speed * T))
         return np.abs(vals[:, row] - exact).sum() * dx
@@ -235,6 +237,75 @@ def test_step_symmetry_equivariance(desk):
     for _ in range(20):
         g = strang_step(g, params, dt)
     np.testing.assert_allclose(g.values, g.values[::-1, ::-1], rtol=0, atol=1e-15)
+
+
+def test_step_default_leaves_input_untouched(desk):
+    params, grid = desk
+    values = default_initial_condition(grid).values
+    before = values.copy()
+    dt = cfl_timestep(grid, params, 0.45)
+    stepper = Stepper(grid, params)
+    out = stepper.step(values, dt)
+    assert out is not values
+    assert not np.shares_memory(out, values)
+    np.testing.assert_array_equal(values.view(np.uint64), before.view(np.uint64))
+    # out=values advances in place to the same bits
+    inplace = values.copy()
+    assert stepper.step(inplace, dt, out=inplace) is inplace
+    np.testing.assert_array_equal(inplace.view(np.uint64), out.view(np.uint64))
+
+
+def test_strang_step_leaves_field_untouched(desk):
+    params, grid = desk
+    f = default_initial_condition(grid)
+    before = f.values.copy()
+    g = strang_step(f, params, cfl_timestep(grid, params, 0.45))
+    assert not np.shares_memory(g.values, f.values)
+    np.testing.assert_array_equal(f.values.view(np.uint64), before.view(np.uint64))
+
+
+def test_shared_stepper_matches_separate_steppers(desk, rng):
+    """Two fields stepped alternately through one stepper, as in c01."""
+    params, grid = desk
+    dt = cfl_timestep(grid, params, 0.45)
+    f1 = default_initial_condition(grid).values
+    f2 = f1 * (1.0 + 0.5 * rng.random(f1.shape))
+    shared = Stepper(grid, params)
+    a1, a2 = f1, f2
+    for _ in range(5):
+        a1 = shared.step(a1, dt)
+        a2 = shared.step(a2, dt)
+    own1, own2 = Stepper(grid, params), Stepper(grid, params)
+    b1, b2 = f1, f2
+    for _ in range(5):
+        b1 = own1.step(b1, dt)
+    for _ in range(5):
+        b2 = own2.step(b2, dt)
+    np.testing.assert_array_equal(a1.view(np.uint64), b1.view(np.uint64))
+    np.testing.assert_array_equal(a2.view(np.uint64), b2.view(np.uint64))
+
+
+def test_inplace_step_allocates_under_two_fields():
+    """A warmed-up in-place step allocates no field-sized temporary.
+
+    The bound is not zero: numpy's ufunc iterator may buffer up to 64 KiB
+    per operand on strided views.  One 256^2 field is 512 KiB.
+    """
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    grid = build_grid(50.0, 50.0, 256, 256)
+    stepper = Stepper(grid, params)
+    values = default_initial_condition(grid).values.copy()
+    dt = cfl_timestep(grid, params, 0.45)
+    stepper.step(values, dt, out=values)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        stepper.step(values, dt, out=values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.nbytes
 
 
 # ---------------------------------------------------------------- run loop
