@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -122,7 +124,10 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
             name = stem + ".ckpt"
             write_checkpoint(field, step, outdir / name)
         outputs.append(name)
-        write_checkpoint(field, step, outdir / "last_checkpoint.ckpt")
+        # a crash mid-write must not destroy the last good checkpoint
+        tmp = outdir / "last_checkpoint.ckpt.tmp"
+        write_checkpoint(field, step, tmp)
+        os.replace(tmp, outdir / "last_checkpoint.ckpt")
         rho = density(field)
         density_rows.extend(
             (field.time_stamp, x, r) for x, r in zip(grid.x_centers, rho)
@@ -148,6 +153,15 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
         field0, start_step = read_checkpoint(resume)
         if field0.grid != grid:
             print("error: resume checkpoint grid mismatch", file=sys.stderr)
+            return 1
+        dt, _ = solver_cfg.resolve_dt()
+        expected = start_step * dt
+        if not math.isclose(field0.time_stamp, expected, rel_tol=1e-12):
+            print(
+                f"error: resume checkpoint time {field0.time_stamp!r} differs from "
+                f"step {start_step} x dt {dt!r} = {expected!r} of this config",
+                file=sys.stderr,
+            )
             return 1
     try:
         final = run(solver_cfg, field0, sinks, start_step=start_step)
@@ -313,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", required=True, help="configuration file path")
         sp.add_argument("--output", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="seed for noise fixtures")
 
     sp = sub.add_parser("simulate", help="run the finite-volume solver")
     common(sp)

@@ -58,10 +58,7 @@ SCHEMA: dict[str, tuple] = {
     "diagnostics.delta": (float, 1.15),
     "diagnostics.rate_mode": (str, "exp"),  # exp | poly
     "diagnostics.rate_theta": (float, 0.25),
-    "diagnostics.rate_k": (float, 2.0),
     "diagnostics.rate_burn_fraction": (float, 0.1),
-    "diagnostics.tail_window_lo": (float, 20.0),
-    "diagnostics.tail_window_hi": (float, 40.0),
     "lyapunov.ell": (float, 2.0),
     "lyapunov.eps": (float, 0.2),
     "lyapunov.a_exp": (float, 1.0),
@@ -74,7 +71,6 @@ SCHEMA: dict[str, tuple] = {
     "lyapunov.scan_v": (float, 50.0),
     "lyapunov.samples": (int, 256),
     "lyapunov.radii": (_float_list, (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)),
-    "lyapunov.fd_step": (float, 1e-4),
     "output.dir": (str, "out"),
     "output.snapshot_format": (str, "csv"),  # csv | checkpoint
 }
@@ -145,7 +141,6 @@ class RunConfig:
             v_half=self["lyapunov.scan_v"],
             samples_per_axis=self["lyapunov.samples"],
             exclusion_radii=self["lyapunov.radii"],
-            fd_step=self["lyapunov.fd_step"],
         )
 
 
@@ -232,10 +227,6 @@ def _validate(values: dict[str, object], violations: list[str]) -> None:
     check(
         values["diagnostics.rate_mode"] in ("exp", "poly"),
         "diagnostics.rate_mode: must be 'exp' or 'poly'",
-    )
-    check(
-        values["diagnostics.tail_window_lo"] < values["diagnostics.tail_window_hi"],
-        "diagnostics.tail_window_lo/hi: window must be increasing",
     )
     check(
         values["lyapunov.mode"] in ("exp", "poly"),

@@ -1,7 +1,8 @@
 """Hot stencil kernels: vectorised numpy writing through a preallocated workspace.
 
-A time step evaluates the transport kernel four times and the velocity
-kernel twice, and a run takes hundreds of thousands of steps.  Both kernels
+A symmetric time step evaluates the transport kernel four times and the
+velocity kernel twice (a step inside a fused segment evaluates transport
+twice), and a run takes hundreds of thousands of steps.  Both kernels
 write their result into ``out`` and keep every intermediate in a
 ``Workspace`` allocated once per grid shape, so a warmed-up call allocates
 no array.  Without a workspace argument a call builds a throwaway one.

@@ -14,6 +14,17 @@ the symmetric composition transport(dt/2) . velocity(dt) . transport(dt/2),
 each substep advanced with Heun's two-stage method.  Boundaries: specular
 reflection at the x-walls, zero flux at the v-walls; both conserve mass to
 machine precision.
+
+Between two emission points (diagnostics, snapshots, steady-state window
+ends, the last step) ``run`` and ``steady_state_reference`` merge the two
+adjacent transport half-steps of consecutive steps (Strang 1968): a segment
+of n steps is T(dt/2) [V(dt) T(dt)]^(n-1) V(dt) T(dt/2), n + 1 transport
+Heun pairs instead of 2n.  With exact substeps T(dt/2) T(dt/2) = T(dt);
+with Heun substeps the two schemes differ by O(dt^2) at a fixed time, the
+order of the scheme itself.  The merged T(dt) runs at Courant number
+v_max dt / dx, so segments are fused only when that is at most 1/2, the
+SSP bound under which each forward-Euler stage of the minmod transport
+keeps positivity; above it every step is the symmetric one.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ __all__ = [
     "discrete_velocity_equilibrium",
     "transport_rhs",
     "velocity_rhs",
+    "fuses_transport",
     "strang_step",
     "run",
     "steady_state_reference",
@@ -239,8 +251,11 @@ class Stepper:
     """Precomputed-coefficient stepping engine for one (grid, model) pair.
 
     One step is transport(dt/2) . velocity(dt) . transport(dt/2), each
-    substep a Heun pair.  The stepper owns a workspace allocated once: the
-    Heun increments k1 and k2, the stage state, and a ``kernels.Workspace``
+    substep a Heun pair.  Inside a fused segment (see the module docstring)
+    a step that does not open the segment skips the leading T(dt/2), which
+    the previous step's T(dt) already covered, and a step that does not
+    close it ends with T(dt).  The stepper owns a workspace allocated once:
+    the Heun increments k1 and k2, the stage state, and a ``kernels.Workspace``
     (three more field-sized arrays and two masks), so a step allocates no
     array.  The kernels are looked up on the ``kernels`` module at each
     call, so a wrapper installed there (a profiler, a tracer) sees them all.
@@ -248,6 +263,8 @@ class Stepper:
     ``step(values, dt)`` leaves ``values`` untouched and returns a new array;
     ``step(values, dt, out=values)`` advances in place.  The workspace holds
     no state between steps, so fields on the same grid may share a stepper.
+    The state between an unclosed step and the next is not a solution value
+    at any time; only a closing step's result may be observed.
     """
 
     def __init__(
@@ -292,20 +309,41 @@ class Stepper:
             values, self.cp, self.cm, self.grid.dv, out, self._work
         )
 
-    def step(self, values: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Advance one split step; the result goes to ``out`` (new array if None)."""
+    def step(
+        self,
+        values: np.ndarray,
+        dt: float,
+        out: np.ndarray | None = None,
+        *,
+        opens: bool = True,
+        closes: bool = True,
+    ) -> np.ndarray:
+        """Advance one split step; the result goes to ``out`` (new array if None).
+
+        ``opens``/``closes`` say whether the step starts/ends a fused
+        segment; the defaults give the symmetric step T(dt/2) V(dt) T(dt/2).
+        """
         if out is None:
             out = np.empty_like(values)
         src = values
-        if self.transport_enabled:
+        if self.transport_enabled and opens:
             src = self._heun(self._transport, src, 0.5 * dt, out)
         if self.velocity_enabled:
             src = self._heun(self._velocity, src, dt, out)
         if self.transport_enabled:
-            src = self._heun(self._transport, src, 0.5 * dt, out)
+            src = self._heun(self._transport, src, 0.5 * dt if closes else dt, out)
         if src is not out:
             np.copyto(out, src)
         return out
+
+
+def fuses_transport(grid: PhaseGrid, dt: float) -> bool:
+    """Whether adjacent transport half-steps may merge into one T(dt).
+
+    True when v_max dt / dx <= 1/2, the SSP bound that keeps every
+    forward-Euler stage of the merged minmod transport positive.
+    """
+    return grid.v_max * dt / grid.dx <= 0.5
 
 
 def strang_step(field: Field, params: ModelParams, dt: float, *, _stepper=None) -> Field:
@@ -355,8 +393,11 @@ def run(
 
     Deterministic for a fixed config; a resumed run continues bit-identically
     because the state, the step size and the step counter fully determine
-    every subsequent operation.  Non-finite values abort with the offending
-    step index.
+    every subsequent operation.  Transport half-steps are fused within each
+    segment (see the module docstring); a segment ends at every diagnostics
+    or snapshot step and at the last step, and starts at ``start_step``, so
+    every emitted state is a closed one and resume needs nothing more.
+    Non-finite values abort with the offending step index.
     """
     sinks = sinks or Sinks()
     if field0 is None:
@@ -374,12 +415,16 @@ def run(
         return field0
 
     stepper = Stepper(config.grid, config.model)
+    fuse = fuses_transport(config.grid, dt)
     values = field0.values.copy()
+    opens = True
     for k in range(start_step, n_steps):
-        stepper.step(values, dt, out=values)
         step = k + 1
         emit_diag = step % config.diagnostics_cadence == 0 or step == n_steps
         emit_snap = step % config.snapshot_cadence == 0 or step == n_steps
+        closes = emit_diag or emit_snap or not fuse
+        stepper.step(values, dt, out=values, opens=opens, closes=closes)
+        opens = closes
         if emit_diag or emit_snap:
             if not np.all(np.isfinite(values)):
                 raise NumericalAbort(step)
@@ -401,7 +446,8 @@ def steady_state_reference(
 
     The rate ||f(t + w) - f(t)||_1 / w is checked every diagnostics-cadence
     window; config.t_final (or max_steps) caps the horizon, and exhausting
-    it raises with the last observed rate.
+    it raises with the last observed rate.  Each window is one fused
+    segment when ``fuses_transport`` allows it (see the module docstring).
     """
     from .diagnostics import l1_distance
 
@@ -414,14 +460,18 @@ def steady_state_reference(
         n_steps = min(n_steps, max_steps)
     window = config.diagnostics_cadence
     stepper = Stepper(config.grid, config.model)
+    fuse = fuses_transport(config.grid, dt)
     values = field0.values.copy()
     prev = Field(values.copy(), config.grid, field0.time_stamp)
     step = 0
     rate = np.inf
     while step < n_steps:
         todo = min(window, n_steps - step)
-        for _ in range(todo):
-            stepper.step(values, dt, out=values)
+        for i in range(todo):
+            stepper.step(
+                values, dt, out=values,
+                opens=i == 0 or not fuse, closes=i == todo - 1 or not fuse,
+            )
         step += todo
         if not np.all(np.isfinite(values)):
             raise NumericalAbort(step)

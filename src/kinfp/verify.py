@@ -89,7 +89,6 @@ class ScanConfig:
     v_half: float = 50.0
     samples_per_axis: int = 256
     exclusion_radii: tuple[float, ...] = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.samples_per_axis < 16:
@@ -101,8 +100,6 @@ class ScanConfig:
         rmax = max(self.exclusion_radii)
         if rmax >= self.x_half or rmax >= self.v_half:
             raise ValueError("candidate radii must be smaller than the box")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass(frozen=True)

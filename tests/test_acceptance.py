@@ -20,6 +20,7 @@ from kinfp import (
     ModelParams,
     PolyWeight,
     ScanConfig,
+    Sinks,
     SolverConfig,
     apply_Lstar_exact,
     apply_Lstar_fd_richardson,
@@ -34,11 +35,12 @@ from kinfp import (
     lyapunov_weight,
     mass,
     rate_fit,
+    run,
     steady_state_reference,
 )
 from kinfp.diagnostics import density
 from kinfp.model import asymptotic_correction, asymptotic_prefactor
-from kinfp.solver import Stepper, discrete_velocity_equilibrium
+from kinfp.solver import Stepper, discrete_velocity_equilibrium, fuses_transport
 from kinfp.verify import lstar_term_scale
 
 DESK_PARAMS = ModelParams(alpha=1.5, kind="exp", beta=0.5)
@@ -57,11 +59,14 @@ def _report(criterion: str, passed: bool, detail: str):
 def desk128_pair():
     """Two lockstep desk runs (L=v_max=50, 128^2, auto dt, 1e4 steps).
 
-    Returns per-emission series: mass/min/max of the first run and the L1
-    distance between the runs (distinct nonnegative equal-mass data).
+    Steps as ``run`` does: transport half-steps fused within each 100-step
+    segment between emissions.  Returns per-emission series: mass/min/max
+    of the first run and the L1 distance between the runs (distinct
+    nonnegative equal-mass data).
     """
     grid = build_grid(50.0, 50.0, 128, 128)
     dt = cfl_timestep(grid, DESK_PARAMS, 0.45)
+    assert fuses_transport(grid, dt)
     stepper = Stepper(grid, DESK_PARAMS)
     f1 = default_initial_condition(grid).values.copy()
     x, v = grid.x_centers[:, None], grid.v_centers[None, :]
@@ -72,9 +77,10 @@ def desk128_pair():
     cell = grid.cell_volume
     t0 = time.time()
     for k in range(10_000):
-        f1 = stepper.step(f1, dt)
-        f2 = stepper.step(f2, dt)
-        if (k + 1) % 100 == 0:
+        seg = dict(opens=k % 100 == 0, closes=(k + 1) % 100 == 0)
+        f1 = stepper.step(f1, dt, **seg)
+        f2 = stepper.step(f2, dt, **seg)
+        if seg["closes"]:
             masses.append(f1.sum() * cell)
             mins.append(f1.min())
             maxs.append(f1.max())
@@ -93,29 +99,30 @@ def desk128_pair():
 def desk200_run():
     """Desk stand-in for the production figure run: 200^2, T=50, default datum.
 
-    Returns the final field, the initial field, and snapshots every 200
-    steps (used later for the decay-rate fit against the steady reference).
+    Runs ``run``, the production loop with its fused segments between
+    emissions.  Returns the final field, the initial field, and snapshots
+    every 200 steps (used later for the decay-rate fit against the steady
+    reference).
     """
     grid = build_grid(50.0, 50.0, 200, 200)
     cfg = SolverConfig(
         model=DESK_PARAMS, grid=grid, t_final=50.0, cfl_safety=0.45,
         snapshot_cadence=200, diagnostics_cadence=200,
     )
-    dt, n = cfg.resolve_dt()
-    stepper = Stepper(grid, DESK_PARAMS)
     f0 = default_initial_condition(grid)
-    vals = f0.values.copy()
     snaps = []
+
+    def keep(field, step):
+        if step > 0 and step % 200 == 0:
+            snaps.append((field.time_stamp, field.values))
+
     t0 = time.time()
-    for k in range(n):
-        vals = stepper.step(vals, dt)
-        if (k + 1) % 200 == 0:
-            snaps.append(((k + 1) * dt, vals.copy()))
+    final = run(cfg, f0, Sinks(snapshot=keep))
     return {
         "grid": grid,
         "config": cfg,
         "initial": f0,
-        "final": Field(vals, grid, n * dt),
+        "final": final,
         "snapshots": snaps,
         "runtime": time.time() - t0,
     }

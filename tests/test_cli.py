@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kinfp.cli import main
+from kinfp.config import parse_config
 from kinfp.solver import read_checkpoint
 
 MINIMAL = "model.alpha = 1.5\nmodel.kind = exp\nmodel.beta = 0.5\n"
@@ -99,6 +100,36 @@ def test_simulate_resume_matches_uninterrupted(tmp_path):
     f_full, _ = read_checkpoint(ck_dir / "last_checkpoint.ckpt")
     f_res, _ = read_checkpoint(res_dir / "last_checkpoint.ckpt")
     np.testing.assert_array_equal(f_full.values, f_res.values)
+
+
+def test_simulate_resume_rejects_relabelled_time(tmp_path, capsys):
+    # checkpoint at step 10 under auto dt (about 0.027); cfl_safety = 0.2
+    # gives dt = 0.0125, which would relabel t = 0.27 as t = 0.125
+    text = (
+        SMALL_RUN.replace("time.t_final = 0.2", "time.t_final = 0.6")
+        + "output.snapshot_format = checkpoint\n"
+    )
+    cfg = _write(tmp_path, text)
+    ck_dir = tmp_path / "ck"
+    assert main(["simulate", "--config", cfg, "--output", str(ck_dir)]) == 0
+    ck = ck_dir / "snapshot_00000010.ckpt"
+    field, step = read_checkpoint(ck)
+    assert step == 10 and field.time_stamp == pytest.approx(0.6 / 22 * 10)
+    other = _write(tmp_path, text + "time.cfl_safety = 0.2\n", "other.cfg")
+    capsys.readouterr()
+    argv = ["simulate", "--config", other, "--output", str(tmp_path / "r"), "--resume", str(ck)]
+    assert main(argv) == 1
+    dt, _ = parse_config(Path(other).read_text()).solver_config().resolve_dt()
+    assert dt == pytest.approx(0.0125)
+    err = capsys.readouterr().err
+    assert repr(field.time_stamp) in err and repr(10 * dt) in err
+
+
+def test_seed_flag_removed(tmp_path):
+    cfg = _write(tmp_path, SMALL_RUN)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--output", str(tmp_path / "o"), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_verify_lyapunov_pass_and_fail(tmp_path):

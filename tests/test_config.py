@@ -107,3 +107,18 @@ def test_schema_defaults_are_self_consistent():
     # every non-required default must parse through its own serializer
     cfg = parse_config(MINIMAL)
     assert set(cfg.as_dict()) == set(SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "diagnostics.rate_k = 2.0",
+        "diagnostics.tail_window_lo = 20",
+        "diagnostics.tail_window_hi = 40",
+        "lyapunov.fd_step = 1e-4",
+    ],
+)
+def test_inert_keys_rejected(line):
+    # these keys once parsed but changed nothing; they are unknown now
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(MINIMAL + line + "\n")

@@ -26,6 +26,7 @@ from kinfp.solver import (
     cc_delta,
     discrete_velocity_equilibrium,
     double_exponential_datum,
+    fuses_transport,
     read_checkpoint,
     velocity_face_coefficients,
     write_checkpoint,
@@ -392,6 +393,98 @@ def test_run_checkpoint_resume_bit_identical(tmp_path):
     assert step == mid
     resumed = run(cfg, field, Sinks(), start_step=step)
     np.testing.assert_array_equal(full.values, resumed.values)
+
+
+def _unfused(cfg, values, n, dt):
+    stepper = Stepper(cfg.grid, cfg.model)
+    for _ in range(n):
+        values = stepper.step(values, dt)
+    return values
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Counts of kernel calls, taken through the ``kernels`` module attributes."""
+    import kinfp.kernels as kernels
+
+    counts = {"transport_rhs_kernel": 0, "velocity_rhs_kernel": 0}
+
+    def counting(name):
+        fn = getattr(kernels, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(kernels, name, counting(name))
+    return counts
+
+
+@pytest.mark.parametrize("n, cadence, pairs", [(1, 100, 2), (7, 100, 8), (7, 3, 10)])
+def test_fused_segment_kernel_calls(kernel_calls, n, cadence, pairs):
+    """A segment of n steps makes n + 1 transport Heun pairs and n velocity
+    pairs; 7 steps at cadence 3 are segments of 3, 3 and 1 steps."""
+    dt, _ = _desk_config().resolve_dt()
+    cfg = _desk_config(t_final=n * dt, dt=dt, snapshot_cadence=100, diagnostics_cadence=cadence)
+    assert cfg.resolve_dt() == (dt, n) and fuses_transport(cfg.grid, dt)
+    run(cfg)
+    assert kernel_calls == {"transport_rhs_kernel": 2 * pairs, "velocity_rhs_kernel": 2 * n}
+
+
+def test_steady_window_is_one_fused_segment(kernel_calls):
+    cfg = _desk_config(t_final=50.0, diagnostics_cadence=6)
+    steady_state_reference(cfg, tol_rate=1e300)  # accepts the first window
+    assert kernel_calls == {"transport_rhs_kernel": 2 * 7, "velocity_rhs_kernel": 2 * 6}
+
+
+def test_run_above_half_courant_is_unfused():
+    cfg = _desk_config(t_final=0.3, cfl_safety=0.9)
+    dt, n = cfg.resolve_dt()
+    assert cfg.grid.v_max * dt / cfg.grid.dx > 0.5 and not fuses_transport(cfg.grid, dt)
+    f0 = default_initial_condition(cfg.grid)
+    np.testing.assert_array_equal(run(cfg, f0).values, _unfused(cfg, f0.values, n, dt))
+
+
+def test_fused_minus_unfused_is_second_order():
+    """Heun's T(dt) and two T(dt/2) differ by O(dt^3) per step, so the
+    endpoint difference over a fixed horizon falls about 4x per halving of dt."""
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    grid = build_grid(20.0, 20.0, 32, 32)
+    f0 = default_initial_condition(grid)
+    diffs = []
+    for n in (32, 64, 128):
+        dt = 0.4 * grid.dx / grid.v_max * 32 / n
+        cfg = SolverConfig(
+            model=params, grid=grid, t_final=n * dt, dt=dt,
+            snapshot_cadence=10_000, diagnostics_cadence=10_000,
+        )
+        assert cfg.resolve_dt() == (dt, n)
+        fused = run(cfg, f0).values
+        diffs.append(np.abs(fused - _unfused(cfg, f0.values, n, dt)).sum() * grid.cell_volume)
+    ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
+    assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
+
+
+def test_resume_bit_identical_with_distinct_cadences(tmp_path):
+    """Segments end at snapshot steps (every 7) and at diagnostics steps
+    (every 10); a run resumed from any snapshot matches the full run."""
+    cfg = _desk_config(t_final=0.5, snapshot_cadence=7, diagnostics_cadence=10)
+    dt, n = cfg.resolve_dt()
+
+    def snap(field, step):
+        write_checkpoint(field, step, tmp_path / f"s{step}.ckpt")
+
+    full = run(cfg, None, Sinks(snapshot=snap))
+    assert fuses_transport(cfg.grid, dt)
+    steps = range(7, n, 7)
+    assert any(step % 10 for step in steps) and len(steps) >= 4
+    for step in steps:
+        field, k = read_checkpoint(tmp_path / f"s{step}.ckpt")
+        resumed = run(cfg, field, Sinks(), start_step=k)
+        np.testing.assert_array_equal(full.values, resumed.values)
 
 
 def test_checkpoint_round_trip(tmp_path, desk):
