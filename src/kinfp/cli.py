@@ -38,6 +38,7 @@ from .solver import (
     NumericalAbort,
     Sinks,
     default_initial_condition,
+    fuses_transport,
     read_checkpoint,
     run,
     steady_state_reference,
@@ -124,7 +125,8 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
             name = stem + ".ckpt"
             write_checkpoint(field, step, outdir / name)
         outputs.append(name)
-        # a crash mid-write must not destroy the last good checkpoint
+        # a process killed mid-write must not destroy the last good
+        # checkpoint (no fsync: a power loss may still truncate it)
         tmp = outdir / "last_checkpoint.ckpt.tmp"
         write_checkpoint(field, step, tmp)
         os.replace(tmp, outdir / "last_checkpoint.ckpt")
@@ -154,12 +156,27 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
         if field0.grid != grid:
             print("error: resume checkpoint grid mismatch", file=sys.stderr)
             return 1
-        dt, _ = solver_cfg.resolve_dt()
+        dt, n_steps = solver_cfg.resolve_dt()
         expected = start_step * dt
         if not math.isclose(field0.time_stamp, expected, rel_tol=1e-12):
             print(
                 f"error: resume checkpoint time {field0.time_stamp!r} differs from "
                 f"step {start_step} x dt {dt!r} = {expected!r} of this config",
+                file=sys.stderr,
+            )
+            return 1
+        # fused segments end only at emissions, so an uninterrupted run
+        # passes through any other step without stopping there
+        cadences = (solver_cfg.diagnostics_cadence, solver_cfg.snapshot_cadence)
+        if (
+            fuses_transport(grid, dt)
+            and start_step < n_steps
+            and all(start_step % c for c in cadences)
+        ):
+            print(
+                f"error: resume step {start_step} is neither a diagnostics nor a "
+                f"snapshot step of this config (cadences {cadences[0]} and "
+                f"{cadences[1]}); the resumed run would not match an uninterrupted one",
                 file=sys.stderr,
             )
             return 1

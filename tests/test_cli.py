@@ -125,6 +125,32 @@ def test_simulate_resume_rejects_relabelled_time(tmp_path, capsys):
     assert repr(field.time_stamp) in err and repr(10 * dt) in err
 
 
+def test_simulate_resume_rejects_step_inside_a_segment(tmp_path, capsys):
+    """Resume from step 10 under cadences that do not stop there: an
+    uninterrupted run fuses straight across step 10, so exit 1."""
+    text = (
+        SMALL_RUN.replace("time.t_final = 0.2", "time.t_final = 0.6")
+        + "output.snapshot_format = checkpoint\n"
+    )
+    cfg = _write(tmp_path, text)
+    ck_dir = tmp_path / "ck"
+    assert main(["simulate", "--config", cfg, "--output", str(ck_dir)]) == 0
+    ck = str(ck_dir / "snapshot_00000010.ckpt")
+
+    def resume(diag, snap):
+        lines = text.replace("diagnostics.cadence = 5", f"diagnostics.cadence = {diag}")
+        lines = lines.replace("snapshot_cadence = 10", f"snapshot_cadence = {snap}")
+        other = _write(tmp_path, lines, f"c{diag}_{snap}.cfg")
+        out = tmp_path / f"r{diag}_{snap}"
+        return main(["simulate", "--config", other, "--output", str(out), "--resume", ck])
+
+    capsys.readouterr()
+    assert resume(7, 4) == 1
+    assert "resume step 10" in capsys.readouterr().err
+    assert resume(7, 5) == 0  # step 10 is a snapshot step
+    assert resume(2, 7) == 0  # step 10 is a diagnostics step
+
+
 def test_seed_flag_removed(tmp_path):
     cfg = _write(tmp_path, SMALL_RUN)
     with pytest.raises(SystemExit) as exc:

@@ -434,10 +434,28 @@ def test_fused_segment_kernel_calls(kernel_calls, n, cadence, pairs):
     assert kernel_calls == {"transport_rhs_kernel": 2 * pairs, "velocity_rhs_kernel": 2 * n}
 
 
-def test_steady_window_is_one_fused_segment(kernel_calls):
+def test_steady_march_fuses_then_ends_symmetric(kernel_calls):
+    """A window is one fused segment until one meets the tolerance; the
+    march then returns after a window of symmetric steps."""
     cfg = _desk_config(t_final=50.0, diagnostics_cadence=6)
-    steady_state_reference(cfg, tol_rate=1e300)  # accepts the first window
-    assert kernel_calls == {"transport_rhs_kernel": 2 * 7, "velocity_rhs_kernel": 2 * 6}
+    f = steady_state_reference(cfg, tol_rate=1e300)  # accepts every window
+    assert f.time_stamp == 12 * cfg.resolve_dt()[0]
+    assert kernel_calls == {"transport_rhs_kernel": 2 * (7 + 12), "velocity_rhs_kernel": 2 * 12}
+
+
+def test_steady_state_is_steady_under_symmetric_steps():
+    """On a coarse grid the fused and symmetric fixed points lie far enough
+    apart that a fused-only march would fail this (rate 7.5e-5 here)."""
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    cfg = SolverConfig(
+        model=params, grid=build_grid(30.0, 30.0, 12, 12), t_final=500.0,
+        diagnostics_cadence=200,
+    )
+    dt, _ = cfg.resolve_dt()
+    assert fuses_transport(cfg.grid, dt)
+    f = steady_state_reference(cfg, tol_rate=1e-5)
+    after = Field(_unfused(cfg, f.values, 200, dt), cfg.grid)
+    assert l1_distance(after, Field(f.values, cfg.grid)) / (200 * dt) < 1e-5
 
 
 def test_run_above_half_courant_is_unfused():
