@@ -1,8 +1,9 @@
 """Command-line entry points tying the solver, certifier and diagnostics together.
 
 Subcommands: ``simulate``, ``verify-lyapunov``, ``fit-rate``, ``steady-state``,
-``export-reference``.  Exit codes: 0 success/pass, 1 usage or configuration
-error, 2 verification failure, 3 numerical abort.
+``export-reference``.  Exit codes: 0 success/pass, 1 usage, configuration or
+input error (every ValueError or OSError a command raises ends there, with
+its message), 2 verification failure, 3 numerical abort.
 
 All real numbers in CSV output are written in scientific notation with 17
 significant digits so 64-bit values round-trip bit-faithfully.  Every run
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
     density,
-    l1_distance,
     mass,
     rate_fit,
     reference_profile,
@@ -38,7 +37,6 @@ from .solver import (
     NumericalAbort,
     Sinks,
     default_initial_condition,
-    fuses_transport,
     read_checkpoint,
     run,
     steady_state_reference,
@@ -104,8 +102,8 @@ def _reference_field(cfg: RunConfig, grid, params) -> Field | None:
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int:
+    """Run the solver; ``run`` refuses a resume state it would not continue exactly."""
     t0 = time.time()
-    outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.model_params()
     solver_cfg = cfg.solver_config()
     grid = solver_cfg.grid
@@ -115,6 +113,11 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
     density_rows: list[tuple] = []
     distance_rows: list[tuple] = []
     reference = _reference_field(cfg, grid, params)
+    if resume:
+        field0, start_step = read_checkpoint(resume)
+    else:
+        field0, start_step = _initial_field(cfg, grid), 0
+    outdir.mkdir(parents=True, exist_ok=True)
 
     def on_snapshot(field: Field, step: int):
         stem = f"snapshot_{step:08d}"
@@ -149,37 +152,6 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
             distance_rows.append((rec.time, rec.l1_distance_to_reference))
 
     sinks = Sinks(snapshot=on_snapshot, diagnostics=on_diagnostics, reference=reference)
-    start_step = 0
-    field0 = _initial_field(cfg, grid)
-    if resume:
-        field0, start_step = read_checkpoint(resume)
-        if field0.grid != grid:
-            print("error: resume checkpoint grid mismatch", file=sys.stderr)
-            return 1
-        dt, n_steps = solver_cfg.resolve_dt()
-        expected = start_step * dt
-        if not math.isclose(field0.time_stamp, expected, rel_tol=1e-12):
-            print(
-                f"error: resume checkpoint time {field0.time_stamp!r} differs from "
-                f"step {start_step} x dt {dt!r} = {expected!r} of this config",
-                file=sys.stderr,
-            )
-            return 1
-        # fused segments end only at emissions, so an uninterrupted run
-        # passes through any other step without stopping there
-        cadences = (solver_cfg.diagnostics_cadence, solver_cfg.snapshot_cadence)
-        if (
-            fuses_transport(grid, dt)
-            and start_step < n_steps
-            and all(start_step % c for c in cadences)
-        ):
-            print(
-                f"error: resume step {start_step} is neither a diagnostics nor a "
-                f"snapshot step of this config (cadences {cadences[0]} and "
-                f"{cadences[1]}); the resumed run would not match an uninterrupted one",
-                file=sys.stderr,
-            )
-            return 1
     try:
         final = run(solver_cfg, field0, sinks, start_step=start_step)
     except NumericalAbort as exc:
@@ -206,25 +178,19 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
 
 def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> int:
     t0 = time.time()
-    outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.model_params()
     scan_cfg = cfg.scan_config()
-    try:
-        if search:
-            if cfg["lyapunov.mode"] == "exp":
-                spec, report = find_certified_spec(
-                    params, scan_cfg, theta=cfg["lyapunov.theta"], ell=cfg["lyapunov.ell"]
-                )
-            else:
-                spec, report = find_certified_spec(
-                    params, scan_cfg, ell=cfg["lyapunov.ell"], k=cfg["lyapunov.k"]
-                )
-        else:
-            spec = cfg.lyapunov_spec()
-            report = scan_drift_inequality(params, spec, scan_cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if not search:
+        report = scan_drift_inequality(params, cfg.lyapunov_spec(), scan_cfg)
+    elif cfg["lyapunov.mode"] == "exp":
+        _, report = find_certified_spec(
+            params, scan_cfg, theta=cfg["lyapunov.theta"], ell=cfg["lyapunov.ell"]
+        )
+    else:
+        _, report = find_certified_spec(
+            params, scan_cfg, ell=cfg["lyapunov.ell"], k=cfg["lyapunov.k"]
+        )
+    outdir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"passed = {report.passed}",
         f"chosen_R = {report.chosen_R!r}",
@@ -242,40 +208,29 @@ def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> i
 def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> int:
     t0 = time.time()
     rows = []
-    try:
-        with open(series_path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                s = line.strip()
-                if not s or s.startswith("#") or s.lower().startswith("t,"):
-                    continue
-                parts = s.split(",")
-                if len(parts) != 2:
-                    print(f"error: line {lineno}: expected 't,distance'", file=sys.stderr)
-                    return 1
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except ValueError:
-                    print(f"error: line {lineno}: cannot parse numbers", file=sys.stderr)
-                    return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(series_path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            s = line.strip()
+            if not s or s.startswith("#") or s.lower().startswith("t,"):
+                continue
+            parts = s.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 't,distance'")
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: cannot parse numbers") from None
     if not rows:
-        print("error: empty series", file=sys.stderr)
-        return 1
+        raise ValueError("empty series")
     mode = cfg["diagnostics.rate_mode"]
     t = np.asarray(rows)[:, 0]
     span = t.max() - t.min()
-    try:
-        fit = rate_fit(
-            rows,
-            mode,
-            theta=cfg["diagnostics.rate_theta"] if mode == "exp" else None,
-            t_burn=t.min() + cfg["diagnostics.rate_burn_fraction"] * span,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    fit = rate_fit(
+        rows,
+        mode,
+        theta=cfg["diagnostics.rate_theta"] if mode == "exp" else None,
+        t_burn=t.min() + cfg["diagnostics.rate_burn_fraction"] * span,
+    )
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"mode = {fit.mode}",
@@ -293,7 +248,6 @@ def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> int:
 
 def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> int:
     t0 = time.time()
-    outdir.mkdir(parents=True, exist_ok=True)
     solver_cfg = cfg.solver_config()
     field0 = _initial_field(cfg, solver_cfg.grid)
     try:
@@ -301,6 +255,7 @@ def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> int:
     except (RuntimeError, NumericalAbort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    outdir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ref, 0, outdir / "steady_state.ckpt")
     _write_csv(
         outdir / "steady_density.csv",
@@ -316,10 +271,10 @@ def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> int:
 
 def cmd_export_reference(cfg: RunConfig, outdir: Path) -> int:
     t0 = time.time()
-    outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.model_params()
     grid = cfg.phase_grid()
     ref = reference_profile(grid, params, cfg["diagnostics.delta"], normalize=True)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ref, 0, outdir / "reference_profile.ckpt")
     _write_field_csv(outdir / "reference_profile.csv", ref)
     _write_manifest(
@@ -374,24 +329,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outdir = Path(args.output) if args.output else Path(cfg["output.dir"])
-    if args.command == "simulate":
-        return cmd_simulate(cfg, outdir, resume=args.resume)
-    if args.command == "verify-lyapunov":
-        return cmd_verify_lyapunov(cfg, outdir, search=args.search)
-    if args.command == "fit-rate":
-        return cmd_fit_rate(cfg, args.series, outdir)
-    if args.command == "steady-state":
-        return cmd_steady_state(cfg, outdir, tol_rate=args.tol_rate)
-    if args.command == "export-reference":
+        outdir = Path(args.output) if args.output else Path(cfg["output.dir"])
+        if args.command == "simulate":
+            return cmd_simulate(cfg, outdir, resume=args.resume)
+        if args.command == "verify-lyapunov":
+            return cmd_verify_lyapunov(cfg, outdir, search=args.search)
+        if args.command == "fit-rate":
+            return cmd_fit_rate(cfg, args.series, outdir)
+        if args.command == "steady-state":
+            return cmd_steady_state(cfg, outdir, tol_rate=args.tol_rate)
         return cmd_export_reference(cfg, outdir)
-    return 1
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

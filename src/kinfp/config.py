@@ -8,6 +8,14 @@ parsed config and re-parsing it round-trips exactly.
 Required keys: ``model.alpha``, ``model.kind`` and the matching tail
 exponent (``model.beta`` for ``exp``, ``model.gamma`` for ``poly``).  Every
 other key has the documented default shown in ``SCHEMA``.
+
+Every key is validated at parse time, for every command, by the object
+that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
+``LyapunovSpec`` (with its weight mode) and ``ScanConfig``, built through
+the typed views of ``RunConfig``.  So ``model.gamma`` needs only gamma > 0,
+the range where the solver and the normalisation are defined; the drift
+certifier itself refuses a poly model unless 3/2 < ell < 1 + gamma/2, which
+excludes gamma <= 1.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 from .grid import PhaseGrid
 from .model import ExpWeight, LyapunovSpec, ModelParams, PolyWeight
-from .solver import SolverConfig, cfl_timestep
+from .solver import SolverConfig
 from .verify import ScanConfig
 
 __all__ = ["RunConfig", "ConfigError", "SCHEMA", "parse_config", "serialize_config"]
@@ -73,6 +81,24 @@ SCHEMA: dict[str, tuple] = {
     "lyapunov.radii": (_float_list, (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)),
     "output.dir": (str, "out"),
     "output.snapshot_format": (str, "csv"),  # csv | checkpoint
+}
+
+# choice keys read by this module or the CLI, with their allowed values
+# (model.kind is checked by ModelParams)
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "initial.preset": ("paper-default", "file"),
+    "diagnostics.reference": ("none", "profile", "file"),
+    "diagnostics.rate_mode": ("exp", "poly"),
+    "lyapunov.mode": ("exp", "poly"),
+    "output.snapshot_format": ("csv", "checkpoint"),
+}
+
+# key -> (choice key, value of it that requires the key)
+_REQUIRED_BY: dict[str, tuple[str, str]] = {
+    "model.beta": ("model.kind", "exp"),
+    "model.gamma": ("model.kind", "poly"),
+    "initial.file": ("initial.preset", "file"),
+    "diagnostics.reference_file": ("diagnostics.reference", "file"),
 }
 
 
@@ -178,93 +204,15 @@ def _parse_lines(text: str, violations: list[str]) -> dict[str, object]:
     return raw
 
 
-def _validate(values: dict[str, object], violations: list[str]) -> None:
-    def check(cond: bool, message: str):
-        if not cond:
-            violations.append(message)
-
-    kind = values.get("model.kind")
-    check(kind in ("exp", "poly"), f"model.kind: must be 'exp' or 'poly', got {kind!r}")
-    alpha = values.get("model.alpha")
-    if alpha is not None:
-        check(alpha > 1.0, f"model.alpha: alpha must exceed 1, got {alpha}")
-    if kind == "exp":
-        beta = values.get("model.beta")
-        check(
-            beta is not None and beta > 0.0,
-            "model.beta: required and positive for kind = exp",
-        )
-    elif kind == "poly":
-        gamma = values.get("model.gamma")
-        check(
-            gamma is not None and gamma > 1.0,
-            "model.gamma: required and > 1 for kind = poly",
-        )
-    for key in ("grid.L", "grid.v_max", "time.cfl_safety"):
-        check(values[key] > 0.0, f"{key}: must be positive, got {values[key]}")
-    check(values["time.cfl_safety"] <= 1.0, "time.cfl_safety: must be at most 1")
-    for key in ("grid.Nx", "grid.Nv"):
-        n = values[key]
-        check(n > 0 and n % 2 == 0, f"{key}: must be even and positive, got {n}")
-    check(values["time.t_final"] >= 0.0, "time.t_final: must be nonnegative")
-    for key in ("diagnostics.cadence", "diagnostics.snapshot_cadence"):
-        check(values[key] >= 1, f"{key}: must be a positive step count")
-    check(
-        values["initial.preset"] in ("paper-default", "file"),
-        f"initial.preset: must be 'paper-default' or 'file', got {values['initial.preset']!r}",
-    )
-    if values["initial.preset"] == "file":
-        check(bool(values["initial.file"]), "initial.file: required when preset = file")
-    check(
-        values["diagnostics.reference"] in ("none", "profile", "file"),
-        "diagnostics.reference: must be 'none', 'profile' or 'file'",
-    )
-    if values["diagnostics.reference"] == "file":
-        check(
-            bool(values["diagnostics.reference_file"]),
-            "diagnostics.reference_file: required when reference = file",
-        )
-    check(
-        values["diagnostics.rate_mode"] in ("exp", "poly"),
-        "diagnostics.rate_mode: must be 'exp' or 'poly'",
-    )
-    check(
-        values["lyapunov.mode"] in ("exp", "poly"),
-        "lyapunov.mode: must be 'exp' or 'poly'",
-    )
-    check(
-        values["output.snapshot_format"] in ("csv", "checkpoint"),
-        "output.snapshot_format: must be 'csv' or 'checkpoint'",
-    )
-
-    # cross-field: explicit dt against the CFL bound of the configured grid
-    dt = values.get("time.dt")
-    if not violations and dt != "auto":
-        try:
-            params = ModelParams(
-                alpha=values["model.alpha"],
-                kind=kind,
-                beta=values.get("model.beta") if kind == "exp" else None,
-                gamma=values.get("model.gamma") if kind == "poly" else None,
-            )
-            grid = PhaseGrid(
-                L=values["grid.L"],
-                v_max=values["grid.v_max"],
-                Nx=values["grid.Nx"],
-                Nv=values["grid.Nv"],
-            )
-            bound = cfl_timestep(grid, params, values["time.cfl_safety"])
-            dt_val = float(dt)
-            check(
-                dt_val > 0.0 and dt_val <= bound * (1.0 + 1e-12),
-                f"time.dt: dt={dt_val:g} exceeds the CFL bound {bound:g}",
-            )
-        except ValueError as exc:  # grid/model construction failure
-            violations.append(f"time.dt: cannot validate ({exc})")
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration; raises ConfigError with every violation."""
+    """Parse and validate a configuration; raises ConfigError with every violation.
+
+    This module checks only the file itself: syntax, known keys, choice
+    values and keys that another key's value requires.  Each numeric rule
+    lives in the object that uses the value, so the typed views are built
+    here and their ValueErrors collected; the solver config is built once
+    its model and grid are valid.
+    """
     violations: list[str] = []
     raw = _parse_lines(text, violations)
     values = {}
@@ -277,10 +225,44 @@ def parse_config(text: str) -> RunConfig:
             values[key] = default
     if violations:
         raise ConfigError(violations)
-    _validate(values, violations)
+
+    missing = [
+        key
+        for key, (choice, value) in _REQUIRED_BY.items()
+        if values[choice] == value and values[key] in (None, "")
+    ]
+    violations = [f"{key}: required when {' = '.join(_REQUIRED_BY[key])}" for key in missing]
+    violations += [
+        f"{key}: must be one of {', '.join(map(repr, allowed))}, got {values[key]!r}"
+        for key, allowed in _CHOICES.items()
+        if values[key] not in allowed
+    ]
+    # no object owns the burn-in share: fit-rate turns it into a time
+    frac = values["diagnostics.rate_burn_fraction"]
+    if not 0.0 <= frac < 1.0:
+        violations.append(f"diagnostics.rate_burn_fraction: must lie in [0, 1), got {frac}")
+
+    cfg = RunConfig(entries=tuple((k, values[k]) for k in SCHEMA))
+
+    def builds(label: str, view) -> bool:
+        try:
+            view()
+        except ValueError as exc:
+            violations.append(f"{label}: {exc}")
+            return False
+        return True
+
+    # a missing tail exponent is reported above; ModelParams would repeat it
+    model_ok = not {"model.beta", "model.gamma"} & set(missing) and builds(
+        "model", cfg.model_params
+    )
+    if builds("grid", cfg.phase_grid) and model_ok:
+        builds("time", cfg.solver_config)
+    builds("lyapunov", cfg.lyapunov_spec)
+    builds("lyapunov", cfg.scan_config)
     if violations:
         raise ConfigError(violations)
-    return RunConfig(entries=tuple((k, values[k]) for k in SCHEMA))
+    return cfg
 
 
 def _format_value(value) -> str:

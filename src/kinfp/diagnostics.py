@@ -106,8 +106,8 @@ def reference_profile(
     """
     if params.kind != "exp":
         raise ValueError("the energy reference profile needs an exp equilibrium")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     e = energy(
         grid.x_centers[:, None, None], grid.v_centers[None, :, None], params
     )

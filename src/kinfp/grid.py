@@ -24,11 +24,18 @@ class PhaseGrid:
     Nv: int
 
     def __post_init__(self):
-        if self.L <= 0 or self.v_max <= 0:
-            raise ValueError("half-widths must be positive")
-        for name, n in (("Nx", self.Nx), ("Nv", self.Nv)):
-            if int(n) != n or n <= 0 or n % 2 != 0:
-                raise ValueError(f"{name} must be an even positive integer, got {n}")
+        problems = [
+            f"{name} must be positive, got {w}"
+            for name, w in (("L", self.L), ("v_max", self.v_max))
+            if not w > 0
+        ]
+        problems += [
+            f"{name} must be an even positive integer, got {n}"
+            for name, n in (("Nx", self.Nx), ("Nv", self.Nv))
+            if int(n) != n or n <= 0 or n % 2 != 0
+        ]
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def dx(self) -> float:

@@ -96,18 +96,19 @@ class ModelParams:
     dim: int = 1
 
     def __post_init__(self):
+        problems = []
         if self.kind not in ("exp", "poly"):
-            raise ValueError(f"kind must be 'exp' or 'poly', got {self.kind!r}")
+            problems.append(f"kind must be 'exp' or 'poly', got {self.kind!r}")
         if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if self.kind == "exp":
-            if self.beta is None or not self.beta > 0.0:
-                raise ValueError("exp equilibrium requires beta > 0")
-        else:
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ValueError("poly equilibrium requires gamma > 0")
+            problems.append(f"alpha must exceed 1, got {self.alpha}")
+        if self.kind == "exp" and (self.beta is None or not self.beta > 0.0):
+            problems.append(f"exp equilibrium requires beta > 0, got {self.beta}")
+        if self.kind == "poly" and (self.gamma is None or not self.gamma > 0.0):
+            problems.append(f"poly equilibrium requires gamma > 0, got {self.gamma}")
         if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+            problems.append(f"dim must be a positive integer, got {self.dim}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @cached_property
     def norm_const(self) -> float:
@@ -173,10 +174,13 @@ class ExpWeight:
     delta: float
 
     def __post_init__(self):
+        problems = []
         if not (0.0 < self.theta <= 1.0):
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+            problems.append(f"theta must lie in (0, 1], got {self.theta}")
         if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            problems.append(f"delta must be positive, got {self.delta}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -206,16 +210,19 @@ class LyapunovSpec:
     mode: ExpWeight | PolyWeight
 
     def __post_init__(self):
+        problems = []
         if not self.ell > 1.0:
-            raise ValueError(f"ell must exceed 1, got {self.ell}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+            problems.append(f"ell must exceed 1, got {self.ell}")
+        if not self.eps >= 0.0:
+            problems.append(f"eps must be nonnegative, got {self.eps}")
         if not (0.0 < self.b_exp < 1.0):
-            raise ValueError(f"b_exp must lie in (0, 1), got {self.b_exp}")
+            problems.append(f"b_exp must lie in (0, 1), got {self.b_exp}")
         if isinstance(self.mode, PolyWeight) and self.mode.k > self.ell:
-            raise ValueError(
+            problems.append(
                 f"poly weight needs k <= ell, got k={self.mode.k}, ell={self.ell}"
             )
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def equivalence_ok(self, alpha: float) -> bool:
         """Whether H is comparable to E^ell for small eps.

@@ -29,6 +29,7 @@ keeps positivity; above it every step is the symmetric one.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -84,23 +85,28 @@ class SolverConfig:
     diagnostics_cadence: int = 100
 
     def __post_init__(self):
+        problems = []
         if self.model.dim != 1:
-            raise ValueError("the solver is one-dimensional")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            problems.append("the solver is one-dimensional")
+        if not self.t_final >= 0.0:
+            problems.append(f"t_final must be nonnegative, got {self.t_final}")
+        safety_ok = 0.0 < self.cfl_safety <= 1.0
+        if not safety_ok:
+            problems.append(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.snapshot_cadence < 1 or self.diagnostics_cadence < 1:
-            raise ValueError("cadences must be positive step counts")
+            problems.append("cadences must be positive step counts")
         if self.dt != "auto":
-            bound = cfl_timestep(self.grid, self.model, self.cfl_safety)
-            if self.dt <= 0.0:
-                raise ValueError("dt must be positive")
-            if self.dt > bound * (1.0 + 1e-12):
-                raise ValueError(
-                    f"dt={self.dt:g} exceeds the CFL bound {bound:g} "
-                    f"(cfl_safety={self.cfl_safety})"
-                )
+            if not self.dt > 0.0:
+                problems.append(f"dt must be positive, got {self.dt}")
+            elif safety_ok:
+                bound = cfl_timestep(self.grid, self.model, self.cfl_safety)
+                if self.dt > bound * (1.0 + 1e-12):
+                    problems.append(
+                        f"dt={self.dt:g} exceeds the CFL bound {bound:g} "
+                        f"(cfl_safety={self.cfl_safety})"
+                    )
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def resolve_dt(self) -> tuple[float, int]:
         """(dt, n_steps) actually used; auto mode lands exactly on t_final."""
@@ -272,14 +278,12 @@ class Stepper:
         grid: PhaseGrid,
         params: ModelParams,
         transport_enabled: bool = True,
-        velocity_enabled: bool = True,
         freeze_x: float | None = None,
         bc: str = "specular",
     ):
         self.grid = grid
         self.params = params
         self.transport_enabled = transport_enabled
-        self.velocity_enabled = velocity_enabled
         self.bc_code = {"specular": kernels.BC_SPECULAR, "periodic": kernels.BC_PERIODIC}[bc]
         self.cp, self.cm = velocity_face_coefficients(grid, params, freeze_x)
         self._v = np.ascontiguousarray(grid.v_centers)
@@ -328,8 +332,7 @@ class Stepper:
         src = values
         if self.transport_enabled and opens:
             src = self._heun(self._transport, src, 0.5 * dt, out)
-        if self.velocity_enabled:
-            src = self._heun(self._velocity, src, dt, out)
+        src = self._heun(self._velocity, src, dt, out)
         if self.transport_enabled:
             src = self._heun(self._transport, src, 0.5 * dt if closes else dt, out)
         if src is not out:
@@ -346,7 +349,7 @@ def fuses_transport(grid: PhaseGrid, dt: float) -> bool:
     return grid.v_max * dt / grid.dx <= 0.5
 
 
-def strang_step(field: Field, params: ModelParams, dt: float, *, _stepper=None) -> Field:
+def strang_step(field: Field, params: ModelParams, dt: float) -> Field:
     """Advance one symmetric split step of size dt; validates the CFL bound."""
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
@@ -355,8 +358,7 @@ def strang_step(field: Field, params: ModelParams, dt: float, *, _stepper=None) 
     bound = cfl_timestep(field.grid, params, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:g} exceeds the CFL bound {bound:g}")
-    stepper = _stepper or Stepper(field.grid, params)
-    vals = stepper.step(field.values, dt)
+    vals = Stepper(field.grid, params).step(field.values, dt)
     return Field(vals, field.grid, field.time_stamp + dt)
 
 
@@ -398,16 +400,34 @@ def run(
     (at O(dt^2)), and a resumed run continues bit-identically when
     ``start_step`` ends a segment of the same config: the state, the step
     size and the step counter then fully determine every later operation.
-    Non-finite values abort with the offending step index.
+    A ``field0`` whose time is not ``start_step`` x dt, or a ``start_step``
+    inside a fused segment, is refused with ValueError.  Non-finite values
+    abort with the offending step index.
     """
     sinks = sinks or Sinks()
     if field0 is None:
         field0 = default_initial_condition(config.grid)
     if field0.grid != config.grid:
         raise ValueError("initial field does not live on the configured grid")
+    dt, n_steps = config.resolve_dt()
+    expected = start_step * dt
+    if not math.isclose(field0.time_stamp, expected, rel_tol=1e-12):
+        raise ValueError(
+            f"initial field time {field0.time_stamp!r} differs from "
+            f"step {start_step} x dt {dt!r} = {expected!r} of this config"
+        )
+    fuse = fuses_transport(config.grid, dt)
+    # fused segments end only at emissions, so an uninterrupted run
+    # passes through any other step without stopping there
+    cadences = (config.diagnostics_cadence, config.snapshot_cadence)
+    if fuse and start_step < n_steps and all(start_step % c for c in cadences):
+        raise ValueError(
+            f"resume step {start_step} is neither a diagnostics nor a snapshot "
+            f"step of this config (cadences {cadences[0]} and {cadences[1]}); "
+            "the resumed run would not match an uninterrupted one"
+        )
     if not np.all(np.isfinite(field0.values)):
         raise NumericalAbort(start_step, "non-finite initial data")
-    dt, n_steps = config.resolve_dt()
     if start_step == 0 and sinks.snapshot is not None:
         sinks.snapshot(field0, 0)
     if start_step == 0 and sinks.diagnostics is not None:
@@ -416,7 +436,6 @@ def run(
         return field0
 
     stepper = Stepper(config.grid, config.model)
-    fuse = fuses_transport(config.grid, dt)
     values = field0.values.copy()
     opens = True
     for k in range(start_step, n_steps):

@@ -91,15 +91,22 @@ class ScanConfig:
     exclusion_radii: tuple[float, ...] = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
 
     def __post_init__(self):
+        problems = []
         if self.samples_per_axis < 16:
-            raise ValueError("samples_per_axis must be at least 16")
-        if self.x_half <= 0 or self.v_half <= 0:
-            raise ValueError("box half-widths must be positive")
+            problems.append(
+                f"samples_per_axis must be at least 16, got {self.samples_per_axis}"
+            )
+        if not (self.x_half > 0 and self.v_half > 0):
+            problems.append("box half-widths must be positive")
         if not self.exclusion_radii:
-            raise ValueError("need at least one candidate radius")
-        rmax = max(self.exclusion_radii)
-        if rmax >= self.x_half or rmax >= self.v_half:
-            raise ValueError("candidate radii must be smaller than the box")
+            problems.append("need at least one candidate radius")
+        elif not max(self.exclusion_radii) < min(self.x_half, self.v_half):
+            problems.append(
+                f"candidate radii must be smaller than the box, got {self.exclusion_radii} "
+                f"for half-widths {self.x_half} and {self.v_half}"
+            )
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -227,3 +227,40 @@ def test_steady_state_and_export_reference(tmp_path):
     assert main(["export-reference", "--config", cfg, "--output", str(out2)]) == 0
     ref, _ = read_checkpoint(out2 / "reference_profile.ckpt")
     assert abs(ref.values.sum() * f.grid.cell_volume - 1.0) < 1e-12  # normalised
+
+
+POLY_RUN = (
+    "model.alpha = 2.0\nmodel.kind = poly\nmodel.gamma = 2.0\n"
+    + "grid.Nx = 32\ngrid.Nv = 32\ngrid.L = 20\ngrid.v_max = 20\n"
+    + "time.t_final = 0.1\nlyapunov.mode = poly\nlyapunov.samples = 32\n"
+)
+
+
+def test_poly_gamma_below_one_simulates_but_is_not_certified(tmp_path, capsys):
+    cfg = _write(tmp_path, POLY_RUN.replace("model.gamma = 2.0", "model.gamma = 0.5"))
+    assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "cert"
+    assert main(["verify-lyapunov", "--config", cfg, "--output", str(out)]) == 1
+    assert "1 + gamma/2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("simulate", POLY_RUN + "diagnostics.reference = profile\n", []),
+        ("export-reference", POLY_RUN, []),
+        ("export-reference", SMALL_RUN + "diagnostics.delta = -1\n", []),
+        ("export-reference", SMALL_RUN + "diagnostics.delta = nan\n", []),
+        ("steady-state", SMALL_RUN, ["--tol-rate", "-1"]),
+    ],
+    ids=["simulate-poly-profile", "export-poly", "export-delta-neg", "export-delta-nan", "steady-tol"],
+)
+def test_command_value_errors_exit_one(tmp_path, capsys, command, text, flags):
+    """A ValueError raised inside a command is reported, not a traceback,
+    and the command leaves no output directory behind."""
+    out = tmp_path / "o"
+    argv = [command, "--config", _write(tmp_path, text), "--output", str(out), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

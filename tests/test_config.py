@@ -122,3 +122,42 @@ def test_inert_keys_rejected(line):
     # these keys once parsed but changed nothing; they are unknown now
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(MINIMAL + line + "\n")
+
+
+def test_violations_from_every_object_reported_together():
+    bad = MINIMAL + "model.alpha = 0.9\ngrid.v_max = -1\nlyapunov.eps = -0.5\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad.replace("model.alpha = 1.5\n", ""))
+    text = str(err.value)
+    assert "alpha must exceed 1" in text
+    assert "v_max must be positive" in text
+    assert "eps must be nonnegative" in text
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("lyapunov.samples = 3", "samples_per_axis"),
+        ("lyapunov.b_exp = 2", "b_exp"),
+        ("lyapunov.radii = 60", "radii must be smaller than the box"),
+        ("lyapunov.eps = nan", "eps must be nonnegative"),
+    ],
+)
+def test_lyapunov_values_rejected_at_parse_time(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(MINIMAL + line + "\n")
+
+
+@pytest.mark.parametrize("fraction", [-3.0, -1e-9, 1.0, 2.0])
+def test_rate_burn_fraction_outside_unit_interval_rejected(fraction):
+    with pytest.raises(ConfigError, match="rate_burn_fraction"):
+        parse_config(MINIMAL + f"diagnostics.rate_burn_fraction = {fraction!r}\n")
+    parse_config(MINIMAL + "diagnostics.rate_burn_fraction = 0.0\n")
+
+
+def test_poly_gamma_follows_model_params():
+    # gamma in (0, 1] is a valid equilibrium; only gamma <= 0 is refused
+    text = "model.alpha = 2.0\nmodel.kind = poly\nmodel.gamma = {}\n"
+    assert parse_config(text.format(0.5)).model_params().gamma == 0.5
+    with pytest.raises(ConfigError, match="gamma > 0"):
+        parse_config(text.format(0.0))

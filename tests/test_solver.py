@@ -563,3 +563,17 @@ def test_steady_state_exhaustion_raises():
     cfg = _desk_config(t_final=0.05)
     with pytest.raises(RuntimeError, match="last rate"):
         steady_state_reference(cfg, tol_rate=1e-14)
+
+
+def test_run_refuses_a_state_it_would_not_continue_exactly():
+    """``run`` owns both resume checks: the initial time must be
+    start_step x dt, and start_step must end a fused segment."""
+    cfg = _desk_config(t_final=0.3, snapshot_cadence=5, diagnostics_cadence=10)
+    dt, n = cfg.resolve_dt()
+    assert fuses_transport(cfg.grid, dt) and n > 10
+    values = default_initial_condition(cfg.grid).values
+    with pytest.raises(ValueError, match="differs from step 5"):
+        run(cfg, Field(values, cfg.grid, 5 * dt * 1.5), start_step=5)
+    with pytest.raises(ValueError, match="resume step 7"):
+        run(cfg, Field(values, cfg.grid, 7 * dt), start_step=7)
+    run(cfg, Field(values, cfg.grid, 5 * dt), start_step=5)  # a snapshot step
