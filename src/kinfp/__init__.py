@@ -12,6 +12,7 @@ from .model import (
     apply_Lstar_exact,
     asymptotic_correction,
     asymptotic_density,
+    drift_excess,
     energy,
     equilibrium,
     equilibrium_drift,
@@ -31,9 +32,6 @@ from .solver import (
     default_initial_condition,
     run,
     steady_state_reference,
-    strang_step,
-    transport_rhs,
-    velocity_rhs,
 )
 from .diagnostics import (
     DiagnosticsRecord,

@@ -117,9 +117,11 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
         field0, start_step = read_checkpoint(resume)
     else:
         field0, start_step = _initial_field(cfg, grid), 0
-    outdir.mkdir(parents=True, exist_ok=True)
 
+    # the output directory is made only once run has accepted the state:
+    # its first sink call or its return comes after the resume checks
     def on_snapshot(field: Field, step: int):
+        outdir.mkdir(parents=True, exist_ok=True)
         stem = f"snapshot_{step:08d}"
         if snap_fmt == "csv":
             name = stem + ".csv"
@@ -156,6 +158,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
         final = run(solver_cfg, field0, sinks, start_step=start_step)
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        outdir.mkdir(parents=True, exist_ok=True)
         if (outdir / "last_checkpoint.ckpt").exists():
             outputs.append("last_checkpoint.ckpt")
         _write_csv(outdir / "diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows)
@@ -163,6 +166,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
         _write_manifest(outdir, "simulate", cfg, outputs, t0)
         return 3
 
+    outdir.mkdir(parents=True, exist_ok=True)
     outputs.append("last_checkpoint.ckpt")
     _write_csv(outdir / "diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows)
     outputs.append("diagnostics.csv")

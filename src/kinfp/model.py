@@ -15,9 +15,12 @@ logarithmic drifts, the mechanical energy E = |v|^2/2 + V(x), the candidate
 Lyapunov functions H = E^ell + eps <x>^A <v>^(-B) (x.v), the dual (adjoint)
 operator applied analytically to E^ell, to the cross term, to H and to
 weights built from H, the concave comparison function used in the drift
-inequality, the sub-geometric decay profiles, and the closed-form tail
-asymptotic of the spatial density of exp(-delta E^(beta/2)) with its first
-Laplace correction.
+inequality and that inequality's left side L* m + phi(m), the sub-geometric
+decay profiles, and the closed-form tail asymptotic of the spatial density
+of exp(-delta E^(beta/2)) with its first Laplace correction.  Each closed
+form of E, H, grad_v H and L* is written once, over a private holder of the
+spec-free terms at the given points (<x>, <v>, x.v, E, the drift, ...), so
+an evaluation that needs several of them computes those terms once.
 
 Array convention: every function accepts points whose LAST axis is the space
 dimension d, broadcasting over any leading axes.  Plain Python scalars are
@@ -49,6 +52,7 @@ __all__ = [
     "grad_v_H",
     "lyapunov_weight",
     "apply_Lstar_exact",
+    "drift_excess",
     "phi",
     "theta_decay",
     "asymptotic_density",
@@ -255,18 +259,28 @@ def _vec(z, dim: int) -> np.ndarray:
     return a
 
 
+def _bracket(sq):
+    # <z> from |z|^2
+    return np.sqrt(1.0 + sq)
+
+
 def jbracket(z):
     """Japanese bracket <z> = sqrt(1 + |z|^2), a smooth surrogate for |z|."""
     a = np.asarray(z, dtype=np.float64)
     if a.ndim == 0:
         a = a.reshape(1)
-    return np.sqrt(1.0 + np.sum(a * a, axis=-1))
+    return _bracket(np.sum(a * a, axis=-1))
+
+
+def _potential(jx, params: ModelParams):
+    # V from <x>
+    return jx**params.alpha / params.alpha
 
 
 def potential(x, params: ModelParams):
     """Confining potential V(x) = <x>^alpha / alpha (minimum 1/alpha)."""
     x = _vec(x, params.dim)
-    return jbracket(x) ** params.alpha / params.alpha
+    return _potential(jbracket(x), params)
 
 
 def grad_potential(x, params: ModelParams):
@@ -286,6 +300,14 @@ def equilibrium(v, params: ModelParams):
     return raw / params.norm_const
 
 
+def _drift(v, jv, params: ModelParams):
+    # grad_v M / M from v and <v>
+    jv = jv[..., None]
+    if params.kind == "exp":
+        return -(jv ** (params.beta - 2.0)) * v
+    return -(params.dim + params.gamma) * jv ** (-2.0) * v
+
+
 def equilibrium_drift(v, params: ModelParams):
     """Logarithmic drift grad_v M / M of the local equilibrium.
 
@@ -293,30 +315,86 @@ def equilibrium_drift(v, params: ModelParams):
     equilibrium and -(d+gamma) <v>^(-2) v for the polynomial one.
     """
     v = _vec(v, params.dim)
-    jv = jbracket(v)[..., None]
-    if params.kind == "exp":
-        return -(jv ** (params.beta - 2.0)) * v
-    return -(params.dim + params.gamma) * jv ** (-2.0) * v
+    return _drift(v, jbracket(v), params)
+
+
+class _Points:
+    """The spec-free terms at points (x, v), each computed once, on first use.
+
+    The closed forms below read them from here, so one evaluation of several
+    forms at the same points shares them.  ``x``, ``v`` and the drift ``dr``
+    keep the space axis; ``xsq`` = |x|^2, ``vsq`` = |v|^2, ``xv`` = x.v,
+    ``jx`` = <x>, ``jv`` = <v>, the energy ``e``, ``xdr`` = x.dr and
+    ``vdr`` = v.dr drop it.
+    """
+
+    def __init__(self, x, v, params: ModelParams):
+        self.params = params
+        self.x = _vec(x, params.dim)
+        self.v = _vec(v, params.dim)
+
+    @cached_property
+    def xsq(self):
+        return np.sum(self.x * self.x, axis=-1)
+
+    @cached_property
+    def vsq(self):
+        return np.sum(self.v * self.v, axis=-1)
+
+    @cached_property
+    def xv(self):
+        return np.sum(self.x * self.v, axis=-1)
+
+    @cached_property
+    def jx(self):
+        return _bracket(self.xsq)
+
+    @cached_property
+    def jv(self):
+        return _bracket(self.vsq)
+
+    @cached_property
+    def e(self):
+        return 0.5 * self.vsq + _potential(self.jx, self.params)
+
+    @cached_property
+    def dr(self):
+        return _drift(self.v, self.jv, self.params)
+
+    @cached_property
+    def xdr(self):
+        return np.sum(self.x * self.dr, axis=-1)
+
+    @cached_property
+    def vdr(self):
+        return np.sum(self.v * self.dr, axis=-1)
 
 
 def energy(x, v, params: ModelParams):
     """Mechanical energy E(x, v) = |v|^2 / 2 + V(x)."""
-    v = _vec(v, params.dim)
-    return 0.5 * np.sum(v * v, axis=-1) + potential(x, params)
+    return _Points(x, v, params).e
+
+
+def _h(p: _Points, spec: LyapunovSpec):
+    cross = p.jx**spec.a_exp * p.jv ** (-spec.b_exp) * p.xv
+    return p.e**spec.ell + spec.eps * cross
 
 
 def lyapunov_H(x, v, params: ModelParams, spec: LyapunovSpec):
     """Candidate Lyapunov function H = E^ell + eps <x>^A <v>^(-B) (x . v)."""
     _check_spec(params, spec)
-    x = _vec(x, params.dim)
-    v = _vec(v, params.dim)
-    e = energy(x, v, params)
-    cross = (
-        jbracket(x) ** spec.a_exp
-        * jbracket(v) ** (-spec.b_exp)
-        * np.sum(x * v, axis=-1)
+    return _h(_Points(x, v, params), spec)
+
+
+def _grad_v_h(p: _Points, spec: LyapunovSpec):
+    e = p.e[..., None]
+    jx = p.jx[..., None]
+    jv = p.jv[..., None]
+    xv = p.xv[..., None]
+    cross = jx**spec.a_exp * (
+        jv ** (-spec.b_exp) * p.x - spec.b_exp * xv * jv ** (-spec.b_exp - 2.0) * p.v
     )
-    return e**spec.ell + spec.eps * cross
+    return spec.ell * e ** (spec.ell - 1.0) * p.v + spec.eps * cross
 
 
 def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
@@ -326,70 +404,68 @@ def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
                + eps (<x>^A <v>^(-B) x - B <x>^A (x.v) <v>^(-B-2) v).
     """
     _check_spec(params, spec)
-    x = _vec(x, params.dim)
-    v = _vec(v, params.dim)
-    e = energy(x, v, params)[..., None]
-    jx = jbracket(x)[..., None]
-    jv = jbracket(v)[..., None]
-    xv = np.sum(x * v, axis=-1)[..., None]
-    cross = jx**spec.a_exp * (
-        jv ** (-spec.b_exp) * x - spec.b_exp * xv * jv ** (-spec.b_exp - 2.0) * v
-    )
-    return spec.ell * e ** (spec.ell - 1.0) * v + spec.eps * cross
+    return _grad_v_h(_Points(x, v, params), spec)
 
 
-def _dual_energy_power(x, v, params: ModelParams, ell: float):
+def _dual_energy_power(p: _Points, ell: float):
     # L*(E^ell) = ell E^(ell-1) [ (ell-1)|v|^2/E + d + v . (grad_v M / M) ]
-    e = energy(x, v, params)
-    vsq = np.sum(v * v, axis=-1)
-    vdrift = np.sum(v * equilibrium_drift(v, params), axis=-1)
-    return ell * e ** (ell - 1.0) * ((ell - 1.0) * vsq / e + params.dim + vdrift)
+    e = p.e
+    return ell * e ** (ell - 1.0) * ((ell - 1.0) * p.vsq / e + p.params.dim + p.vdr)
 
 
-def _dual_cross_term(x, v, params: ModelParams, a_exp: float, b_exp: float):
+def _dual_cross_term(p: _Points, a_exp: float, b_exp: float):
     # L* applied to <x>^A <v>^(-B) (x.v), gathered into one exact expression.
-    d = params.dim
+    d = p.params.dim
     A, B = a_exp, b_exp
-    jx = jbracket(x)
-    jv = jbracket(v)
-    xv = np.sum(x * v, axis=-1)
-    vsq = np.sum(v * v, axis=-1)
-    xsq = np.sum(x * x, axis=-1)
-    dr = equilibrium_drift(v, params)
-    xdr = np.sum(x * dr, axis=-1)
-    vdr = np.sum(v * dr, axis=-1)
+    jx, jv, xv, vsq = p.jx, p.jv, p.xv, p.vsq
     bracket = (
         vsq
         + A * xv * xv / (jx * jx)
-        - jx ** (params.alpha - 2.0) * (xsq - B * xv * xv / (jv * jv))
+        - jx ** (p.params.alpha - 2.0) * (p.xsq - B * xv * xv / (jv * jv))
         - B * xv * ((d + 2.0) / (jv * jv) - (B + 2.0) * vsq / jv**4)
-        + (xdr - B * xv * vdr / (jv * jv))
+        + (p.xdr - B * xv * p.vdr / (jv * jv))
     )
     return jx**A / jv**B * bracket
 
 
+def _dual_full_h(p: _Points, spec: LyapunovSpec):
+    # L*(H) = L*(E^ell) + eps L*(cross)
+    return _dual_energy_power(p, spec.ell) + spec.eps * _dual_cross_term(
+        p, spec.a_exp, spec.b_exp
+    )
+
+
+def _weight(h, spec: LyapunovSpec):
+    # m = Phi(H)
+    if isinstance(spec.mode, ExpWeight):
+        return np.exp(spec.mode.delta * h ** (spec.mode.theta / 2.0))
+    return h ** (spec.mode.k / spec.ell)
+
+
 def _weight_derivatives(h, spec: LyapunovSpec):
     """(m, Phi'(H), Phi''(H)) for the weight m = Phi(H) of the given mode."""
+    m = _weight(h, spec)
     if isinstance(spec.mode, ExpWeight):
         th, de = spec.mode.theta, spec.mode.delta
-        m = np.exp(de * h ** (th / 2.0))
         c = de * th / 2.0
         p1 = c * h ** (th / 2.0 - 1.0) * m
         p2 = c * h ** (th / 2.0 - 2.0) * m * ((th / 2.0 - 1.0) + c * h ** (th / 2.0))
     else:
         r = spec.mode.k / spec.ell
-        m = h**r
         p1 = r * h ** (r - 1.0)
         p2 = r * (r - 1.0) * h ** (r - 2.0)
     return m, p1, p2
 
 
+def _dual_weight(p: _Points, spec: LyapunovSpec, p1, p2):
+    # L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) |grad_v H|^2
+    g = _grad_v_h(p, spec)
+    return p1 * _dual_full_h(p, spec) + p2 * np.sum(g * g, axis=-1)
+
+
 def lyapunov_weight(x, v, params: ModelParams, spec: LyapunovSpec):
     """Weight m(x, v) built from H: exp(delta H^(theta/2)) or H^(k/ell)."""
-    h = lyapunov_H(x, v, params, spec)
-    if isinstance(spec.mode, ExpWeight):
-        return np.exp(spec.mode.delta * h ** (spec.mode.theta / 2.0))
-    return h ** (spec.mode.k / spec.ell)
+    return _weight(lyapunov_H(x, v, params, spec), spec)
 
 
 def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str):
@@ -406,21 +482,34 @@ def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str
     if target not in LSTAR_TARGETS:
         raise ValueError(f"unknown target {target!r}, expected one of {LSTAR_TARGETS}")
     _check_spec(params, spec)
-    x = _vec(x, params.dim)
-    v = _vec(v, params.dim)
+    p = _Points(x, v, params)
     if target == "energy_power":
-        return _dual_energy_power(x, v, params, spec.ell)
+        return _dual_energy_power(p, spec.ell)
     if target == "cross_term":
-        return _dual_cross_term(x, v, params, spec.a_exp, spec.b_exp)
-    full = _dual_energy_power(x, v, params, spec.ell) + spec.eps * _dual_cross_term(
-        x, v, params, spec.a_exp, spec.b_exp
-    )
+        return _dual_cross_term(p, spec.a_exp, spec.b_exp)
     if target == "full_h":
-        return full
-    h = lyapunov_H(x, v, params, spec)
-    _, p1, p2 = _weight_derivatives(h, spec)
-    g = grad_v_H(x, v, params, spec)
-    return p1 * full + p2 * np.sum(g * g, axis=-1)
+        return _dual_full_h(p, spec)
+    _, p1, p2 = _weight_derivatives(_h(p, spec), spec)
+    return _dual_weight(p, spec, p1, p2)
+
+
+def drift_excess(x, v, params: ModelParams, spec: LyapunovSpec):
+    """Left side s = L* m + phi(m) of the drift inequality s <= C 1_{B_R}.
+
+    Equal bit for bit to ``apply_Lstar_exact(x, v, params, spec, "weight_m")
+    + phi(lyapunov_weight(x, v, params, spec), spec)``, with the same checks
+    (the spec's comparability condition, phi's domain), but each point's
+    terms are computed once: E, <x>, <v>, x.v and the drift, then H, m,
+    Phi'(H), Phi''(H) and grad_v H.  Its memory is a few temporaries the
+    size of the given points, so :func:`kinfp.verify.scan_drift_inequality`
+    calls it on fixed-size chunks of its sample points: the scan's memory
+    then grows with ``lyapunov.samples`` only through a few point-sized
+    arrays (the points, s, r^2 and the radius masks).
+    """
+    _check_spec(params, spec)
+    p = _Points(x, v, params)
+    m, p1, p2 = _weight_derivatives(_h(p, spec), spec)
+    return _dual_weight(p, spec, p1, p2) + phi(m, spec)
 
 
 def phi(mval, spec: LyapunovSpec):

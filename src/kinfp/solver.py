@@ -51,10 +51,7 @@ __all__ = [
     "cc_delta",
     "velocity_face_coefficients",
     "discrete_velocity_equilibrium",
-    "transport_rhs",
-    "velocity_rhs",
     "fuses_transport",
-    "strang_step",
     "run",
     "steady_state_reference",
     "write_checkpoint",
@@ -237,22 +234,6 @@ def discrete_velocity_equilibrium(
     return g / (g.sum() * grid.dv)
 
 
-def transport_rhs(field: Field, bc: str = "specular") -> np.ndarray:
-    """Increment of the spatial-advection substep (per unit time)."""
-    code = {"specular": kernels.BC_SPECULAR, "periodic": kernels.BC_PERIODIC}[bc]
-    return kernels.transport_rhs_kernel(
-        field.values, field.grid.v_centers, field.grid.dx, code
-    )
-
-
-def velocity_rhs(
-    field: Field, params: ModelParams, freeze_x: float | None = None
-) -> np.ndarray:
-    """Increment of the velocity drift-diffusion substep (per unit time)."""
-    cp, cm = velocity_face_coefficients(field.grid, params, freeze_x)
-    return kernels.velocity_rhs_kernel(field.values, cp, cm, field.grid.dv)
-
-
 class Stepper:
     """Precomputed-coefficient stepping engine for one (grid, model) pair.
 
@@ -347,19 +328,6 @@ def fuses_transport(grid: PhaseGrid, dt: float) -> bool:
     forward-Euler stage of the merged minmod transport positive.
     """
     return grid.v_max * dt / grid.dx <= 0.5
-
-
-def strang_step(field: Field, params: ModelParams, dt: float) -> Field:
-    """Advance one symmetric split step of size dt; validates the CFL bound."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return field.copy()
-    bound = cfl_timestep(field.grid, params, 1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:g} exceeds the CFL bound {bound:g}")
-    vals = Stepper(field.grid, params).step(field.values, dt)
-    return Field(vals, field.grid, field.time_stamp + dt)
 
 
 def _emit_diagnostics(field: Field, sinks: Sinks):
@@ -471,7 +439,8 @@ def steady_state_reference(
     until a fused window meets tol_rate.  The fused and symmetric steps have
     fixed points O(dt^2) apart, so the march then goes on with symmetric
     windows and returns the first one that meets tol_rate: the result is a
-    steady state of the symmetric step, the one ``strang_step`` takes.
+    steady state of the symmetric step, the one ``Stepper.step`` takes by
+    default.
     """
     from .diagnostics import l1_distance
 

@@ -13,7 +13,11 @@ Two tools live here:
   the observed constant C inside the ball, and the worst margin outside.
 
 The scan is a numerical check at sampled points, not a proof: "<=" is
-certified literally, with the scanned C absorbing all constants.
+certified literally, with the scanned C absorbing all constants.  It
+evaluates s = L* m + phi(m) with :func:`kinfp.model.drift_excess` in
+fixed-size chunks of its points, so its memory grows with the sample
+count only through a few point-sized arrays: the points, s, r^2 and the
+radius masks.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ from .model import (
     ModelParams,
     PolyWeight,
     apply_Lstar_exact,
+    drift_excess,
     energy,
     equilibrium_drift,
     grad_potential,
     lyapunov_H,
-    lyapunov_weight,
-    phi,
 )
 
 __all__ = [
@@ -50,6 +53,12 @@ __all__ = [
     "EXP_SEARCH_GRID",
     "POLY_SEARCH_GRID",
 ]
+
+# Points per chunk of the drift scan; each temporary of drift_excess is then
+# 128 KiB.  The eight benchmark searches (256 and 1024 samples per axis) took,
+# median of six in-process runs on a 2-vCPU Xeon: 1.79 s at 2^13, 1.61 s at
+# 2^14, 1.64 s at 2^15 and 1.69 s at 2^16; one chunk took 2.7 s (three runs).
+_SCAN_CHUNK = 1 << 14
 
 
 def subexp_weight_exponents(alpha: float, a: float, b: float) -> tuple[float, float]:
@@ -247,11 +256,10 @@ def scan_drift_inequality(
         raise ValueError("the scan certifier is one-dimensional")
     _check_mode_ranges(params, spec)
     x, v = _scan_points(cfg)
-    xp = x[:, None]
-    vp = v[:, None]
-    lst = apply_Lstar_exact(xp, vp, params, spec, "weight_m")
-    m = lyapunov_weight(xp, vp, params, spec)
-    s = lst + phi(m, spec)  # must be <= 0 outside the ball
+    s = np.empty_like(x)  # L* m + phi(m): must be <= 0 outside the ball
+    for lo in range(0, x.size, _SCAN_CHUNK):
+        hi = lo + _SCAN_CHUNK
+        s[lo:hi] = drift_excess(x[lo:hi, None], v[lo:hi, None], params, spec)
     r2 = x * x + v * v
     for radius in sorted(cfg.exclusion_radii):
         outside = r2 > radius * radius

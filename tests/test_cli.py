@@ -119,10 +119,18 @@ def test_simulate_resume_rejects_relabelled_time(tmp_path, capsys):
     capsys.readouterr()
     argv = ["simulate", "--config", other, "--output", str(tmp_path / "r"), "--resume", str(ck)]
     assert main(argv) == 1
+    assert not (tmp_path / "r").exists()
     dt, _ = parse_config(Path(other).read_text()).solver_config().resolve_dt()
     assert dt == pytest.approx(0.0125)
     err = capsys.readouterr().err
     assert repr(field.time_stamp) in err and repr(10 * dt) in err
+    # a refused resume into a directory that already exists leaves it as it was
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("keep")
+    argv = ["simulate", "--config", other, "--output", str(kept), "--resume", str(ck)]
+    assert main(argv) == 1
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
 def test_simulate_resume_rejects_step_inside_a_segment(tmp_path, capsys):
@@ -147,6 +155,7 @@ def test_simulate_resume_rejects_step_inside_a_segment(tmp_path, capsys):
     capsys.readouterr()
     assert resume(7, 4) == 1
     assert "resume step 10" in capsys.readouterr().err
+    assert not (tmp_path / "r7_4").exists()
     assert resume(7, 5) == 0  # step 10 is a snapshot step
     assert resume(2, 7) == 0  # step 10 is a diagnostics step
 

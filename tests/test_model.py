@@ -15,6 +15,7 @@ from kinfp import (
     apply_Lstar_exact,
     asymptotic_correction,
     asymptotic_density,
+    drift_excess,
     energy,
     equilibrium,
     equilibrium_drift,
@@ -267,6 +268,41 @@ def test_apply_Lstar_weight_chain_rule(rng, exp_params, exp_spec, poly_params, p
                 p2 = r * (r - 1.0) * h ** (r - 2.0)
             expected = p1 * full + p2 * g * g
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_drift_excess_bitwise_matches_composition():
+    """s = L* m + phi(m), with each point's terms computed once, equals the
+    public forms added, bit for bit, on a grid that includes both axes."""
+    cases = [
+        (
+            ModelParams(alpha=1.5, kind="exp", beta=0.5),
+            LyapunovSpec(2.0, 0.2, 0.75, 0.6, ExpWeight(theta=0.25, delta=0.1)),
+        ),
+        (
+            ModelParams(alpha=2.0, kind="exp", beta=3.0),
+            LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1)),
+        ),
+        (
+            ModelParams(alpha=2.0, kind="poly", gamma=2.0),
+            LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5)),
+        ),
+    ]
+    zs = np.linspace(-50.0, 50.0, 37)
+    xg, vg = np.meshgrid(zs, zs, indexing="ij")
+    x = np.concatenate([xg.ravel(), zs, np.zeros_like(zs)])[:, None]
+    v = np.concatenate([vg.ravel(), np.zeros_like(zs), zs])[:, None]
+    for params, spec in cases:
+        got = drift_excess(x, v, params, spec)
+        want = apply_Lstar_exact(x, v, params, spec, "weight_m") + phi(
+            lyapunov_weight(x, v, params, spec), spec
+        )
+        assert got.shape == (x.shape[0],)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the comparability check of the public forms still applies
+    bad = LyapunovSpec(1.1, 0.2, 3.0, 0.1, ExpWeight(theta=0.25, delta=0.1))
+    with pytest.raises(ValueError):
+        drift_excess(x, v, cases[0][0], bad)
 
 
 def test_apply_Lstar_unknown_target(exp_params, exp_spec):

@@ -1,5 +1,7 @@
 """Finite-difference oracle and drift-inequality certifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from kinfp import (
     lyapunov_H,
     scan_drift_inequality,
 )
+import kinfp.verify as verify
+from kinfp import CertificateReport
 from kinfp.verify import poly_weight_exponents, subexp_weight_exponents
 
 FAST_SCAN = ScanConfig(samples_per_axis=96, exclusion_radii=(20.0, 30.0, 40.0))
@@ -100,6 +104,31 @@ def test_scan_passing_case():
     assert report.min_margin_outside >= 0.0
     assert report.chosen_C >= 0.0
     assert report.chosen_R in FAST_SCAN.exclusion_radii
+
+
+def test_scan_report_independent_of_chunk_size(monkeypatch):
+    """The scan fills s chunk by chunk; chunks of 7 points, which do not
+    divide the point count, give the report of one chunk over all points."""
+    cfg = ScanConfig(samples_per_axis=100, exclusion_radii=(20.0, 30.0, 40.0))
+    n_points = 100 * 100 + 2 * 100
+    assert n_points % 7 != 0
+    passing = (
+        ModelParams(alpha=2.0, kind="exp", beta=1.0),
+        LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0)),
+    )
+    failing = (
+        ModelParams(alpha=1.5, kind="exp", beta=0.5),
+        LyapunovSpec(2.0, 0.0, 0.5, 0.6, ExpWeight(theta=0.25, delta=2.0)),
+    )
+    for params, spec in (passing, failing):
+        reports = []
+        for chunk in (n_points, 7):
+            monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+            reports.append(scan_drift_inequality(params, spec, cfg))
+        whole, small = reports
+        assert whole.passed == (spec is passing[1])
+        for f in dataclasses.fields(CertificateReport):
+            assert getattr(small, f.name) == getattr(whole, f.name), f.name
 
 
 def test_scan_radius_permutation_invariance():
