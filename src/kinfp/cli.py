@@ -154,28 +154,27 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
             distance_rows.append((rec.time, rec.l1_distance_to_reference))
 
     sinks = Sinks(snapshot=on_snapshot, diagnostics=on_diagnostics, reference=reference)
+    final = None
     try:
         final = run(solver_cfg, field0, sinks, start_step=start_step)
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if (outdir / "last_checkpoint.ckpt").exists():
-            outputs.append("last_checkpoint.ckpt")
-        _write_csv(outdir / "diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows)
-        outputs.append("diagnostics.csv")
-        _write_manifest(outdir, "simulate", cfg, outputs, t0)
-        return 3
 
+    # an aborted run keeps every row it collected before the abort
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs.append("last_checkpoint.ckpt")
-    _write_csv(outdir / "diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows)
-    outputs.append("diagnostics.csv")
-    _write_csv(outdir / "density_series.csv", "t,x,rho", density_rows)
-    outputs.append("density_series.csv")
-    if distance_rows:
-        _write_csv(outdir / "distance_series.csv", "t,distance", distance_rows)
-        outputs.append("distance_series.csv")
+    if (outdir / "last_checkpoint.ckpt").exists():
+        outputs.append("last_checkpoint.ckpt")
+    for name, header, rows in (
+        ("diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows),
+        ("density_series.csv", "t,x,rho", density_rows),
+        ("distance_series.csv", "t,distance", distance_rows),
+    ):
+        if rows:
+            _write_csv(outdir / name, header, rows)
+            outputs.append(name)
     _write_manifest(outdir, "simulate", cfg, outputs, t0)
+    if final is None:
+        return 3
     print(f"simulate: t={final.time_stamp:g} mass={mass(final):.12g} -> {outdir}")
     return 0
 

@@ -7,7 +7,9 @@ parsed config and re-parsing it round-trips exactly.
 
 Required keys: ``model.alpha``, ``model.kind`` and the matching tail
 exponent (``model.beta`` for ``exp``, ``model.gamma`` for ``poly``).  Every
-other key has the documented default shown in ``SCHEMA``.
+other key has the documented default shown in ``SCHEMA``.  A key that only
+one variant of a choice reads (the tail exponents, ``initial.file`` and
+``diagnostics.reference_file``) is refused under the other variants.
 
 Every key is validated at parse time, for every command, by the object
 that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
@@ -93,7 +95,8 @@ _CHOICES: dict[str, tuple[str, ...]] = {
     "output.snapshot_format": ("csv", "checkpoint"),
 }
 
-# key -> (choice key, value of it that requires the key)
+# key -> (choice key, the value of it that requires the key; under any
+# other value the key must keep its default)
 _REQUIRED_BY: dict[str, tuple[str, str]] = {
     "model.beta": ("model.kind", "exp"),
     "model.gamma": ("model.kind", "poly"),
@@ -208,10 +211,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration; raises ConfigError with every violation.
 
     This module checks only the file itself: syntax, known keys, choice
-    values and keys that another key's value requires.  Each numeric rule
-    lives in the object that uses the value, so the typed views are built
-    here and their ValueErrors collected; the solver config is built once
-    its model and grid are valid.
+    values and keys that another key's value requires or ignores.  Each
+    numeric rule lives in the object that uses the value, so the typed views
+    are built here and their ValueErrors collected; the solver config is
+    built once its model and grid are valid.
     """
     violations: list[str] = []
     raw = _parse_lines(text, violations)
@@ -232,6 +235,12 @@ def parse_config(text: str) -> RunConfig:
         if values[choice] == value and values[key] in (None, "")
     ]
     violations = [f"{key}: required when {' = '.join(_REQUIRED_BY[key])}" for key in missing]
+    # a key that the selected variant ignores must keep its default
+    violations += [
+        f"{key}: only used when {choice} = {value}, got {choice} = {values[choice]}"
+        for key, (choice, value) in _REQUIRED_BY.items()
+        if values[choice] != value and values[key] != SCHEMA[key][1]
+    ]
     violations += [
         f"{key}: must be one of {', '.join(map(repr, allowed))}, got {values[key]!r}"
         for key, allowed in _CHOICES.items()

@@ -39,8 +39,6 @@ class DiagnosticsRecord:
     min_value: float
     max_value: float
     l1_distance_to_reference: float | None = None
-    weighted_l1: float | None = None
-    weight_id: str | None = None
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,6 @@ class Sinks:
     snapshot: Callable[[Field, int], None] | None = None
     diagnostics: Callable[[object], None] | None = None
     reference: Field | None = None  # enables the L1-distance observable
-    weight: np.ndarray | None = None  # optional weight for a weighted L1
-    weight_id: str = "custom"
 
 
 def double_exponential_datum(x, v):
@@ -334,19 +332,14 @@ def _emit_diagnostics(field: Field, sinks: Sinks):
     from .diagnostics import DiagnosticsRecord, l1_distance, mass
 
     dist = None
-    wl1 = None
     if sinks.reference is not None:
         dist = l1_distance(field, sinks.reference)
-        if sinks.weight is not None:
-            wl1 = l1_distance(field, sinks.reference, weight=sinks.weight)
     rec = DiagnosticsRecord(
         time=field.time_stamp,
         mass=mass(field),
         min_value=float(field.values.min()),
         max_value=float(field.values.max()),
         l1_distance_to_reference=dist,
-        weighted_l1=wl1,
-        weight_id=sinks.weight_id if wl1 is not None else None,
     )
     if sinks.diagnostics is not None:
         sinks.diagnostics(rec)

@@ -22,7 +22,8 @@ radius masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,51 +246,37 @@ def scan_drift_inequality(
 ) -> CertificateReport:
     """Scan the pointwise drift inequality L* m <= C 1_{B_R} - phi(m).
 
-    The margin at a point is -(L* m + phi(m)); a candidate radius R passes
-    when the margin is nonnegative at every sampled point outside the
-    Euclidean ball B_R.  The smallest passing candidate is selected and C
-    is the observed supremum of L* m + phi(m) inside the ball (floored at
-    zero).  On failure the report carries the most violating point outside
-    the largest candidate ball.
+    With s = L* m + phi(m), a candidate radius R passes when s <= 0 at every
+    sampled point outside the Euclidean ball B_R.  The report is built for
+    the smallest passing candidate, or for the largest candidate when none
+    passes: its margin is -max(s) outside the ball, its worst point the
+    first point attaining that maximum, and C the largest s inside the
+    ball, floored at zero.  A NaN of s outside the ball fails every
+    candidate and gives a NaN margin at the first NaN point.
     """
     if params.dim != 1:
         raise ValueError("the scan certifier is one-dimensional")
     _check_mode_ranges(params, spec)
     x, v = _scan_points(cfg)
-    s = np.empty_like(x)  # L* m + phi(m): must be <= 0 outside the ball
+    s = np.empty_like(x)
     for lo in range(0, x.size, _SCAN_CHUNK):
         hi = lo + _SCAN_CHUNK
         s[lo:hi] = drift_excess(x[lo:hi, None], v[lo:hi, None], params, spec)
     r2 = x * x + v * v
-    for radius in sorted(cfg.exclusion_radii):
-        outside = r2 > radius * radius
-        margins = -s[outside]
-        mmin = float(np.min(margins))
-        if mmin >= 0.0:
-            inside = ~outside
-            c_obs = float(np.max(s[inside])) if np.any(inside) else 0.0
-            i = int(np.argmin(margins))
-            wp = (float(x[outside][i]), float(v[outside][i]))
-            return CertificateReport(
-                passed=True,
-                chosen_R=float(radius),
-                chosen_C=max(c_obs, 0.0),
-                min_margin_outside=mmin,
-                worst_point=wp,
-                spec_echo=spec,
-            )
-    radius = max(cfg.exclusion_radii)
-    outside = r2 > radius * radius
-    margins = -s[outside]
-    i = int(np.argmin(margins))
-    inside = ~outside
-    c_obs = float(np.max(s[inside])) if np.any(inside) else 0.0
+    for radius in sorted(cfg.exclusion_radii):  # ends on the largest if none passes
+        inside = r2 <= radius * radius
+        worst = float(np.max(s, where=~inside, initial=-np.inf))
+        if worst <= 0.0:
+            break
+    c_obs = float(np.max(s, where=inside, initial=-np.inf))
+    np.copyto(s, -np.inf, where=inside)  # the worst point lies outside the ball
+    i = int(np.argmax(s))
     return CertificateReport(
-        passed=False,
+        passed=worst <= 0.0,
         chosen_R=float(radius),
         chosen_C=max(c_obs, 0.0),
-        min_margin_outside=float(margins[i]),
-        worst_point=(float(x[outside][i]), float(v[outside][i])),
+        min_margin_outside=-worst,
+        worst_point=(float(x[i]), float(v[i])),
         spec_echo=spec,
     )
 
@@ -342,71 +329,48 @@ def find_certified_spec(
     built on the quadratic-energy H, ell = 2 by default); the grid ranges
     over (eps, A, B, delta) from ``EXP_SEARCH_GRID``.  Poly equilibria:
     pass ``ell`` and ``k``; the grid ranges over (eps, A, B) from
-    ``POLY_SEARCH_GRID``.
+    ``POLY_SEARCH_GRID``.  A is the outermost loop, then B, eps and delta;
+    candidates failing ``LyapunovSpec.equivalence_ok`` are skipped.
 
-    Returns the first passing spec with its report, or (None, report) with
-    the least-bad failing report if nothing in the grid passes.
+    Returns the first passing spec with its report.  If nothing passes it
+    returns (None, report) with the first report of the largest
+    ``min_margin_outside``; a grid without any candidate raises ValueError.
     """
-    best: CertificateReport | None = None
     if params.kind == "exp":
         if theta is None:
             raise ValueError("exp search needs theta")
         grid = search_grid or EXP_SEARCH_GRID
+        base = ExpWeight(theta=theta, delta=1.0)
         corner = np.array([[cfg.x_half]]), np.array([[cfg.v_half]])
-        for a_exp in grid["a_exp"]:
-            for b_exp in grid["b_exp"]:
-                for eps in grid["eps"]:
-                    probe = LyapunovSpec(
-                        ell=ell,
-                        eps=eps,
-                        a_exp=a_exp,
-                        b_exp=b_exp,
-                        mode=ExpWeight(theta=theta, delta=1.0),
-                    )
-                    if not probe.equivalence_ok(params.alpha):
-                        continue
-                    h_corner = lyapunov_H(
-                        corner[0], corner[1], params, probe
-                    ).item()
-                    for delta in grid["delta"]:
-                        if delta * h_corner ** (theta / 2.0) > _MAX_LOG_WEIGHT:
-                            continue
-                        spec = LyapunovSpec(
-                            ell=ell,
-                            eps=eps,
-                            a_exp=a_exp,
-                            b_exp=b_exp,
-                            mode=ExpWeight(theta=theta, delta=delta),
-                        )
-                        report = scan_drift_inequality(params, spec, cfg)
-                        if report.passed:
-                            return spec, report
-                        if best is None or (
-                            report.min_margin_outside > best.min_margin_outside
-                        ):
-                            best = report
+
+        def modes(probe: LyapunovSpec) -> list:
+            h_corner = lyapunov_H(*corner, params, probe).item()
+            return [
+                ExpWeight(theta=theta, delta=delta)
+                for delta in grid["delta"]
+                if not delta * h_corner ** (theta / 2.0) > _MAX_LOG_WEIGHT
+            ]
     else:
         if k is None:
             raise ValueError("poly search needs k")
         grid = search_grid or POLY_SEARCH_GRID
-        for a_exp in grid["a_exp"]:
-            for b_exp in grid["b_exp"]:
-                for eps in grid["eps"]:
-                    spec = LyapunovSpec(
-                        ell=ell,
-                        eps=eps,
-                        a_exp=a_exp,
-                        b_exp=b_exp,
-                        mode=PolyWeight(k=k),
-                    )
-                    if not spec.equivalence_ok(params.alpha):
-                        continue
-                    report = scan_drift_inequality(params, spec, cfg)
-                    if report.passed:
-                        return spec, report
-                    if best is None or (
-                        report.min_margin_outside > best.min_margin_outside
-                    ):
-                        best = report
-    assert best is not None, "empty search grid"
+        base = PolyWeight(k=k)
+
+        def modes(probe: LyapunovSpec) -> list:
+            return [base]
+
+    best: CertificateReport | None = None
+    for a_exp, b_exp, eps in itertools.product(grid["a_exp"], grid["b_exp"], grid["eps"]):
+        probe = LyapunovSpec(ell=ell, eps=eps, a_exp=a_exp, b_exp=b_exp, mode=base)
+        if not probe.equivalence_ok(params.alpha):
+            continue
+        for mode in modes(probe):
+            spec = replace(probe, mode=mode)
+            report = scan_drift_inequality(params, spec, cfg)
+            if report.passed:
+                return spec, report
+            if best is None or report.min_margin_outside > best.min_margin_outside:
+                best = report
+    if best is None:
+        raise ValueError("the search grid holds no admissible candidate")
     return None, best

@@ -235,23 +235,33 @@ def test_c04_exact_vs_fd_dual_operator():
 
 def test_c05_lyapunov_certification():
     """Criterion 5: drift certificates for all four parameter regimes via the
-    documented coarse search grids (box 50x50, 256^2 samples + axes)."""
+    documented coarse search grids (box 50x50, 256^2 samples + axes), each
+    the (eps, A, B, delta, R) of the README table (delta None for poly)."""
     cfg = ScanConfig()
     cases = [
-        (ModelParams(alpha=1.5, kind="exp", beta=0.5), dict(theta=0.25)),
-        (ModelParams(alpha=2.0, kind="exp", beta=1.0), dict(theta=0.5)),
-        (ModelParams(alpha=2.0, kind="exp", beta=3.0), dict(theta=1.0)),
-        (ModelParams(alpha=2.0, kind="poly", gamma=2.0), dict(ell=1.75, k=1.5)),
+        (ModelParams(alpha=1.5, kind="exp", beta=0.5), dict(theta=0.25),
+         (0.2, 1.0, 0.6, 2.0, 20.0)),
+        (ModelParams(alpha=2.0, kind="exp", beta=1.0), dict(theta=0.5),
+         (0.2, 1.0, 0.6, 1.0, 25.0)),
+        (ModelParams(alpha=2.0, kind="exp", beta=3.0), dict(theta=1.0),
+         (0.45, 1.0, 0.6, 0.1, 45.0)),
+        (ModelParams(alpha=2.0, kind="poly", gamma=2.0), dict(ell=1.75, k=1.5),
+         (0.3, 0.0, 0.9, None, 35.0)),
     ]
     t0 = time.time()
     details = []
     ok = True
-    for params, kw in cases:
+    for params, kw, expected in cases:
         spec, report = find_certified_spec(params, cfg, **kw)
         ok = ok and spec is not None and report.passed and report.min_margin_outside >= 0
+        got = None if spec is None else (
+            spec.eps, spec.a_exp, spec.b_exp, getattr(spec.mode, "delta", None),
+            report.chosen_R,
+        )
+        ok = ok and got == expected
         tag = f"{params.kind}:{params.beta or params.gamma}"
         details.append(
-            f"{tag} R={report.chosen_R:g} margin={report.min_margin_outside:.3g}"
+            f"{tag} {got} R={report.chosen_R:g} margin={report.min_margin_outside:.3g}"
         )
     _report(
         "criterion 5 (Lyapunov certification)",

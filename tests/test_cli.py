@@ -207,7 +207,7 @@ def test_fit_rate_exact_and_errors(tmp_path, capsys):
 def test_simulate_numerical_abort_exits_three(tmp_path):
     from kinfp import build_grid
     from kinfp.grid import Field
-    from kinfp.solver import write_checkpoint
+    from kinfp.solver import default_initial_condition, write_checkpoint
 
     grid = build_grid(20.0, 20.0, 32, 32)
     bad = np.full((32, 32), np.nan)
@@ -219,6 +219,28 @@ def test_simulate_numerical_abort_exits_three(tmp_path):
     man = _manifest(out)
     for name in man["outputs"]:
         assert (out / name).exists()
+
+    # finite but overflowing data aborts at the first diagnostics step (5);
+    # the rows that step 0 produced are still written and listed
+    huge = default_initial_condition(grid).values.copy()
+    huge[16, 16] = 1e308
+    ck = tmp_path / "huge.ckpt"
+    write_checkpoint(Field(huge, grid, 0.0), 0, ck)
+    cfg = _write(
+        tmp_path,
+        SMALL_RUN + "initial.preset = file\n" + f"initial.file = {ck}\n"
+        + "diagnostics.reference = profile\n",
+    )
+    out = tmp_path / "abort-late"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 3
+    man = _manifest(out)
+    for name in ("density_series.csv", "distance_series.csv", "diagnostics.csv"):
+        assert name in man["outputs"]
+    assert set(man["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    density_t = np.loadtxt(out / "density_series.csv", delimiter=",", skiprows=1)[:, 0]
+    assert np.all(density_t == 0.0) and density_t.size == grid.Nx
+    dist = np.loadtxt(out / "distance_series.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert dist.shape == (1, 2) and dist[0, 0] == 0.0
 
 
 def test_steady_state_and_export_reference(tmp_path):

@@ -161,3 +161,23 @@ def test_poly_gamma_follows_model_params():
     assert parse_config(text.format(0.5)).model_params().gamma == 0.5
     with pytest.raises(ConfigError, match="gamma > 0"):
         parse_config(text.format(0.0))
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("model.alpha = 2.0\nmodel.kind = poly\nmodel.gamma = 2.0\nmodel.beta = 0.5\n",
+         "model.beta"),
+        (MINIMAL + "model.gamma = 2.0\n", "model.gamma"),
+        (MINIMAL + "initial.file = start.ckpt\n", "initial.file"),
+        (MINIMAL + "diagnostics.reference = profile\n"
+         + "diagnostics.reference_file = ref.ckpt\n", "diagnostics.reference_file"),
+    ],
+)
+def test_key_ignored_by_selected_variant_rejected(text, key):
+    # each key is read under one value of its choice key only
+    with pytest.raises(ConfigError, match=f"{key}: only used when"):
+        parse_config(text)
+    # at its default the key is accepted, as serialize_config writes it
+    cfg = parse_config(text.replace(f"{key} = ", f"# {key} = "))
+    assert parse_config(serialize_config(cfg)) == cfg

@@ -348,15 +348,12 @@ def test_run_deterministic_and_emits():
     assert snaps[0] == 0
 
 
-def test_run_weighted_diagnostics_records():
+def test_run_reference_distance_records():
     cfg = _desk_config(t_final=0.1)
     ref = default_initial_condition(cfg.grid)
-    w = np.ones((cfg.grid.Nx, cfg.grid.Nv)) * 2.0
     records = []
-    run(cfg, None, Sinks(diagnostics=records.append, reference=ref, weight=w))
+    run(cfg, None, Sinks(diagnostics=records.append, reference=ref))
     assert all(r.l1_distance_to_reference is not None for r in records)
-    tail = records[-1]
-    assert tail.weighted_l1 == pytest.approx(2.0 * tail.l1_distance_to_reference, rel=1e-12)
 
 
 def test_run_checkpoint_resume_bit_identical(tmp_path):

@@ -203,6 +203,103 @@ def test_find_certified_spec_poly():
     assert report.passed
 
 
+def _recording_scan(monkeypatch, margins, passes_at=None):
+    """Replace the scan with a recorder: call i fails with margins[i], or
+    passes when i == passes_at.  Returns the list of scanned specs."""
+    calls = []
+
+    def scan(params, spec, cfg):
+        i = len(calls)
+        calls.append(spec)
+        return CertificateReport(
+            passed=i == passes_at,
+            chosen_R=45.0,
+            chosen_C=0.0,
+            min_margin_outside=margins[i],
+            worst_point=(0.0, 0.0),
+            spec_echo=spec,
+        )
+
+    monkeypatch.setattr(verify, "scan_drift_inequality", scan)
+    return calls
+
+
+def test_search_candidate_order_and_least_bad(monkeypatch):
+    """The search visits (A, B, eps) in grid order, skips specs that fail the
+    equivalence condition (A = 3) and, for exp weights, delta values that
+    overflow at the box corner (2.0 and 0.5 at theta = 1, where delta
+    H^(1/2) <= 600 needs delta < 0.24).  With nothing passing it returns the
+    first report of the largest margin."""
+    exp_grid = {
+        "eps": (0.2, 0.45),
+        "a_exp": (1.0, 3.0),
+        "b_exp": (0.6, 0.4),
+        "delta": (2.0, 0.5, 0.1, 0.05),
+    }
+    margins = [-5.0, -3.0, -1.0, -4.0, -1.0, -2.0, -6.0, -7.0]
+    calls = _recording_scan(monkeypatch, margins)
+    params = ModelParams(alpha=2.0, kind="exp", beta=3.0)
+    spec, report = find_certified_spec(
+        params, ScanConfig(), theta=1.0, search_grid=exp_grid
+    )
+    assert [(s.eps, s.a_exp, s.b_exp, s.mode.delta) for s in calls] == [
+        (0.2, 1.0, 0.6, 0.1), (0.2, 1.0, 0.6, 0.05),
+        (0.45, 1.0, 0.6, 0.1), (0.45, 1.0, 0.6, 0.05),
+        (0.2, 1.0, 0.4, 0.1), (0.2, 1.0, 0.4, 0.05),
+        (0.45, 1.0, 0.4, 0.1), (0.45, 1.0, 0.4, 0.05),
+    ]
+    assert all(s.ell == 2.0 and s.mode.theta == 1.0 for s in calls)
+    assert spec is None
+    assert report.min_margin_outside == -1.0
+    assert report.spec_echo is calls[2]
+
+    poly_grid = {"eps": (0.3, 0.2), "a_exp": (0.0, 3.0), "b_exp": (0.9, 0.5)}
+    calls = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0])
+    params = ModelParams(alpha=2.0, kind="poly", gamma=2.0)
+    spec, report = find_certified_spec(
+        params, ScanConfig(), ell=1.75, k=1.5, search_grid=poly_grid
+    )
+    assert [(s.eps, s.a_exp, s.b_exp) for s in calls] == [
+        (0.3, 0.0, 0.9), (0.2, 0.0, 0.9), (0.3, 0.0, 0.5), (0.2, 0.0, 0.5),
+    ]
+    assert all(s.ell == 1.75 and s.mode == PolyWeight(k=1.5) for s in calls)
+    assert spec is None
+    assert report.spec_echo is calls[2]
+
+    # the first passing candidate ends the search
+    calls = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0], passes_at=1)
+    spec, report = find_certified_spec(
+        params, ScanConfig(), ell=1.75, k=1.5, search_grid=poly_grid
+    )
+    assert len(calls) == 2
+    assert spec is calls[1] and report.passed
+
+
+def test_search_without_candidates_raises():
+    params = ModelParams(alpha=2.0, kind="poly", gamma=2.0)
+    no_eps = {"eps": (), "a_exp": (0.0,), "b_exp": (0.9,)}
+    not_equivalent = {"eps": (0.3,), "a_exp": (3.0,), "b_exp": (0.9,)}
+    for grid in (no_eps, not_equivalent):
+        with pytest.raises(ValueError, match="no admissible candidate"):
+            find_certified_spec(params, FAST_SCAN, ell=1.75, k=1.5, search_grid=grid)
+
+
+def test_scan_overflow_fails_with_nan_margin():
+    """At beta = 3 on a 100 x 100 box the weight overflows and s is NaN at
+    some points outside every ball: the scan fails, its margin is NaN and
+    the worst point is the first NaN point, the corner (-100, -100)."""
+    params = ModelParams(alpha=2.0, kind="exp", beta=3.0)
+    spec = LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1))
+    cfg = ScanConfig(x_half=100.0, v_half=100.0, samples_per_axis=64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        report = scan_drift_inequality(params, spec, cfg)
+    assert not report.passed
+    assert report.chosen_R == 45.0
+    assert np.isnan(report.min_margin_outside)
+    assert report.worst_point == (-100.0, -100.0)
+    assert report.summary().startswith("FAIL R=45 ")
+
+
 def test_weight_exponent_helpers():
     A, B = subexp_weight_exponents(1.5, 2.0 / 3.0, 0.4)
     assert A == pytest.approx(1.0)
