@@ -17,7 +17,8 @@ certified literally, with the scanned C absorbing all constants.  It
 evaluates s = L* m + phi(m) with :func:`kinfp.model.drift_excess` in
 fixed-size chunks of its points, so its memory grows with the sample
 count only through a few point-sized arrays: the points, s, r^2 and the
-radius masks.
+radius masks.  The search shares one set of points across its candidates
+and stops scanning a failing candidate at its first violating chunk.
 """
 
 from __future__ import annotations
@@ -212,13 +213,14 @@ def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str)
     return np.abs(p1) * (ep + ct) + np.abs(p2) * np.sum(g * g, axis=-1)
 
 
-def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(-cfg.x_half, cfg.x_half, cfg.samples_per_axis)
-    vs = np.linspace(-cfg.v_half, cfg.v_half, cfg.samples_per_axis)
-    xg, vg = np.meshgrid(xs, vs, indexing="ij")
-    x = np.concatenate([xg.ravel(), xs, np.zeros_like(vs)])
-    v = np.concatenate([vg.ravel(), np.zeros_like(xs), vs])
-    return x, v
+def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan's points x, v (grid, then the x-axis, then the v-axis) and r^2."""
+    n = cfg.samples_per_axis
+    xs = np.linspace(-cfg.x_half, cfg.x_half, n)
+    vs = np.linspace(-cfg.v_half, cfg.v_half, n)
+    x = np.concatenate([np.repeat(xs, n), xs, np.zeros_like(vs)])
+    v = np.concatenate([np.tile(vs, n), np.zeros_like(xs), vs])
+    return x, v, x * x + v * v
 
 
 def _check_mode_ranges(params: ModelParams, spec: LyapunovSpec) -> None:
@@ -241,28 +243,28 @@ def _check_mode_ranges(params: ModelParams, spec: LyapunovSpec) -> None:
             )
 
 
-def scan_drift_inequality(
-    params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig
-) -> CertificateReport:
-    """Scan the pointwise drift inequality L* m <= C 1_{B_R} - phi(m).
+def _drift_excess_chunks(
+    params: ModelParams, spec: LyapunovSpec, x, v, r2, stop_radius: float | None = None
+) -> np.ndarray | None:
+    """s = L* m + phi(m) at the points, filled chunk by chunk.
 
-    With s = L* m + phi(m), a candidate radius R passes when s <= 0 at every
-    sampled point outside the Euclidean ball B_R.  The report is built for
-    the smallest passing candidate, or for the largest candidate when none
-    passes: its margin is -max(s) outside the ball, its worst point the
-    first point attaining that maximum, and C the largest s inside the
-    ball, floored at zero.  A NaN of s outside the ball fails every
-    candidate and gives a NaN margin at the first NaN point.
+    With ``stop_radius`` it returns None after the first chunk holding a
+    point with r > stop_radius where not s <= 0 (s > 0 or NaN): every
+    candidate radius up to stop_radius then fails.
     """
-    if params.dim != 1:
-        raise ValueError("the scan certifier is one-dimensional")
-    _check_mode_ranges(params, spec)
-    x, v = _scan_points(cfg)
     s = np.empty_like(x)
     for lo in range(0, x.size, _SCAN_CHUNK):
         hi = lo + _SCAN_CHUNK
         s[lo:hi] = drift_excess(x[lo:hi, None], v[lo:hi, None], params, spec)
-    r2 = x * x + v * v
+        if stop_radius is not None:
+            outside = r2[lo:hi] > stop_radius * stop_radius
+            if not np.max(s[lo:hi], where=outside, initial=-np.inf) <= 0.0:
+                return None
+    return s
+
+
+def _report(s, x, v, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateReport:
+    """The report of s over the points; overwrites s inside the chosen ball."""
     for radius in sorted(cfg.exclusion_radii):  # ends on the largest if none passes
         inside = r2 <= radius * radius
         worst = float(np.max(s, where=~inside, initial=-np.inf))
@@ -281,11 +283,44 @@ def scan_drift_inequality(
     )
 
 
+def _scan(
+    params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig, points, fail_fast: bool = False
+) -> CertificateReport | None:
+    """The scan of ``spec`` over ``points`` from :func:`_scan_points`.
+
+    With ``fail_fast`` a failing spec gives None at its first chunk with a
+    violation outside the largest candidate radius, and a passing spec its
+    report.
+    """
+    if params.dim != 1:
+        raise ValueError("the scan certifier is one-dimensional")
+    _check_mode_ranges(params, spec)
+    stop = max(cfg.exclusion_radii) if fail_fast else None
+    s = _drift_excess_chunks(params, spec, *points, stop_radius=stop)
+    return None if s is None else _report(s, *points, cfg, spec)
+
+
+def scan_drift_inequality(
+    params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig
+) -> CertificateReport:
+    """Scan the pointwise drift inequality L* m <= C 1_{B_R} - phi(m).
+
+    With s = L* m + phi(m), a candidate radius R passes when s <= 0 at every
+    sampled point outside the Euclidean ball B_R.  The report is built for
+    the smallest passing candidate, or for the largest candidate when none
+    passes: its margin is -max(s) outside the ball, its worst point the
+    first point attaining that maximum, and C the largest s inside the
+    ball, floored at zero.  A NaN of s outside the ball fails every
+    candidate and gives a NaN margin at the first NaN point.
+    """
+    return _scan(params, spec, cfg, _scan_points(cfg))
+
+
 def equivalence_constants(
     params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig
 ) -> tuple[float, float]:
     """Measured (c1, c2) with c1 E^ell <= H <= c2 E^ell on the scan box."""
-    x, v = _scan_points(cfg)
+    x, v, _ = _scan_points(cfg)
     xp = x[:, None]
     vp = v[:, None]
     ratio = lyapunov_H(xp, vp, params, spec) / energy(xp, vp, params) ** spec.ell
@@ -335,6 +370,13 @@ def find_certified_spec(
     Returns the first passing spec with its report.  If nothing passes it
     returns (None, report) with the first report of the largest
     ``min_margin_outside``; a grid without any candidate raises ValueError.
+
+    The candidates share one set of scan points.  A candidate passes if and
+    only if s <= 0 at every point outside the largest candidate radius, so
+    a failing candidate stops at its first chunk with s > 0 or NaN there,
+    and a passing one is scanned in full.  Only a search that passes
+    nothing rescans its failed candidates in full for their reports: at
+    most one extra full scan per candidate.
     """
     if params.kind == "exp":
         if theta is None:
@@ -359,18 +401,23 @@ def find_certified_spec(
         def modes(probe: LyapunovSpec) -> list:
             return [base]
 
-    best: CertificateReport | None = None
+    points = _scan_points(cfg)
+    failed = []
     for a_exp, b_exp, eps in itertools.product(grid["a_exp"], grid["b_exp"], grid["eps"]):
         probe = LyapunovSpec(ell=ell, eps=eps, a_exp=a_exp, b_exp=b_exp, mode=base)
         if not probe.equivalence_ok(params.alpha):
             continue
         for mode in modes(probe):
             spec = replace(probe, mode=mode)
-            report = scan_drift_inequality(params, spec, cfg)
-            if report.passed:
+            report = _scan(params, spec, cfg, points, fail_fast=True)
+            if report is not None:
                 return spec, report
-            if best is None or report.min_margin_outside > best.min_margin_outside:
-                best = report
-    if best is None:
+            failed.append(spec)
+    if not failed:
         raise ValueError("the search grid holds no admissible candidate")
+    best = None
+    for spec in failed:
+        report = _scan(params, spec, cfg, points)
+        if best is None or report.min_margin_outside > best.min_margin_outside:
+            best = report
     return None, best

@@ -182,6 +182,49 @@ def test_verify_lyapunov_pass_and_fail(tmp_path):
     assert main(["verify-lyapunov", "--config", cfg_bad, "--output", str(tmp_path / "x")]) == 1
 
 
+def test_verify_lyapunov_search_pass_and_least_bad(tmp_path):
+    """--search writes the first passing spec; a search that passes nothing
+    exits 2 with the report of the largest margin over its candidates."""
+    from kinfp import LyapunovSpec, PolyWeight, scan_drift_inequality
+    from kinfp.verify import POLY_SEARCH_GRID
+
+    search = (
+        "model.alpha = 2.0\nmodel.kind = exp\nmodel.beta = 1.0\n"
+        + "lyapunov.mode = exp\nlyapunov.theta = 0.5\nlyapunov.samples = 64\n"
+    )
+    out = tmp_path / "found"
+    assert main(["verify-lyapunov", "--search", "--config", _write(tmp_path, search),
+                 "--output", str(out)]) == 0
+    text = (out / "certificate.txt").read_text()
+    assert "passed = True" in text
+    assert ("spec = LyapunovSpec(ell=2.0, eps=0.2, a_exp=1.0, b_exp=0.6, "
+            "mode=ExpWeight(theta=0.5, delta=1.0))") in text
+
+    nothing = (
+        "model.alpha = 2.0\nmodel.kind = poly\nmodel.gamma = 2.0\n"
+        + "lyapunov.mode = poly\nlyapunov.ell = 1.75\nlyapunov.k = 1.5\n"
+        + "lyapunov.samples = 64\nlyapunov.radii = 5\n"
+    )
+    cfg = parse_config(nothing)
+    best = None
+    for a_exp in POLY_SEARCH_GRID["a_exp"]:
+        for b_exp in POLY_SEARCH_GRID["b_exp"]:
+            for eps in POLY_SEARCH_GRID["eps"]:
+                spec = LyapunovSpec(1.75, eps, a_exp, b_exp, PolyWeight(k=1.5))
+                if spec.equivalence_ok(2.0):
+                    r = scan_drift_inequality(cfg.model_params(), spec, cfg.scan_config())
+                    if best is None or r.min_margin_outside > best.min_margin_outside:
+                        best = r
+    out = tmp_path / "none"
+    assert main(["verify-lyapunov", "--search", "--config", _write(tmp_path, nothing, "n.cfg"),
+                 "--output", str(out)]) == 2
+    text = (out / "certificate.txt").read_text()
+    assert "passed = False" in text
+    assert f"min_margin_outside = {best.min_margin_outside!r}" in text
+    assert f"worst_point = {best.worst_point!r}" in text
+    assert f"spec = {best.spec_echo!r}" in text
+
+
 def test_fit_rate_exact_and_errors(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "diagnostics.rate_theta = 0.5\n")
     t = np.linspace(0.0, 40.0, 50)

@@ -1,6 +1,7 @@
 """Finite-difference oracle and drift-inequality certifier."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -204,13 +205,20 @@ def test_find_certified_spec_poly():
 
 
 def _recording_scan(monkeypatch, margins, passes_at=None):
-    """Replace the scan with a recorder: call i fails with margins[i], or
-    passes when i == passes_at.  Returns the list of scanned specs."""
-    calls = []
+    """Replace the scan with a recorder.  The fail-fast scan of candidate i
+    records it and passes when i == passes_at; the full scan of recorded
+    candidate i fails with margins[i].  Returns the lists of fail-fast and
+    full-scan specs."""
+    calls, rescans = [], []
 
-    def scan(params, spec, cfg):
-        i = len(calls)
-        calls.append(spec)
+    def scan(params, spec, cfg, points, fail_fast=False):
+        if fail_fast:
+            calls.append(spec)
+            if len(calls) - 1 != passes_at:
+                return None
+        else:
+            rescans.append(spec)
+        i = next(j for j, c in enumerate(calls) if c is spec)
         return CertificateReport(
             passed=i == passes_at,
             chosen_R=45.0,
@@ -220,8 +228,8 @@ def _recording_scan(monkeypatch, margins, passes_at=None):
             spec_echo=spec,
         )
 
-    monkeypatch.setattr(verify, "scan_drift_inequality", scan)
-    return calls
+    monkeypatch.setattr(verify, "_scan", scan)
+    return calls, rescans
 
 
 def test_search_candidate_order_and_least_bad(monkeypatch):
@@ -237,7 +245,7 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
         "delta": (2.0, 0.5, 0.1, 0.05),
     }
     margins = [-5.0, -3.0, -1.0, -4.0, -1.0, -2.0, -6.0, -7.0]
-    calls = _recording_scan(monkeypatch, margins)
+    calls, rescans = _recording_scan(monkeypatch, margins)
     params = ModelParams(alpha=2.0, kind="exp", beta=3.0)
     spec, report = find_certified_spec(
         params, ScanConfig(), theta=1.0, search_grid=exp_grid
@@ -252,9 +260,10 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
     assert spec is None
     assert report.min_margin_outside == -1.0
     assert report.spec_echo is calls[2]
+    assert rescans == calls  # only a search that passes nothing rescans, in order
 
     poly_grid = {"eps": (0.3, 0.2), "a_exp": (0.0, 3.0), "b_exp": (0.9, 0.5)}
-    calls = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0])
+    calls, rescans = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0])
     params = ModelParams(alpha=2.0, kind="poly", gamma=2.0)
     spec, report = find_certified_spec(
         params, ScanConfig(), ell=1.75, k=1.5, search_grid=poly_grid
@@ -267,12 +276,90 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
     assert report.spec_echo is calls[2]
 
     # the first passing candidate ends the search
-    calls = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0], passes_at=1)
+    calls, rescans = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0], passes_at=1)
     spec, report = find_certified_spec(
         params, ScanConfig(), ell=1.75, k=1.5, search_grid=poly_grid
     )
     assert len(calls) == 2
     assert spec is calls[1] and report.passed
+    assert rescans == []
+
+
+def _assert_reports_equal(got, want):
+    for f in dataclasses.fields(CertificateReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b or (f.name == "min_margin_outside" and np.isnan(a) and np.isnan(b)), f.name
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
+    """The search's fail-fast scan fails exactly the specs that the full scan
+    fails, stops at the chunk of the first violation outside the largest
+    radius, and gives a passing spec the full scan's report.  The full scans
+    run at the default chunk size (the report does not depend on it)."""
+    chunks = []
+    full_excess = verify.drift_excess
+
+    def counted(*args):
+        chunks.append(None)
+        return full_excess(*args)
+
+    monkeypatch.setattr(verify, "drift_excess", counted)
+    beta1 = ModelParams(alpha=2.0, kind="exp", beta=1.0)
+    cfg = ScanConfig()
+    nan_cfg = ScanConfig(x_half=100.0, v_half=100.0, samples_per_axis=64)
+    cases = {  # name: (params, spec, cfg, the chunk where the fail-fast scan ends)
+        "passing": (beta1, LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(0.5, 1.0)), cfg, "last"),
+        "first chunk": (beta1, LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(0.5, 2.0)), cfg, "first"),
+        "later": (beta1, LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(0.5, 1.5)), cfg, "later"),
+        "nan outside": (ModelParams(alpha=2.0, kind="exp", beta=3.0),
+                        LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(1.0, 0.1)), nan_cfg, "first"),
+    }
+    with np.errstate(invalid="ignore", over="ignore"):
+        full_scans = [scan_drift_inequality(*case[:3]) for case in cases.values()]
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+    for full, (name, (params, spec, scan_cfg, ends)) in zip(full_scans, cases.items()):
+        del chunks[:]
+        with np.errstate(invalid="ignore", over="ignore"):
+            fast = verify._scan(
+                params, spec, scan_cfg, verify._scan_points(scan_cfg), fail_fast=True
+            )
+        assert full.passed == (name == "passing"), name
+        assert (fast is not None) == full.passed, name
+        n, last = len(chunks), -(-verify._scan_points(scan_cfg)[0].size // verify._SCAN_CHUNK)
+        assert {"first": n == 1, "later": 1 < n < last, "last": n == last}[ends], (name, n)
+        if fast is not None:
+            _assert_reports_equal(fast, full)
+
+
+def _full_scan_search(params, cfg, theta, grid):
+    """Reference exp search: every candidate scanned in full, in the search's
+    order, keeping the first report of the largest margin."""
+    best = None
+    for a_exp, b_exp, eps, delta in itertools.product(
+        grid["a_exp"], grid["b_exp"], grid["eps"], grid["delta"]
+    ):
+        spec = LyapunovSpec(2.0, eps, a_exp, b_exp, ExpWeight(theta, delta))
+        report = scan_drift_inequality(params, spec, cfg)
+        assert not report.passed
+        if best is None or report.min_margin_outside > best.min_margin_outside:
+            best = report
+    return best
+
+
+def test_search_without_pass_matches_full_scan_reference():
+    cfg = ScanConfig(samples_per_axis=64)
+    cases = [
+        (ModelParams(alpha=2.0, kind="exp", beta=3.0), 1.0,
+         {"eps": (0.2, 0.3), "a_exp": (1.0,), "b_exp": (0.6, 0.4), "delta": (0.1, 0.05)}),
+        (ModelParams(alpha=2.0, kind="exp", beta=1.0), 0.5,
+         {"eps": (0.2,), "a_exp": (1.0,), "b_exp": (0.6,), "delta": (2.0, 1.5)}),
+    ]
+    for params, theta, grid in cases:
+        spec, report = find_certified_spec(params, cfg, theta=theta, search_grid=grid)
+        assert spec is None and not report.passed
+        _assert_reports_equal(report, _full_scan_search(params, cfg, theta, grid))
 
 
 def test_search_without_candidates_raises():
