@@ -248,15 +248,15 @@ def _drift_excess_chunks(
 ) -> np.ndarray | None:
     """s = L* m + phi(m) at the points, filled chunk by chunk.
 
-    With ``stop_radius`` it returns None after the first chunk holding a
-    point with r > stop_radius where not s <= 0 (s > 0 or NaN): every
-    candidate radius up to stop_radius then fails.
+    With ``stop_radius`` it returns None after the first chunk, short of
+    the last, holding a point with r > stop_radius where not s <= 0 (s > 0
+    or NaN): every candidate radius up to stop_radius then fails.
     """
     s = np.empty_like(x)
     for lo in range(0, x.size, _SCAN_CHUNK):
         hi = lo + _SCAN_CHUNK
         s[lo:hi] = drift_excess(x[lo:hi, None], v[lo:hi, None], params, spec)
-        if stop_radius is not None:
+        if stop_radius is not None and hi < x.size:
             outside = r2[lo:hi] > stop_radius * stop_radius
             if not np.max(s[lo:hi], where=outside, initial=-np.inf) <= 0.0:
                 return None
@@ -288,9 +288,9 @@ def _scan(
 ) -> CertificateReport | None:
     """The scan of ``spec`` over ``points`` from :func:`_scan_points`.
 
-    With ``fail_fast`` a failing spec gives None at its first chunk with a
-    violation outside the largest candidate radius, and a passing spec its
-    report.
+    With ``fail_fast`` a spec with a violation outside the largest
+    candidate radius before its last chunk gives None there; a spec that
+    reaches its last chunk gives its report.
     """
     if params.dim != 1:
         raise ValueError("the scan certifier is one-dimensional")
@@ -374,9 +374,10 @@ def find_certified_spec(
     The candidates share one set of scan points.  A candidate passes if and
     only if s <= 0 at every point outside the largest candidate radius, so
     a failing candidate stops at its first chunk with s > 0 or NaN there,
-    and a passing one is scanned in full.  Only a search that passes
-    nothing rescans its failed candidates in full for their reports: at
-    most one extra full scan per candidate.
+    and a candidate that reaches its last chunk is reported from the s it
+    holds.  Only a search that passes nothing rescans the failed
+    candidates that stopped early, in full, for their reports: at most one
+    extra full scan per candidate.
     """
     if params.kind == "exp":
         if theta is None:
@@ -410,14 +411,15 @@ def find_certified_spec(
         for mode in modes(probe):
             spec = replace(probe, mode=mode)
             report = _scan(params, spec, cfg, points, fail_fast=True)
-            if report is not None:
+            if report is not None and report.passed:
                 return spec, report
-            failed.append(spec)
+            failed.append((spec, report))
     if not failed:
         raise ValueError("the search grid holds no admissible candidate")
     best = None
-    for spec in failed:
-        report = _scan(params, spec, cfg, points)
+    for spec, report in failed:
+        if report is None:
+            report = _scan(params, spec, cfg, points)
         if best is None or report.min_margin_outside > best.min_margin_outside:
             best = report
     return None, best

@@ -294,9 +294,11 @@ def _assert_reports_equal(got, want):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
     """The search's fail-fast scan fails exactly the specs that the full scan
-    fails, stops at the chunk of the first violation outside the largest
-    radius, and gives a passing spec the full scan's report.  The full scans
-    run at the default chunk size (the report does not depend on it)."""
+    fails and stops at the chunk of the first violation outside the largest
+    radius.  A scan that reaches its last chunk gives the full scan's
+    report (the 64-sample NaN case is one chunk at the default size).  The
+    full scans run at the default chunk size (the report does not depend on
+    it)."""
     chunks = []
     full_excess = verify.drift_excess
 
@@ -326,11 +328,13 @@ def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
                 params, spec, scan_cfg, verify._scan_points(scan_cfg), fail_fast=True
             )
         assert full.passed == (name == "passing"), name
-        assert (fast is not None) == full.passed, name
+        assert (fast is not None and fast.passed) == full.passed, name
         n, last = len(chunks), -(-verify._scan_points(scan_cfg)[0].size // verify._SCAN_CHUNK)
         assert {"first": n == 1, "later": 1 < n < last, "last": n == last}[ends], (name, n)
-        if fast is not None:
+        if n == last:  # a scan that reaches its last chunk keeps its report
             _assert_reports_equal(fast, full)
+        else:
+            assert fast is None, name
 
 
 def _full_scan_search(params, cfg, theta, grid):
@@ -348,7 +352,11 @@ def _full_scan_search(params, cfg, theta, grid):
     return best
 
 
-def test_search_without_pass_matches_full_scan_reference():
+@pytest.mark.parametrize("chunk", [None, 1024])
+def test_search_without_pass_matches_full_scan_reference(monkeypatch, chunk):
+    """At 64 samples a scan is one chunk at the default size, so every failed
+    candidate keeps the report of its complete scan; with chunks of 1024
+    points every one stops early and is rescanned."""
     cfg = ScanConfig(samples_per_axis=64)
     cases = [
         (ModelParams(alpha=2.0, kind="exp", beta=3.0), 1.0,
@@ -356,10 +364,25 @@ def test_search_without_pass_matches_full_scan_reference():
         (ModelParams(alpha=2.0, kind="exp", beta=1.0), 0.5,
          {"eps": (0.2,), "a_exp": (1.0,), "b_exp": (0.6,), "delta": (2.0, 1.5)}),
     ]
+    scan, rescans = verify._scan, []
+
+    def counted(*args, fail_fast=False):
+        if not fail_fast:
+            rescans.append(args[1])
+        return scan(*args, fail_fast=fail_fast)
+
     for params, theta, grid in cases:
+        want = _full_scan_search(params, cfg, theta, grid)
+        monkeypatch.setattr(verify, "_scan", counted)
+        if chunk is not None:
+            monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+        del rescans[:]
         spec, report = find_certified_spec(params, cfg, theta=theta, search_grid=grid)
+        monkeypatch.undo()
         assert spec is None and not report.passed
-        _assert_reports_equal(report, _full_scan_search(params, cfg, theta, grid))
+        _assert_reports_equal(report, want)
+        n_candidates = len(list(itertools.product(*grid.values())))
+        assert len(rescans) == (0 if chunk is None else n_candidates)
 
 
 def test_search_without_candidates_raises():
