@@ -69,9 +69,15 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, t0: flo
         "outputs": sorted(outputs),
         "wall_time_s": time.time() - t0,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # written whole or not at all, as last_checkpoint.ckpt is
+    tmp = outdir / "manifest.json.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, outdir / "manifest.json")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_config(path: str) -> RunConfig:

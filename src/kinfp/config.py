@@ -8,8 +8,11 @@ parsed config and re-parsing it round-trips exactly.
 Required keys: ``model.alpha``, ``model.kind`` and the matching tail
 exponent (``model.beta`` for ``exp``, ``model.gamma`` for ``poly``).  Every
 other key has the documented default shown in ``SCHEMA``.  A key that only
-one variant of a choice reads (the tail exponents, ``initial.file`` and
-``diagnostics.reference_file``) is refused under the other variants.
+one variant of a choice reads (the tail exponents, the weight parameters
+``lyapunov.theta``, ``lyapunov.delta`` and ``lyapunov.k``,
+``diagnostics.rate_theta``, ``initial.file`` and
+``diagnostics.reference_file``) is refused under the other variants unless
+it keeps its default.
 
 Every key is validated at parse time, for every command, by the object
 that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
@@ -100,6 +103,10 @@ _CHOICES: dict[str, tuple[str, ...]] = {
 _REQUIRED_BY: dict[str, tuple[str, str]] = {
     "model.beta": ("model.kind", "exp"),
     "model.gamma": ("model.kind", "poly"),
+    "lyapunov.theta": ("lyapunov.mode", "exp"),
+    "lyapunov.delta": ("lyapunov.mode", "exp"),
+    "lyapunov.k": ("lyapunov.mode", "poly"),
+    "diagnostics.rate_theta": ("diagnostics.rate_mode", "exp"),
     "initial.file": ("initial.preset", "file"),
     "diagnostics.reference_file": ("diagnostics.reference", "file"),
 }

@@ -25,9 +25,9 @@ class PhaseGrid:
 
     def __post_init__(self):
         problems = [
-            f"{name} must be positive, got {w}"
+            f"{name} must be positive and finite, got {w}"
             for name, w in (("L", self.L), ("v_max", self.v_max))
-            if not w > 0
+            if not 0 < w < np.inf
         ]
         problems += [
             f"{name} must be an even positive integer, got {n}"

@@ -17,9 +17,8 @@ x_j + dx/2 s_j for v >= 0.  The cell differences are stored one row
 further up in the v < 0 columns, so that the limiter, the slope and the
 flux of one face share a row in every column and run as whole-array
 operations; only the differences and the upwind states are built per half.
-Boundary closure is either specular (ghost cells mirror the interior with
-the velocity index flipped, which makes the paired wall fluxes cancel
-exactly) or periodic (test fixture).
+The x-walls are specular: the ghost cells mirror the interior with the
+velocity index flipped, which makes the paired wall fluxes cancel exactly.
 
 Velocity kernel: drift-diffusion flux differences per column with
 precomputed face coefficients; zero flux through the outermost faces.
@@ -34,15 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BC_SPECULAR",
-    "BC_PERIODIC",
     "Workspace",
     "transport_rhs_kernel",
     "velocity_rhs_kernel",
 ]
-
-BC_SPECULAR = 0
-BC_PERIODIC = 1
 
 
 class Workspace:
@@ -65,21 +59,14 @@ class Workspace:
         self.vterm = self.absdiff.reshape(-1)[:n].reshape(nx, nv - 1)
 
 
-def _ghost_rows(values, bc_code):
-    """Views of the ghost cells x_{-2}, x_{-1}, x_{Nx}, x_{Nx+1}."""
-    nx = values.shape[0]
-    if bc_code == BC_PERIODIC:
-        return values[nx - 2], values[nx - 1], values[0], values[1]
-    return values[1, ::-1], values[0, ::-1], values[nx - 1, ::-1], values[nx - 2, ::-1]
-
-
-def transport_rhs_kernel(values, v_centers, dx, bc_code, out=None, work=None):
+def transport_rhs_kernel(values, v_centers, dx, out=None, work=None):
     """Advection increment d f/dt = -v df/dx, conservative flux-difference form.
 
     ``v_centers`` must be ascending.  Row f of the face arrays is the face
     between cells f-1 and f (f = 0..Nx).  Its upwind cell u is f-1 where
     v >= 0 and f where v < 0, and row f of ``work.diff`` holds x_u - x_{u-1},
-    so the limiter of every face reads rows f and f+1.
+    so the limiter of every face reads rows f and f+1.  The specular ghost
+    cells x_{-2}, x_{-1}, x_{Nx}, x_{Nx+1} are views of the mirrored rows.
     """
     nx, nv = values.shape
     if out is None:
@@ -88,7 +75,8 @@ def transport_rhs_kernel(values, v_centers, dx, bc_code, out=None, work=None):
         work = Workspace(values.shape)
     neg = slice(0, int(np.searchsorted(v_centers, 0.0)))
     pos = slice(neg.stop, nv)
-    g0, g1, g2, g3 = _ghost_rows(values, bc_code)
+    g0, g1 = values[1, ::-1], values[0, ::-1]
+    g2, g3 = values[nx - 1, ::-1], values[nx - 2, ::-1]
     d, ad, s = work.diff, work.absdiff, work.face
     np.subtract(values[1:, pos], values[:-1, pos], out=d[2 : nx + 1, pos])
     np.subtract(values[1:, neg], values[:-1, neg], out=d[1:nx, neg])

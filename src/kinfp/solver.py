@@ -16,10 +16,11 @@ reflection at the x-walls, zero flux at the v-walls; both conserve mass to
 machine precision.
 
 Between two emission points (diagnostics, snapshots, steady-state window
-ends, the last step) ``run`` and ``steady_state_reference`` merge the two
-adjacent transport half-steps of consecutive steps (Strang 1968): a segment
-of n steps is T(dt/2) [V(dt) T(dt)]^(n-1) V(dt) T(dt/2), n + 1 transport
-Heun pairs instead of 2n.  With exact substeps T(dt/2) T(dt/2) = T(dt);
+ends, the last step) ``run`` and ``steady_state_reference`` advance one
+segment with ``Stepper.advance``, which merges the two adjacent transport
+half-steps of consecutive steps (Strang 1968): a segment of n steps is
+T(dt/2) [V(dt) T(dt)]^(n-1) V(dt) T(dt/2), n + 1 transport Heun pairs
+instead of 2n.  With exact substeps T(dt/2) T(dt/2) = T(dt);
 with Heun substeps the two schemes differ by O(dt^2) at a fixed time, the
 order of the scheme itself.  The merged T(dt) runs at Courant number
 v_max dt / dx, so segments are fused only when that is at most 1/2, the
@@ -85,8 +86,8 @@ class SolverConfig:
         problems = []
         if self.model.dim != 1:
             problems.append("the solver is one-dimensional")
-        if not self.t_final >= 0.0:
-            problems.append(f"t_final must be nonnegative, got {self.t_final}")
+        if not 0.0 <= self.t_final < np.inf:
+            problems.append(f"t_final must be nonnegative and finite, got {self.t_final}")
         safety_ok = 0.0 < self.cfl_safety <= 1.0
         if not safety_ok:
             problems.append(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
@@ -191,24 +192,17 @@ def cc_delta(w):
     return out if out.ndim else float(out)
 
 
-def velocity_face_coefficients(
-    grid: PhaseGrid, params: ModelParams, freeze_x: float | None = None
-):
+def velocity_face_coefficients(grid: PhaseGrid, params: ModelParams):
     """Per-face flux coefficients (cp, cm) of the velocity operator.
 
     Interior face m+1/2 of column n carries the flux
         F = cp[n, m] f[n, m+1] + cm[n, m] f[n, m],
     cp = 1/dv + D (1 - delta(w)), cm = -1/dv + D delta(w), w = dv D, with
-    D evaluated at (x_n, v_{m+1/2}).  ``freeze_x`` evaluates the force at
-    a fixed position instead (used by the velocity-only subproblem).
+    D evaluated at (x_n, v_{m+1/2}).
     """
-    vf = grid.v_faces_interior
-    if freeze_x is None:
-        gv = np.asarray(grad_potential(grid.x_centers[:, None], params))
-    else:
-        gv = np.full(grid.Nx, grad_potential(np.array([freeze_x]), params).item())
-    dr = np.asarray(equilibrium_drift(vf[:, None], params))[:, 0]
-    d_face = gv.reshape(-1, 1) - dr[None, :]
+    gv = np.asarray(grad_potential(grid.x_centers[:, None], params))
+    dr = np.asarray(equilibrium_drift(grid.v_faces_interior[:, None], params))[:, 0]
+    d_face = gv - dr[None, :]
     w = grid.dv * d_face
     dl = cc_delta(w)
     cp = 1.0 / grid.dv + d_face * (1.0 - dl)
@@ -235,36 +229,27 @@ def discrete_velocity_equilibrium(
 class Stepper:
     """Precomputed-coefficient stepping engine for one (grid, model) pair.
 
-    One step is transport(dt/2) . velocity(dt) . transport(dt/2), each
-    substep a Heun pair.  Inside a fused segment (see the module docstring)
-    a step that does not open the segment skips the leading T(dt/2), which
-    the previous step's T(dt) already covered, and a step that does not
-    close it ends with T(dt).  The stepper owns a workspace allocated once:
-    the Heun increments k1 and k2, the stage state, and a ``kernels.Workspace``
-    (three more field-sized arrays and two masks), so a step allocates no
-    array.  The kernels are looked up on the ``kernels`` module at each
-    call, so a wrapper installed there (a profiler, a tracer) sees them all.
+    It steps the model's one operator: specular x-walls, the force V'(x) of
+    each column, transport on.  One step is transport(dt/2) . velocity(dt)
+    . transport(dt/2), each substep a Heun pair; ``advance`` takes a segment
+    of steps, fused as the module docstring describes.  The stepper owns a
+    workspace allocated once: the Heun increments k1 and k2, the stage
+    state, and a ``kernels.Workspace`` (three more field-sized arrays and
+    two masks), so a step allocates no array.  The kernels are looked up on
+    the ``kernels`` module at each call, so a wrapper installed there (a
+    profiler, a tracer) sees them all.
 
     ``step(values, dt)`` leaves ``values`` untouched and returns a new array;
     ``step(values, dt, out=values)`` advances in place.  The workspace holds
     no state between steps, so fields on the same grid may share a stepper.
-    The state between an unclosed step and the next is not a solution value
-    at any time; only a closing step's result may be observed.
+    Inside a segment the state between two steps is not a solution value at
+    any time; only the segment's result may be observed.
     """
 
-    def __init__(
-        self,
-        grid: PhaseGrid,
-        params: ModelParams,
-        transport_enabled: bool = True,
-        freeze_x: float | None = None,
-        bc: str = "specular",
-    ):
+    def __init__(self, grid: PhaseGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        self.transport_enabled = transport_enabled
-        self.bc_code = {"specular": kernels.BC_SPECULAR, "periodic": kernels.BC_PERIODIC}[bc]
-        self.cp, self.cm = velocity_face_coefficients(grid, params, freeze_x)
+        self.cp, self.cm = velocity_face_coefficients(grid, params)
         self._v = np.ascontiguousarray(grid.v_centers)
         shape = (grid.Nx, grid.Nv)
         self._k1 = np.empty(shape)
@@ -284,7 +269,7 @@ class Stepper:
 
     def _transport(self, values, out):
         return kernels.transport_rhs_kernel(
-            values, self._v, self.grid.dx, self.bc_code, out, self._work
+            values, self._v, self.grid.dx, out, self._work
         )
 
     def _velocity(self, values, out):
@@ -304,19 +289,29 @@ class Stepper:
         """Advance one split step; the result goes to ``out`` (new array if None).
 
         ``opens``/``closes`` say whether the step starts/ends a fused
-        segment; the defaults give the symmetric step T(dt/2) V(dt) T(dt/2).
+        segment, and only ``advance`` sets them; the defaults give the
+        symmetric step T(dt/2) V(dt) T(dt/2).
         """
         if out is None:
             out = np.empty_like(values)
         src = values
-        if self.transport_enabled and opens:
+        if opens:
             src = self._heun(self._transport, src, 0.5 * dt, out)
         src = self._heun(self._velocity, src, dt, out)
-        if self.transport_enabled:
-            src = self._heun(self._transport, src, 0.5 * dt if closes else dt, out)
-        if src is not out:
-            np.copyto(out, src)
-        return out
+        return self._heun(self._transport, src, 0.5 * dt if closes else dt, out)
+
+    def advance(self, values: np.ndarray, dt: float, n: int, fuse: bool) -> np.ndarray:
+        """Advance ``values`` in place by one segment of n steps and return it.
+
+        With ``fuse`` the segment's transport half-steps merge (see the
+        module docstring); without it every step is the symmetric one.
+        """
+        for i in range(n):
+            self.step(
+                values, dt, out=values,
+                opens=i == 0 or not fuse, closes=i == n - 1 or not fuse,
+            )
+        return values
 
 
 def fuses_transport(grid: PhaseGrid, dt: float) -> bool:
@@ -328,22 +323,23 @@ def fuses_transport(grid: PhaseGrid, dt: float) -> bool:
     return grid.v_max * dt / grid.dx <= 0.5
 
 
-def _emit_diagnostics(field: Field, sinks: Sinks):
+def _emit(sinks: Sinks, field: Field, step: int, snapshot=True, diagnostics=True):
+    """Hand ``field`` to the sinks that are set and due at this step."""
+    if snapshot and sinks.snapshot is not None:
+        sinks.snapshot(field, step)
+    if not diagnostics or sinks.diagnostics is None:
+        return
     from .diagnostics import DiagnosticsRecord, l1_distance, mass
 
-    dist = None
-    if sinks.reference is not None:
-        dist = l1_distance(field, sinks.reference)
+    ref = sinks.reference
     rec = DiagnosticsRecord(
         time=field.time_stamp,
         mass=mass(field),
         min_value=float(field.values.min()),
         max_value=float(field.values.max()),
-        l1_distance_to_reference=dist,
+        l1_distance_to_reference=None if ref is None else l1_distance(field, ref),
     )
-    if sinks.diagnostics is not None:
-        sinks.diagnostics(rec)
-    return rec
+    sinks.diagnostics(rec)
 
 
 def run(
@@ -389,31 +385,26 @@ def run(
         )
     if not np.all(np.isfinite(field0.values)):
         raise NumericalAbort(start_step, "non-finite initial data")
-    if start_step == 0 and sinks.snapshot is not None:
-        sinks.snapshot(field0, 0)
-    if start_step == 0 and sinks.diagnostics is not None:
-        _emit_diagnostics(field0, sinks)
+    if start_step == 0:
+        _emit(sinks, field0, 0)
     if n_steps == 0 or start_step >= n_steps:
         return field0
 
     stepper = Stepper(config.grid, config.model)
     values = field0.values.copy()
-    opens = True
-    for k in range(start_step, n_steps):
-        step = k + 1
-        emit_diag = step % config.diagnostics_cadence == 0 or step == n_steps
-        emit_snap = step % config.snapshot_cadence == 0 or step == n_steps
-        closes = emit_diag or emit_snap or not fuse
-        stepper.step(values, dt, out=values, opens=opens, closes=closes)
-        opens = closes
-        if emit_diag or emit_snap:
-            if not np.all(np.isfinite(values)):
-                raise NumericalAbort(step)
-            f = Field(values.copy(), config.grid, step * dt)
-            if emit_snap and sinks.snapshot is not None:
-                sinks.snapshot(f, step)
-            if emit_diag:
-                _emit_diagnostics(f, sinks)
+    step = start_step
+    while step < n_steps:
+        end = min(min((step // c + 1) * c for c in cadences), n_steps)
+        stepper.advance(values, dt, end - step, fuse)
+        step = end
+        if not np.all(np.isfinite(values)):
+            raise NumericalAbort(step)
+        last = step == n_steps
+        _emit(
+            sinks, Field(values.copy(), config.grid, step * dt), step,
+            snapshot=last or step % config.snapshot_cadence == 0,
+            diagnostics=last or step % config.diagnostics_cadence == 0,
+        )
     return Field(values, config.grid, n_steps * dt)
 
 
@@ -453,11 +444,7 @@ def steady_state_reference(
     rate = np.inf
     while step < n_steps:
         todo = min(window, n_steps - step)
-        for i in range(todo):
-            stepper.step(
-                values, dt, out=values,
-                opens=i == 0 or not fuse, closes=i == todo - 1 or not fuse,
-            )
+        stepper.advance(values, dt, todo, fuse)
         step += todo
         if not np.all(np.isfinite(values)):
             raise NumericalAbort(step)
@@ -499,7 +486,11 @@ def read_checkpoint(path) -> tuple[Field, int]:
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
         data = np.frombuffer(fh.read(nx * nv * 8), dtype="<f8").astype(np.float64)
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the checkpoint payload: {path}")
     if data.size != nx * nv:
         raise ValueError(f"truncated checkpoint payload: {path}")
+    if not np.isfinite(time_stamp):
+        raise ValueError(f"non-finite checkpoint time {time_stamp!r}: {path}")
     grid = PhaseGrid(L=L, v_max=v_max, Nx=int(nx), Nv=int(nv))
     return Field(data.reshape(nx, nv), grid, time_stamp), int(step)

@@ -107,8 +107,8 @@ class ScanConfig:
             problems.append(
                 f"samples_per_axis must be at least 16, got {self.samples_per_axis}"
             )
-        if not (self.x_half > 0 and self.v_half > 0):
-            problems.append("box half-widths must be positive")
+        if not (0 < self.x_half < np.inf and 0 < self.v_half < np.inf):
+            problems.append("box half-widths must be positive and finite")
         if not self.exclusion_radii:
             problems.append("need at least one candidate radius")
         elif not max(self.exclusion_radii) < min(self.x_half, self.v_half):

@@ -327,8 +327,12 @@ def test_poly_gamma_below_one_simulates_but_is_not_certified(tmp_path, capsys):
         ("export-reference", SMALL_RUN + "diagnostics.delta = -1\n", []),
         ("export-reference", SMALL_RUN + "diagnostics.delta = nan\n", []),
         ("steady-state", SMALL_RUN, ["--tol-rate", "-1"]),
+        ("simulate", SMALL_RUN.replace("grid.v_max = 20", "grid.v_max = inf"), []),
     ],
-    ids=["simulate-poly-profile", "export-poly", "export-delta-neg", "export-delta-nan", "steady-tol"],
+    ids=[
+        "simulate-poly-profile", "export-poly", "export-delta-neg", "export-delta-nan",
+        "steady-tol", "simulate-vmax-inf",
+    ],
 )
 def test_command_value_errors_exit_one(tmp_path, capsys, command, text, flags):
     """A ValueError raised inside a command is reported, not a traceback,
@@ -338,3 +342,26 @@ def test_command_value_errors_exit_one(tmp_path, capsys, command, text, flags):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_manifest_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
+    """A manifest write that fails part way leaves the previous manifest
+    and no temporary file."""
+    import kinfp.cli as cli
+
+    cfg = _write(tmp_path, SMALL_RUN)
+    out = tmp_path / "ref"
+    argv = ["export-reference", "--config", cfg, "--output", str(out)]
+    assert main(argv) == 0
+    files = sorted(p.name for p in out.iterdir())
+    before = (out / "manifest.json").read_bytes()
+
+    def interrupted(obj, fh, **kwargs):
+        fh.write('{"command": ')
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli.json, "dump", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(argv)
+    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == files

@@ -148,6 +148,21 @@ def test_lyapunov_values_rejected_at_parse_time(line, message):
         parse_config(MINIMAL + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("grid.L = inf", "L must be positive and finite"),
+        ("grid.v_max = inf", "v_max must be positive and finite"),
+        ("time.t_final = inf", "t_final must be nonnegative and finite"),
+        ("lyapunov.scan_x = inf", "half-widths must be positive and finite"),
+        ("lyapunov.scan_v = inf", "half-widths must be positive and finite"),
+    ],
+)
+def test_infinite_box_and_horizon_rejected_at_parse_time(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(MINIMAL + line + "\n")
+
+
 @pytest.mark.parametrize("fraction", [-3.0, -1e-9, 1.0, 2.0])
 def test_rate_burn_fraction_outside_unit_interval_rejected(fraction):
     with pytest.raises(ConfigError, match="rate_burn_fraction"):
@@ -172,6 +187,11 @@ def test_poly_gamma_follows_model_params():
         (MINIMAL + "initial.file = start.ckpt\n", "initial.file"),
         (MINIMAL + "diagnostics.reference = profile\n"
          + "diagnostics.reference_file = ref.ckpt\n", "diagnostics.reference_file"),
+        (MINIMAL + "lyapunov.mode = poly\nlyapunov.theta = 0.5\n", "lyapunov.theta"),
+        (MINIMAL + "lyapunov.mode = poly\nlyapunov.delta = 1.0\n", "lyapunov.delta"),
+        (MINIMAL + "lyapunov.k = 0.5\n", "lyapunov.k"),
+        (MINIMAL + "diagnostics.rate_mode = poly\ndiagnostics.rate_theta = 3\n",
+         "diagnostics.rate_theta"),
     ],
 )
 def test_key_ignored_by_selected_variant_rejected(text, key):

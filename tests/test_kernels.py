@@ -8,20 +8,14 @@ from kinfp import kernels
 from kinfp.solver import velocity_face_coefficients
 
 
-def reference_transport_rhs(values, v_centers, dx, bc_code):
+def reference_transport_rhs(values, v_centers, dx):
     Nx, Nv = values.shape
     ext = np.empty((Nx + 4, Nv))
     ext[2 : Nx + 2] = values
-    if bc_code == kernels.BC_PERIODIC:
-        ext[0] = values[Nx - 2]
-        ext[1] = values[Nx - 1]
-        ext[Nx + 2] = values[0]
-        ext[Nx + 3] = values[1]
-    else:
-        ext[0] = values[1, ::-1]
-        ext[1] = values[0, ::-1]
-        ext[Nx + 2] = values[Nx - 1, ::-1]
-        ext[Nx + 3] = values[Nx - 2, ::-1]
+    ext[0] = values[1, ::-1]
+    ext[1] = values[0, ::-1]
+    ext[Nx + 2] = values[Nx - 1, ::-1]
+    ext[Nx + 3] = values[Nx - 2, ::-1]
     d = ext[1:] - ext[:-1]
     a, b = d[:-1], d[1:]
     slope = np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b)) / dx
@@ -60,19 +54,17 @@ def test_kernels_bitwise_match_reference(rng, L, v_max, nx, nv):
     # the same workspace twice on different inputs: stale buffer state would show
     for _ in range(2):
         values = rng.standard_normal((nx, nv))
-        for bc in (kernels.BC_SPECULAR, kernels.BC_PERIODIC):
-            ref = reference_transport_rhs(values, grid.v_centers, grid.dx, bc)
-            got = kernels.transport_rhs_kernel(values, grid.v_centers, grid.dx, bc, out, work)
-            assert got is out
-            assert np.array_equal(bits(got), bits(ref)), bc
+        ref = reference_transport_rhs(values, grid.v_centers, grid.dx)
+        got = kernels.transport_rhs_kernel(values, grid.v_centers, grid.dx, out, work)
+        assert got is out
+        assert np.array_equal(bits(got), bits(ref))
         ref = reference_velocity_rhs(values, cp, cm, grid.dv)
         got = kernels.velocity_rhs_kernel(values, cp, cm, grid.dv, out, work)
         assert got is out
         assert np.array_equal(bits(got), bits(ref))
     # without out/work arguments the kernels allocate their own
-    for bc in (kernels.BC_SPECULAR, kernels.BC_PERIODIC):
-        ref = reference_transport_rhs(values, grid.v_centers, grid.dx, bc)
-        got = kernels.transport_rhs_kernel(values, grid.v_centers, grid.dx, bc)
-        assert np.array_equal(bits(got), bits(ref))
+    ref = reference_transport_rhs(values, grid.v_centers, grid.dx)
+    got = kernels.transport_rhs_kernel(values, grid.v_centers, grid.dx)
+    assert np.array_equal(bits(got), bits(ref))
     got = kernels.velocity_rhs_kernel(values, cp, cm, grid.dv)
     assert np.array_equal(bits(got), bits(reference_velocity_rhs(values, cp, cm, grid.dv)))

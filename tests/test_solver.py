@@ -118,39 +118,47 @@ def test_cfl_production_configuration():
 def test_transport_constant_field_zero_increment(desk):
     _, grid = desk
     f = Field(np.full((grid.Nx, grid.Nv), 0.37), grid)
-    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx, kernels.BC_SPECULAR)
+    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx)
     assert np.all(r == 0.0)
 
 
 def test_transport_specular_increment_sums_to_zero(desk, rng):
     _, grid = desk
     f = Field(rng.random((grid.Nx, grid.Nv)), grid)
-    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx, kernels.BC_SPECULAR)
+    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx)
     assert abs(r.sum()) <= 1e-13 * np.abs(r).sum()
 
 
 def test_transport_smooth_advection_order():
-    """Refinement halves dx and cuts the L1 error by >= 3.6 (order >= 1.85)."""
+    """Refinement halves dx and cuts the L1 error by >= 3.6 (order >= 1.85).
+
+    Specular walls fold the line of period 4L onto the box: the columns
+    f(x, +s) = g(x) and f(x, -s) = g(2L - x) of a 4L-periodic g are advected
+    to g(y - sT) at y = x and y = 2L - x.
+    """
 
     def l1_error(nx):
         L = 1.0
         grid = build_grid(L, 1.5, nx, 2)
         dx = grid.dx
         x = grid.x_centers
-        speed = grid.v_centers[1]  # constant per row
-        f = np.tile((2.0 + np.sin(np.pi * x))[:, None], (1, 2))
+        speed = grid.v_centers[1]  # +s; column 0 moves at -s
+
+        def g(y):
+            return 2.0 + np.sin(np.pi * y / (2 * L))
+
+        def exact(t):
+            return np.stack([g(2 * L - x - speed * t), g(x - speed * t)], axis=1)
+
         T = 0.4
         dt = 0.4 * dx / abs(speed)
         n = int(np.ceil(T / dt))
         dt = T / n
-        fld = Field(f, grid)
-        stepper = Stepper(grid, ModelParams(alpha=2.0, kind="exp", beta=2.0), bc="periodic")
-        vals = fld.values
+        stepper = Stepper(grid, ModelParams(alpha=2.0, kind="exp", beta=2.0))
+        vals = exact(0.0)
         for _ in range(n):
             vals = stepper._heun(stepper._transport, vals, dt, np.empty_like(vals))
-        row = 1
-        exact = 2.0 + np.sin(np.pi * (x - speed * T))
-        return np.abs(vals[:, row] - exact).sum() * dx
+        return np.abs(vals - exact(T)).sum() * dx
 
     e1, e2 = l1_error(128), l1_error(256)
     assert e1 / e2 >= 3.6
@@ -173,12 +181,18 @@ def test_cc_delta_values():
     assert cc_delta(-800.0) == pytest.approx(1.0 - 1.0 / 800.0, rel=1e-12)
 
 
+def column_equilibria(grid, params):
+    """The discrete velocity equilibrium of each column x_n, as row n."""
+    return np.array(
+        [discrete_velocity_equilibrium(grid, params, x_value=x) for x in grid.x_centers]
+    )
+
+
 def test_velocity_equilibrium_zero_increment(desk):
     params, grid = desk
-    g = discrete_velocity_equilibrium(grid, params, x_value=0.0)
-    f = Field(np.tile(g, (grid.Nx, 1)), grid)
-    cp, cm = velocity_face_coefficients(grid, params, freeze_x=0.0)
-    r = kernels.velocity_rhs_kernel(f.values, cp, cm, grid.dv)
+    g = column_equilibria(grid, params)
+    cp, cm = velocity_face_coefficients(grid, params)
+    r = kernels.velocity_rhs_kernel(g, cp, cm, grid.dv)
     assert np.abs(r).max() <= 1e-12 * g.max() / grid.dv**2
 
 
@@ -356,6 +370,19 @@ def test_run_reference_distance_records():
     assert all(r.l1_distance_to_reference is not None for r in records)
 
 
+def test_run_without_diagnostics_sink_computes_no_diagnostics(monkeypatch):
+    import kinfp.diagnostics as diagnostics
+
+    masses = []
+    monkeypatch.setattr(diagnostics, "mass", lambda field: masses.append(field) or 1.0)
+    cfg = _desk_config(t_final=0.1)
+    snaps = []
+    run(cfg, None, Sinks(snapshot=lambda f, step: snaps.append(step)))
+    assert snaps and not masses
+    run(cfg, None, Sinks(diagnostics=lambda rec: None))
+    assert masses
+
+
 def test_run_checkpoint_resume_bit_identical(tmp_path):
     cfg = _desk_config(t_final=0.3, snapshot_cadence=5)
     dt, n = cfg.resolve_dt()
@@ -502,21 +529,44 @@ def test_checkpoint_round_trip(tmp_path, desk):
         read_checkpoint(tmp_path / "bad.ckpt")
 
 
+def test_checkpoint_refuses_trailing_bytes_and_non_finite_header(tmp_path, desk):
+    from kinfp.solver import _HEADER, CHECKPOINT_MAGIC
+
+    _, grid = desk
+    values = default_initial_condition(grid).values
+    path = tmp_path / "f.ckpt"
+    write_checkpoint(Field(values, grid, 0.75), 3, path)
+    good = path.read_bytes()
+    path.write_bytes(good + bytes(15))
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_checkpoint(path)
+    payload = good[_HEADER.size :]
+    for L, v_max, time_stamp, message in [
+        (50.0, 50.0, np.inf, "non-finite checkpoint time"),
+        (50.0, 50.0, np.nan, "non-finite checkpoint time"),
+        (np.inf, 50.0, 0.75, "L must be positive and finite"),
+        (50.0, np.inf, 0.75, "v_max must be positive and finite"),
+    ]:
+        head = _HEADER.pack(CHECKPOINT_MAGIC, grid.Nx, grid.Nv, 3, L, v_max, time_stamp)
+        path.write_bytes(head + payload)
+        with pytest.raises(ValueError, match=message):
+            read_checkpoint(path)
+
+
 # ---------------------------------------------------------------- steady state
 
 
 def test_steady_state_fixed_point_terminates_immediately(desk):
     params, grid = desk
     cfg = _desk_config(t_final=50.0)
-    g = discrete_velocity_equilibrium(grid, params, x_value=0.0)
     # velocity-only dynamics: its exact fixed point must be detected at once
-    eq = Field(np.tile(g, (grid.Nx, 1)), grid)
-    stepper = Stepper(grid, params, transport_enabled=False, freeze_x=0.0)
+    eq = column_equilibria(grid, params)
+    stepper = Stepper(grid, params)
     dt, _ = cfg.resolve_dt()
-    vals = eq.values
+    vals = eq
     for _ in range(cfg.diagnostics_cadence):
-        vals = stepper.step(vals, dt)
-    rate = np.abs(vals - eq.values).sum() * grid.cell_volume / (cfg.diagnostics_cadence * dt)
+        vals = stepper._heun(stepper._velocity, vals, dt, np.empty_like(vals))
+    rate = np.abs(vals - eq).sum() * grid.cell_volume / (cfg.diagnostics_cadence * dt)
     assert rate < 1e-12
 
 
@@ -526,16 +576,15 @@ def test_velocity_only_converges_to_column_equilibrium():
     # relax sub-geometrically and would need far longer horizons)
     params = ModelParams(alpha=2.0, kind="exp", beta=2.0)
     grid = build_grid(50.0, 50.0, 64, 64)
-    geq = discrete_velocity_equilibrium(grid, params, x_value=0.0)
     f0 = default_initial_condition(grid)
-    stepper = Stepper(grid, params, transport_enabled=False, freeze_x=0.0)
+    stepper = Stepper(grid, params)
     dt = cfl_timestep(grid, params, 0.45)
     vals = f0.values.copy()
-    for _ in range(3200):
-        vals = stepper.step(vals, dt)
+    for _ in range(4800):
+        vals = stepper._heun(stepper._velocity, vals, dt, vals)
     # velocity dynamics conserves each column's mass separately
     col_mass = f0.values.sum(axis=1) * grid.dv
-    target = col_mass[:, None] * geq[None, :]
+    target = col_mass[:, None] * column_equilibria(grid, params)
     dist = np.abs(vals - target).sum() * grid.cell_volume
     assert dist < 1e-8
 
