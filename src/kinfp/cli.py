@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config
+from .config import SCHEMA, ConfigError, RunConfig, parse_config
 from .diagnostics import (
     density,
     mass,
@@ -45,6 +45,10 @@ from .solver import (
 from .verify import find_certified_spec, scan_drift_inequality
 
 FMT = "%.16e"  # 17 significant digits
+
+# spec keys that ``verify-lyapunov --search`` chooses itself (delta only
+# under lyapunov.mode = exp; the config refuses it under poly)
+_SEARCHED_KEYS = ("lyapunov.eps", "lyapunov.a_exp", "lyapunov.b_exp", "lyapunov.delta")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -189,6 +193,12 @@ def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> i
     t0 = time.time()
     params = cfg.model_params()
     scan_cfg = cfg.scan_config()
+    if search:
+        chosen = [key for key in _SEARCHED_KEYS if cfg[key] != SCHEMA[key][1]]
+        if chosen:
+            raise ValueError(
+                f"--search chooses {', '.join(chosen)} itself; leave them at their defaults"
+            )
     if not search:
         report = scan_drift_inequality(params, cfg.lyapunov_spec(), scan_cfg)
     elif cfg["lyapunov.mode"] == "exp":

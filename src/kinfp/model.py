@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import integrate, special
@@ -259,6 +259,11 @@ def _vec(z, dim: int) -> np.ndarray:
     return a
 
 
+def _powers(base):
+    # base**y as a function of y, each exponent computed once
+    return cache(lambda y: base**y)
+
+
 def _bracket(sq):
     # <z> from |z|^2
     return np.sqrt(1.0 + sq)
@@ -325,7 +330,11 @@ class _Points:
     forms at the same points shares them.  ``x``, ``v`` and the drift ``dr``
     keep the space axis; ``xsq`` = |x|^2, ``vsq`` = |v|^2, ``xv`` = x.v,
     ``jx`` = <x>, ``jv`` = <v>, the energy ``e``, ``xdr`` = x.dr and
-    ``vdr`` = v.dr drop it.
+    ``vdr`` = v.dr drop it.  ``e_pow(y)`` is E^y, computed once per exponent.
+
+    Every term broadcasts: x of shape (rows, 1, d) and v of shape (1, n, d)
+    give the x-only terms on (rows, 1), the v-only ones on (1, n) and only
+    the mixed ones (x.v, E, x.dr) on the (rows, n) grid.
     """
 
     def __init__(self, x, v, params: ModelParams):
@@ -358,6 +367,10 @@ class _Points:
         return 0.5 * self.vsq + _potential(self.jx, self.params)
 
     @cached_property
+    def e_pow(self):
+        return _powers(self.e)
+
+    @cached_property
     def dr(self):
         return _drift(self.v, self.jv, self.params)
 
@@ -387,14 +400,13 @@ def lyapunov_H(x, v, params: ModelParams, spec: LyapunovSpec):
 
 
 def _grad_v_h(p: _Points, spec: LyapunovSpec):
-    e = p.e[..., None]
     jx = p.jx[..., None]
     jv = p.jv[..., None]
     xv = p.xv[..., None]
     cross = jx**spec.a_exp * (
         jv ** (-spec.b_exp) * p.x - spec.b_exp * xv * jv ** (-spec.b_exp - 2.0) * p.v
     )
-    return spec.ell * e ** (spec.ell - 1.0) * p.v + spec.eps * cross
+    return spec.ell * p.e_pow(spec.ell - 1.0)[..., None] * p.v + spec.eps * cross
 
 
 def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
@@ -409,8 +421,7 @@ def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
 
 def _dual_energy_power(p: _Points, ell: float):
     # L*(E^ell) = ell E^(ell-1) [ (ell-1)|v|^2/E + d + v . (grad_v M / M) ]
-    e = p.e
-    return ell * e ** (ell - 1.0) * ((ell - 1.0) * p.vsq / e + p.params.dim + p.vdr)
+    return ell * p.e_pow(ell - 1.0) * ((ell - 1.0) * p.vsq / p.e + p.params.dim + p.vdr)
 
 
 def _dual_cross_term(p: _Points, a_exp: float, b_exp: float):
@@ -435,25 +446,26 @@ def _dual_full_h(p: _Points, spec: LyapunovSpec):
     )
 
 
-def _weight(h, spec: LyapunovSpec):
-    # m = Phi(H)
+def _weight(hp, spec: LyapunovSpec):
+    # m = Phi(H) from hp(y) = H^y
     if isinstance(spec.mode, ExpWeight):
-        return np.exp(spec.mode.delta * h ** (spec.mode.theta / 2.0))
-    return h ** (spec.mode.k / spec.ell)
+        return np.exp(spec.mode.delta * hp(spec.mode.theta / 2.0))
+    return hp(spec.mode.k / spec.ell)
 
 
 def _weight_derivatives(h, spec: LyapunovSpec):
     """(m, Phi'(H), Phi''(H)) for the weight m = Phi(H) of the given mode."""
-    m = _weight(h, spec)
+    hp = _powers(h)
+    m = _weight(hp, spec)
     if isinstance(spec.mode, ExpWeight):
         th, de = spec.mode.theta, spec.mode.delta
         c = de * th / 2.0
-        p1 = c * h ** (th / 2.0 - 1.0) * m
-        p2 = c * h ** (th / 2.0 - 2.0) * m * ((th / 2.0 - 1.0) + c * h ** (th / 2.0))
+        p1 = c * hp(th / 2.0 - 1.0) * m
+        p2 = c * hp(th / 2.0 - 2.0) * m * ((th / 2.0 - 1.0) + c * hp(th / 2.0))
     else:
         r = spec.mode.k / spec.ell
-        p1 = r * h ** (r - 1.0)
-        p2 = r * (r - 1.0) * h ** (r - 2.0)
+        p1 = r * hp(r - 1.0)
+        p2 = r * (r - 1.0) * hp(r - 2.0)
     return m, p1, p2
 
 
@@ -465,7 +477,7 @@ def _dual_weight(p: _Points, spec: LyapunovSpec, p1, p2):
 
 def lyapunov_weight(x, v, params: ModelParams, spec: LyapunovSpec):
     """Weight m(x, v) built from H: exp(delta H^(theta/2)) or H^(k/ell)."""
-    return _weight(lyapunov_H(x, v, params, spec), spec)
+    return _weight(_powers(lyapunov_H(x, v, params, spec)), spec)
 
 
 def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str):
@@ -500,11 +512,13 @@ def drift_excess(x, v, params: ModelParams, spec: LyapunovSpec):
     + phi(lyapunov_weight(x, v, params, spec), spec)``, with the same checks
     (the spec's comparability condition, phi's domain), but each point's
     terms are computed once: E, <x>, <v>, x.v and the drift, then H, m,
-    Phi'(H), Phi''(H) and grad_v H.  Its memory is a few temporaries the
-    size of the given points, so :func:`kinfp.verify.scan_drift_inequality`
-    calls it on fixed-size chunks of its sample points: the scan's memory
-    then grows with ``lyapunov.samples`` only through a few point-sized
-    arrays (the points, s, r^2 and the radius masks).
+    Phi'(H), Phi''(H) and grad_v H, with each power of E and H taken once.
+    The terms broadcast over the leading axes, so x of shape (rows, 1, 1)
+    and v of shape (1, n, 1) give s on the (rows, n) grid with the terms of
+    one coordinate computed once per axis value.
+    :func:`kinfp.verify.scan_drift_inequality` calls it that way on blocks
+    of grid rows: the scan's memory then grows with ``lyapunov.samples``
+    only through s, r^2 and the radius masks.
     """
     _check_spec(params, spec)
     p = _Points(x, v, params)

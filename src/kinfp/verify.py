@@ -13,12 +13,15 @@ Two tools live here:
   the observed constant C inside the ball, and the worst margin outside.
 
 The scan is a numerical check at sampled points, not a proof: "<=" is
-certified literally, with the scanned C absorbing all constants.  It
-evaluates s = L* m + phi(m) with :func:`kinfp.model.drift_excess` in
-fixed-size chunks of its points, so its memory grows with the sample
-count only through a few point-sized arrays: the points, s, r^2 and the
-radius masks.  The search shares one set of points across its candidates
-and stops scanning a failing candidate at its first violating chunk.
+certified literally, with the scanned C absorbing all constants.  The
+scan points are a tensor-product grid plus both coordinate axes, and the
+scan keeps only the two axes: it evaluates s = L* m + phi(m) with
+:func:`kinfp.model.drift_excess` on blocks of whole grid rows, an x
+column broadcast against the v row, so terms of one coordinate are
+computed once per axis value.  Its memory grows with the sample count
+only through s, r^2 and the radius masks.  The search shares the axes
+and r^2 across its candidates and stops scanning a failing candidate at
+its first violating block.
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ __all__ = [
     "POLY_SEARCH_GRID",
 ]
 
-# Points per chunk of the drift scan; each temporary of drift_excess is then
+# Grid points per block of the drift scan: a block is max(1, _SCAN_CHUNK // n)
+# grid rows of n points, so each mixed temporary of drift_excess is about
 # 128 KiB.  The eight benchmark searches (256 and 1024 samples per axis) took,
-# median of six in-process runs on a 2-vCPU Xeon: 1.79 s at 2^13, 1.61 s at
-# 2^14, 1.64 s at 2^15 and 1.69 s at 2^16; one chunk took 2.7 s (three runs).
+# median of seven in-process runs on a 2-vCPU Xeon with AVX-512: 0.95 s at
+# 2^12, 0.76 s at 2^13, 0.68 s at 2^14, 0.68 s at 2^15 and 0.75 s at 2^16;
+# one block took 2.4 s.
 _SCAN_CHUNK = 1 << 14
 
 
@@ -214,13 +219,32 @@ def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str)
 
 
 def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan's points x, v (grid, then the x-axis, then the v-axis) and r^2."""
+    """The scan's axes xs, vs and r^2 at its points.
+
+    The points are the grid (xs[i], vs[j]) in x-major order, then the
+    x-axis (xs[i], 0), then the v-axis (0, vs[j]): n^2 + 2n of them.
+    """
     n = cfg.samples_per_axis
     xs = np.linspace(-cfg.x_half, cfg.x_half, n)
     vs = np.linspace(-cfg.v_half, cfg.v_half, n)
-    x = np.concatenate([np.repeat(xs, n), xs, np.zeros_like(vs)])
-    v = np.concatenate([np.tile(vs, n), np.zeros_like(xs), vs])
-    return x, v, x * x + v * v
+    grid = (xs * xs)[:, None] + (vs * vs)[None, :]
+    return xs, vs, np.concatenate([grid.reshape(-1), xs * xs, vs * vs])
+
+
+def _axis_points(xs, vs) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's 2n axis points as (2n, 1) arrays x, v."""
+    x = np.concatenate([xs, np.zeros_like(vs)])
+    v = np.concatenate([np.zeros_like(xs), vs])
+    return x[:, None], v[:, None]
+
+
+def _point(i: int, xs, vs) -> tuple[float, float]:
+    """The scan point with index i in the order of :func:`_scan_points`."""
+    n = xs.size
+    if i < n * n:
+        return float(xs[i // n]), float(vs[i % n])
+    i -= n * n
+    return (float(xs[i]), 0.0) if i < n else (0.0, float(vs[i - n]))
 
 
 def _check_mode_ranges(params: ModelParams, spec: LyapunovSpec) -> None:
@@ -244,26 +268,35 @@ def _check_mode_ranges(params: ModelParams, spec: LyapunovSpec) -> None:
 
 
 def _drift_excess_chunks(
-    params: ModelParams, spec: LyapunovSpec, x, v, r2, stop_radius: float | None = None
+    params: ModelParams, spec: LyapunovSpec, xs, vs, r2, stop_radius: float | None = None
 ) -> np.ndarray | None:
-    """s = L* m + phi(m) at the points, filled chunk by chunk.
+    """s = L* m + phi(m) at the scan points, filled in blocks of grid rows.
 
-    With ``stop_radius`` it returns None after the first chunk, short of
-    the last, holding a point with r > stop_radius where not s <= 0 (s > 0
-    or NaN): every candidate radius up to stop_radius then fails.
+    Each block is max(1, _SCAN_CHUNK // n) x-rows of the grid, evaluated
+    by broadcasting an x column against the v row, so terms of one
+    coordinate are computed once per axis value.  The 2n axis points are
+    filled with the last block.  With ``stop_radius`` it returns None
+    after the first block, short of the last, holding a point with
+    r > stop_radius where not s <= 0 (s > 0 or NaN): every candidate
+    radius up to stop_radius then fails.
     """
-    s = np.empty_like(x)
-    for lo in range(0, x.size, _SCAN_CHUNK):
-        hi = lo + _SCAN_CHUNK
-        s[lo:hi] = drift_excess(x[lo:hi, None], v[lo:hi, None], params, spec)
-        if stop_radius is not None and hi < x.size:
-            outside = r2[lo:hi] > stop_radius * stop_radius
-            if not np.max(s[lo:hi], where=outside, initial=-np.inf) <= 0.0:
+    n = xs.size
+    rows = max(1, _SCAN_CHUNK // n)
+    s = np.empty_like(r2)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block = s[r0 * n : r1 * n]
+        x = xs[r0:r1, None, None]
+        block[:] = drift_excess(x, vs[None, :, None], params, spec).reshape(-1)
+        if stop_radius is not None and r1 < n:
+            outside = r2[r0 * n : r1 * n] > stop_radius * stop_radius
+            if not np.max(block, where=outside, initial=-np.inf) <= 0.0:
                 return None
+    s[n * n :] = drift_excess(*_axis_points(xs, vs), params, spec)
     return s
 
 
-def _report(s, x, v, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateReport:
+def _report(s, xs, vs, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateReport:
     """The report of s over the points; overwrites s inside the chosen ball."""
     for radius in sorted(cfg.exclusion_radii):  # ends on the largest if none passes
         inside = r2 <= radius * radius
@@ -278,7 +311,7 @@ def _report(s, x, v, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateRepo
         chosen_R=float(radius),
         chosen_C=max(c_obs, 0.0),
         min_margin_outside=-worst,
-        worst_point=(float(x[i]), float(v[i])),
+        worst_point=_point(i, xs, vs),
         spec_echo=spec,
     )
 
@@ -289,8 +322,8 @@ def _scan(
     """The scan of ``spec`` over ``points`` from :func:`_scan_points`.
 
     With ``fail_fast`` a spec with a violation outside the largest
-    candidate radius before its last chunk gives None there; a spec that
-    reaches its last chunk gives its report.
+    candidate radius before its last block gives None there; a spec that
+    reaches its last block gives its report.
     """
     if params.dim != 1:
         raise ValueError("the scan certifier is one-dimensional")
@@ -320,10 +353,14 @@ def equivalence_constants(
     params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig
 ) -> tuple[float, float]:
     """Measured (c1, c2) with c1 E^ell <= H <= c2 E^ell on the scan box."""
-    x, v, _ = _scan_points(cfg)
-    xp = x[:, None]
-    vp = v[:, None]
-    ratio = lyapunov_H(xp, vp, params, spec) / energy(xp, vp, params) ** spec.ell
+    xs, vs, _ = _scan_points(cfg)
+
+    def h_over_e(x, v):
+        return (lyapunov_H(x, v, params, spec) / energy(x, v, params) ** spec.ell).reshape(-1)
+
+    ratio = np.concatenate(
+        [h_over_e(xs[:, None, None], vs[None, :, None]), h_over_e(*_axis_points(xs, vs))]
+    )
     c1 = float(np.min(ratio))
     c2 = float(np.max(ratio))
     if c1 <= 0.0:
@@ -373,8 +410,8 @@ def find_certified_spec(
 
     The candidates share one set of scan points.  A candidate passes if and
     only if s <= 0 at every point outside the largest candidate radius, so
-    a failing candidate stops at its first chunk with s > 0 or NaN there,
-    and a candidate that reaches its last chunk is reported from the s it
+    a failing candidate stops at its first block with s > 0 or NaN there,
+    and a candidate that reaches its last block is reported from the s it
     holds.  Only a search that passes nothing rescans the failed
     candidates that stopped early, in full, for their reports: at most one
     extra full scan per candidate.

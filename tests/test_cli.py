@@ -225,6 +225,35 @@ def test_verify_lyapunov_search_pass_and_least_bad(tmp_path):
     assert f"spec = {best.spec_echo!r}" in text
 
 
+@pytest.mark.parametrize(
+    "lines, keys",
+    [
+        (["lyapunov.eps = 0.01"], ["lyapunov.eps"]),
+        (["lyapunov.delta = 7", "lyapunov.b_exp = 0.1"], ["lyapunov.b_exp", "lyapunov.delta"]),
+        (["lyapunov.a_exp = 0.5"], ["lyapunov.a_exp"]),
+    ],
+)
+def test_verify_lyapunov_search_refuses_searched_keys(tmp_path, capsys, lines, keys):
+    """--search chooses eps, A, B (and delta under exp) itself, so a config
+    that sets one of them exits 1 naming each and writes nothing; the same
+    keys at their defaults still run the search."""
+    base = (
+        "model.alpha = 2.0\nmodel.kind = exp\nmodel.beta = 1.0\n"
+        + "lyapunov.mode = exp\nlyapunov.theta = 0.5\nlyapunov.samples = 16\n"
+        + "lyapunov.radii = 20\n"
+    )
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, base + "\n".join(lines) + "\n")
+    assert main(["verify-lyapunov", "--search", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(key in err for key in keys)
+    assert not out.exists()
+    defaults = "lyapunov.eps = 0.2\nlyapunov.a_exp = 1.0\nlyapunov.b_exp = 0.6\nlyapunov.delta = 2.0\n"
+    cfg = _write(tmp_path, base + defaults, "d.cfg")
+    assert main(["verify-lyapunov", "--search", "--config", cfg, "--output", str(out)]) in (0, 2)
+    assert (out / "certificate.txt").exists()
+
+
 def test_fit_rate_exact_and_errors(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "diagnostics.rate_theta = 0.5\n")
     t = np.linspace(0.0, 40.0, 50)

@@ -15,6 +15,7 @@ from kinfp import (
     apply_Lstar_exact,
     apply_Lstar_fd,
     apply_Lstar_fd_richardson,
+    drift_excess,
     energy,
     equivalence_constants,
     find_certified_spec,
@@ -108,11 +109,11 @@ def test_scan_passing_case():
 
 
 def test_scan_report_independent_of_chunk_size(monkeypatch):
-    """The scan fills s chunk by chunk; chunks of 7 points, which do not
-    divide the point count, give the report of one chunk over all points."""
+    """The scan fills s in blocks of whole grid rows; blocks of one row
+    (a chunk of 7 points) and of three rows (the last block holds one)
+    give the report of one block over all points."""
     cfg = ScanConfig(samples_per_axis=100, exclusion_radii=(20.0, 30.0, 40.0))
     n_points = 100 * 100 + 2 * 100
-    assert n_points % 7 != 0
     passing = (
         ModelParams(alpha=2.0, kind="exp", beta=1.0),
         LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0)),
@@ -123,13 +124,109 @@ def test_scan_report_independent_of_chunk_size(monkeypatch):
     )
     for params, spec in (passing, failing):
         reports = []
-        for chunk in (n_points, 7):
+        for chunk in (n_points, 7, 300):
             monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
             reports.append(scan_drift_inequality(params, spec, cfg))
-        whole, small = reports
+        whole = reports[0]
         assert whole.passed == (spec is passing[1])
-        for f in dataclasses.fields(CertificateReport):
-            assert getattr(small, f.name) == getattr(whole, f.name), f.name
+        for small in reports[1:]:
+            for f in dataclasses.fields(CertificateReport):
+                assert getattr(small, f.name) == getattr(whole, f.name), f.name
+
+
+def _flat_scan(params, spec, cfg):
+    """Reference scan over materialised points: s from one drift_excess call
+    and the report from masked copies of it."""
+    n = cfg.samples_per_axis
+    xs = np.linspace(-cfg.x_half, cfg.x_half, n)
+    vs = np.linspace(-cfg.v_half, cfg.v_half, n)
+    x = np.concatenate([np.repeat(xs, n), xs, np.zeros(n)])
+    v = np.concatenate([np.tile(vs, n), np.zeros(n), vs])
+    s = drift_excess(x[:, None], v[:, None], params, spec)
+    r2 = x * x + v * v
+    for radius in sorted(cfg.exclusion_radii):
+        outside = r2 > radius * radius
+        worst = float(np.max(s[outside]))
+        if worst <= 0.0:
+            break
+    i = np.flatnonzero(outside)[np.argmax(s[outside])]
+    report = CertificateReport(
+        passed=worst <= 0.0,
+        chosen_R=float(radius),
+        chosen_C=max(float(np.max(s[~outside], initial=-np.inf)), 0.0),
+        min_margin_outside=-worst,
+        worst_point=(float(x[i]), float(v[i])),
+        spec_echo=spec,
+    )
+    return s, report
+
+
+@pytest.mark.parametrize("samples", [16, 37, 100, 256])
+@pytest.mark.parametrize("chunk", ["default", 7, "uneven"])
+def test_tensor_scan_matches_flat_reference(monkeypatch, samples, chunk):
+    """The row-block scan over the axes gives s bit for bit and the report
+    field for field of one drift_excess call over the materialised points,
+    with one block, blocks of one row, and blocks of three rows that do not
+    divide the row count."""
+    if chunk == "uneven":
+        chunk = 3 * samples + 1
+        assert samples % 3 != 0
+    if chunk != "default":
+        monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+    cfg = ScanConfig(v_half=45.0, samples_per_axis=samples, exclusion_radii=(20.0, 30.0, 40.0))
+    cases = [
+        (ModelParams(alpha=2.0, kind="exp", beta=1.0),
+         LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))),
+        (ModelParams(alpha=1.5, kind="exp", beta=0.5),
+         LyapunovSpec(2.0, 0.0, 0.5, 0.6, ExpWeight(theta=0.25, delta=2.0))),
+        (ModelParams(alpha=2.0, kind="poly", gamma=2.0),
+         LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5))),
+    ]
+    for params, spec in cases:
+        want_s, want = _flat_scan(params, spec, cfg)
+        s = verify._drift_excess_chunks(params, spec, *verify._scan_points(cfg))
+        assert s.shape == want_s.shape
+        assert np.array_equal(s.view(np.uint64), want_s.view(np.uint64))
+        _assert_reports_equal(scan_drift_inequality(params, spec, cfg), want)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize(
+    "peaks, want",
+    [
+        ([(3, 12)], (3, 12)),
+        ([(14, None)], (14, None)),
+        ([(None, 1)], (None, 1)),
+        ([(2, None), (5, 9)], (5, 9)),  # a grid point comes before the x-axis
+        ([(None, 0), (15, None)], (15, None)),  # the x-axis before the v-axis
+        ([(7, 1), (6, 13)], (6, 13)),  # the grid is x-major
+    ],
+    ids=["grid", "x-axis", "v-axis", "tie-grid-x-axis", "tie-axes", "tie-grid"],
+)
+def test_worst_point_maps_back_to_its_coordinates(monkeypatch, chunk, peaks, want):
+    """With s = 1 exactly at the given points (indices into the axes, None
+    for the zero coordinate of an axis point) and below 1 elsewhere, the
+    worst point is the first of them in the scan's point order."""
+    cfg = ScanConfig(x_half=10.0, v_half=12.0, samples_per_axis=16, exclusion_radii=(1.0,))
+    xs = np.linspace(-10.0, 10.0, 16)
+    vs = np.linspace(-12.0, 12.0, 16)
+
+    def coords(i, j):
+        return (0.0 if i is None else xs[i], 0.0 if j is None else vs[j])
+
+    def peaked(x, v, params, spec):
+        d2 = np.min([(x - a) ** 2 + (v - b) ** 2 for a, b in (coords(*p) for p in peaks)], axis=0)
+        return 1.0 - d2[..., 0]
+
+    monkeypatch.setattr(verify, "drift_excess", peaked)
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+    params = ModelParams(alpha=2.0, kind="exp", beta=1.0)
+    spec = LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))
+    report = scan_drift_inequality(params, spec, cfg)
+    assert not report.passed
+    assert report.min_margin_outside == -1.0
+    assert report.worst_point == coords(*want)
 
 
 def test_scan_radius_permutation_invariance():
@@ -294,11 +391,12 @@ def _assert_reports_equal(got, want):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
     """The search's fail-fast scan fails exactly the specs that the full scan
-    fails and stops at the chunk of the first violation outside the largest
-    radius.  A scan that reaches its last chunk gives the full scan's
-    report (the 64-sample NaN case is one chunk at the default size).  The
-    full scans run at the default chunk size (the report does not depend on
-    it)."""
+    fails and stops at the block of the first violation outside the largest
+    radius.  A scan that reaches its last block gives the full scan's
+    report; its axis points are one more drift_excess call after that
+    block.  The 64-sample NaN case is one block at the default size, so it
+    cannot stop early there.  The full scans run at the default chunk size
+    (the report does not depend on it)."""
     chunks = []
     full_excess = verify.drift_excess
 
@@ -310,7 +408,7 @@ def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
     beta1 = ModelParams(alpha=2.0, kind="exp", beta=1.0)
     cfg = ScanConfig()
     nan_cfg = ScanConfig(x_half=100.0, v_half=100.0, samples_per_axis=64)
-    cases = {  # name: (params, spec, cfg, the chunk where the fail-fast scan ends)
+    cases = {  # name: (params, spec, cfg, the block where the fail-fast scan ends)
         "passing": (beta1, LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(0.5, 1.0)), cfg, "last"),
         "first chunk": (beta1, LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(0.5, 2.0)), cfg, "first"),
         "later": (beta1, LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(0.5, 1.5)), cfg, "later"),
@@ -329,9 +427,12 @@ def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
             )
         assert full.passed == (name == "passing"), name
         assert (fast is not None and fast.passed) == full.passed, name
-        n, last = len(chunks), -(-verify._scan_points(scan_cfg)[0].size // verify._SCAN_CHUNK)
-        assert {"first": n == 1, "later": 1 < n < last, "last": n == last}[ends], (name, n)
-        if n == last:  # a scan that reaches its last chunk keeps its report
+        samples = scan_cfg.samples_per_axis
+        blocks = -(-samples // max(1, verify._SCAN_CHUNK // samples))
+        n, last = len(chunks), blocks + 1  # the grid blocks, then the axis points
+        first = 1 if blocks > 1 else last
+        assert {"first": n == first, "later": 1 < n < last, "last": n == last}[ends], (name, n)
+        if n == last:  # a scan that reaches its last block keeps its report
             _assert_reports_equal(fast, full)
         else:
             assert fast is None, name
@@ -354,9 +455,9 @@ def _full_scan_search(params, cfg, theta, grid):
 
 @pytest.mark.parametrize("chunk", [None, 1024])
 def test_search_without_pass_matches_full_scan_reference(monkeypatch, chunk):
-    """At 64 samples a scan is one chunk at the default size, so every failed
-    candidate keeps the report of its complete scan; with chunks of 1024
-    points every one stops early and is rescanned."""
+    """At 64 samples a scan is one block at the default size, so every failed
+    candidate keeps the report of its complete scan; with blocks of 16 rows
+    (a chunk of 1024 points) every one stops early and is rescanned."""
     cfg = ScanConfig(samples_per_axis=64)
     cases = [
         (ModelParams(alpha=2.0, kind="exp", beta=3.0), 1.0,
