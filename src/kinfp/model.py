@@ -22,6 +22,10 @@ form of E, H, grad_v H and L* is written once, over a private holder of the
 spec-free terms at the given points (<x>, <v>, x.v, E, the drift, ...), so
 an evaluation that needs several of them computes those terms once.
 
+scipy is imported on the first evaluation of ``ModelParams.norm_const``
+(through :func:`equilibrium`), the one quadrature here; the stepping and
+certification paths never evaluate it, so they never import scipy.
+
 Array convention: every function accepts points whose LAST axis is the space
 dimension d, broadcasting over any leading axes.  Plain Python scalars are
 accepted for d = 1.  Shape (N,) therefore means one point in d = N; pass
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "ModelParams",
@@ -122,6 +125,9 @@ class ModelParams:
         on [0, R] with R chosen so that a closed-form majorant of the tail
         integral is below 1e-12.
         """
+        # scipy costs most of the package's import time; only this needs it
+        from scipy import integrate, special
+
         d = self.dim
         surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         if self.kind == "exp":

@@ -218,15 +218,19 @@ def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str)
     return np.abs(p1) * (ep + ct) + np.abs(p2) * np.sum(g * g, axis=-1)
 
 
+def _scan_axes(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's axes xs, vs: n samples across each side of the box."""
+    n = cfg.samples_per_axis
+    return np.linspace(-cfg.x_half, cfg.x_half, n), np.linspace(-cfg.v_half, cfg.v_half, n)
+
+
 def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scan's axes xs, vs and r^2 at its points.
 
     The points are the grid (xs[i], vs[j]) in x-major order, then the
     x-axis (xs[i], 0), then the v-axis (0, vs[j]): n^2 + 2n of them.
     """
-    n = cfg.samples_per_axis
-    xs = np.linspace(-cfg.x_half, cfg.x_half, n)
-    vs = np.linspace(-cfg.v_half, cfg.v_half, n)
+    xs, vs = _scan_axes(cfg)
     grid = (xs * xs)[:, None] + (vs * vs)[None, :]
     return xs, vs, np.concatenate([grid.reshape(-1), xs * xs, vs * vs])
 
@@ -352,17 +356,22 @@ def scan_drift_inequality(
 def equivalence_constants(
     params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig
 ) -> tuple[float, float]:
-    """Measured (c1, c2) with c1 E^ell <= H <= c2 E^ell on the scan box."""
-    xs, vs, _ = _scan_points(cfg)
+    """Measured (c1, c2) with c1 E^ell <= H <= c2 E^ell on the scan box.
 
-    def h_over_e(x, v):
-        return (lyapunov_H(x, v, params, spec) / energy(x, v, params) ** spec.ell).reshape(-1)
-
-    ratio = np.concatenate(
-        [h_over_e(xs[:, None, None], vs[None, :, None]), h_over_e(*_axis_points(xs, vs))]
-    )
-    c1 = float(np.min(ratio))
-    c2 = float(np.max(ratio))
+    H / E^ell is evaluated over the scan's points in the scan's blocks of
+    grid rows, then on the 2n axis points, keeping only running extremes.
+    """
+    xs, vs = _scan_axes(cfg)
+    n = xs.size
+    rows = max(1, _SCAN_CHUNK // n)
+    blocks = [(xs[r0 : r0 + rows, None, None], vs[None, :, None]) for r0 in range(0, n, rows)]
+    blocks.append(_axis_points(xs, vs))
+    c1, c2 = np.inf, -np.inf
+    for x, v in blocks:
+        ratio = lyapunov_H(x, v, params, spec) / energy(x, v, params) ** spec.ell
+        c1 = np.minimum(c1, np.min(ratio))  # NaN-propagating, like one np.min
+        c2 = np.maximum(c2, np.max(ratio))
+    c1, c2 = float(c1), float(c2)
     if c1 <= 0.0:
         raise ValueError(f"H is not positive on the scan box (c1={c1}); spec rejected")
     return c1, c2

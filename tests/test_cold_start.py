@@ -1,0 +1,65 @@
+"""The stepping and certification paths run without importing scipy."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COLD_PATH = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    import kinfp, kinfp.cli
+    from kinfp import cli, model
+
+    out = Path(sys.argv[1])
+    sim = out / "sim.cfg"
+    sim.write_text(
+        "model.alpha = 1.5\\nmodel.kind = exp\\nmodel.beta = 0.5\\n"
+        "grid.Nx = 16\\ngrid.Nv = 16\\ngrid.L = 10\\ngrid.v_max = 10\\n"
+        "time.dt = 0.01\\ntime.t_final = 0.04\\n"
+        "diagnostics.reference = profile\\ndiagnostics.cadence = 2\\n"
+        "diagnostics.snapshot_cadence = 2\\noutput.snapshot_format = checkpoint\\n"
+    )
+    assert cli.main(["simulate", "--config", str(sim), "--output", str(out / "sim")]) == 0
+    search = out / "search.cfg"
+    search.write_text(
+        "model.alpha = 2.0\\nmodel.kind = exp\\nmodel.beta = 1.0\\n"
+        "lyapunov.mode = exp\\nlyapunov.theta = 0.5\\nlyapunov.samples = 16\\n"
+    )
+    code = cli.main(["verify-lyapunov", "--search", "--config", str(search),
+                     "--output", str(out / "search")])
+    assert code in (0, 2), code
+    loaded = [name for name in ("scipy.integrate", "scipy.special") if name in sys.modules]
+    assert not loaded, f"imported on the cold path: {loaded}"
+
+    # the quadrature still imports scipy when it runs, and gives the same bits
+    pinned = [
+        (model.ModelParams(alpha=1.5, kind="exp", beta=0.5), "0x1.2b8aa470808d4p-1"),
+        (model.ModelParams(alpha=2.0, kind="poly", gamma=2.0), "0x1.0000000000000p+1"),
+    ]
+    for params, want in pinned:
+        model.equilibrium(0.0, params)
+        assert params.norm_const.hex() == want, (params, params.norm_const.hex())
+    print("cold path ok")
+    """
+)
+
+
+def test_simulate_and_search_do_not_import_scipy(tmp_path):
+    """A fresh interpreter that imports the package, runs a small simulate
+    with profile diagnostics and checkpoint snapshots and a small
+    certificate search has not imported scipy.integrate or scipy.special;
+    equilibrium then evaluates norm_const to the pinned bits."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("cold path ok")

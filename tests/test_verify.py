@@ -286,6 +286,45 @@ def test_equivalence_constants(exp_params):
     assert c1 <= d1 <= 1.0 <= d2 <= c2  # halving eps tightens both constants
 
 
+README_SPECS = [
+    (ModelParams(alpha=1.5, kind="exp", beta=0.5),
+     LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.25, delta=2.0))),
+    (ModelParams(alpha=2.0, kind="exp", beta=1.0),
+     LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))),
+    (ModelParams(alpha=2.0, kind="exp", beta=3.0),
+     LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1))),
+    (ModelParams(alpha=2.0, kind="poly", gamma=2.0),
+     LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5))),
+]
+
+
+@pytest.mark.parametrize("samples", [16, 100, 256])
+@pytest.mark.parametrize("chunk", ["default", 7, "uneven"])
+def test_equivalence_constants_independent_of_blocks(monkeypatch, samples, chunk):
+    """(c1, c2) from the scan's row blocks equal, bit for bit, the extremes
+    of H / E^ell over the whole grid and the axes in one evaluation, for the
+    README certificates with one block, blocks of one row, and blocks of
+    three rows that do not divide the row count."""
+    if chunk == "uneven":
+        chunk = 3 * samples + 1
+        assert samples % 3 != 0
+    if chunk != "default":
+        monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+    cfg = ScanConfig(samples_per_axis=samples)
+    xs = np.linspace(-cfg.x_half, cfg.x_half, samples)
+    vs = np.linspace(-cfg.v_half, cfg.v_half, samples)
+    for params, spec in README_SPECS:
+        def h_over_e(x, v):
+            return (lyapunov_H(x, v, params, spec) / energy(x, v, params) ** spec.ell).reshape(-1)
+
+        ratio = np.concatenate(
+            [h_over_e(xs[:, None, None], vs[None, :, None]), h_over_e(*verify._axis_points(xs, vs))]
+        )
+        want = (float(np.min(ratio)), float(np.max(ratio)))
+        got = equivalence_constants(params, spec, cfg)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
 def test_find_certified_spec_exp():
     params = ModelParams(alpha=2.0, kind="exp", beta=1.0)
     spec, report = find_certified_spec(params, FAST_SCAN, theta=0.5)
