@@ -284,7 +284,14 @@ def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> int:
     _write_manifest(
         outdir, "steady-state", cfg, ["steady_state.ckpt", "steady_density.csv"], t0
     )
-    print(f"steady-state: frozen at t={ref.time_stamp:g}, mass={mass(ref):.12g}")
+    # every window but the last marches the full cadence
+    dt = solver_cfg.resolve_dt()[0]
+    steps = round((ref.time_stamp - field0.time_stamp) / dt)
+    windows = -(-steps // solver_cfg.diagnostics_cadence)
+    print(
+        f"steady-state: frozen at t={ref.time_stamp:g} after {windows} windows "
+        f"({steps} steps), mass={mass(ref):.12g}"
+    )
     return 0
 
 

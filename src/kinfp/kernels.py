@@ -21,7 +21,12 @@ The x-walls are specular: the ghost cells mirror the interior with the
 velocity index flipped, which makes the paired wall fluxes cancel exactly.
 
 Velocity kernel: drift-diffusion flux differences per column with
-precomputed face coefficients; zero flux through the outermost faces.
+precomputed face coefficients; zero flux through the outermost faces.  It
+runs as one contiguous pass over the Nx*Nv - 1 faces between consecutive
+cells of the raveled field: the faces that join the last cell of one
+column to the first cell of the next carry zero coefficients
+(``flat_faces`` lays the coefficients out so), and the two wall columns
+are written afterwards from their single interior faces.
 
 Both kernels perform the same floating-point operations, in the same order,
 as the plain vectorised formulas kept as the reference in the kernel tests,
@@ -34,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "Workspace",
+    "flat_faces",
     "transport_rhs_kernel",
     "velocity_rhs_kernel",
 ]
@@ -43,8 +49,9 @@ class Workspace:
     """Scratch arrays for the kernels on one (Nx, Nv) grid.
 
     Three float arrays of about one field each plus two boolean masks.  The
-    velocity kernel reuses the transport arrays, so a workspace must not be
-    shared by two kernel calls running at the same time.
+    velocity kernel keeps its face fluxes in ``vflux``, a flat view of the
+    transport's ``diff``, so a workspace must not be shared by two kernel
+    calls running at the same time.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -54,9 +61,19 @@ class Workspace:
         self.face = np.empty((nx + 1, nv))  # slope, then upwind state, then flux
         self.nonpos = np.empty((nx + 1, nv), dtype=bool)
         self.smaller = np.empty((nx + 1, nv), dtype=bool)
-        n = nx * (nv - 1)
-        self.vflux = self.diff.reshape(-1)[:n].reshape(nx, nv - 1)
-        self.vterm = self.absdiff.reshape(-1)[:n].reshape(nx, nv - 1)
+        self.vflux = self.diff.reshape(-1)[: nx * nv - 1]
+
+
+def flat_faces(coef: np.ndarray) -> np.ndarray:
+    """Per-column face coefficients (Nx, Nv - 1) over the raveled field's faces.
+
+    Entry k of the result belongs to the face between flat cells k and
+    k + 1 (Nx*Nv - 1 faces); the faces between columns get zero.
+    """
+    nx, nf = coef.shape
+    padded = np.zeros((nx, nf + 1))
+    padded[:, :-1] = coef
+    return padded.reshape(-1)[:-1]
 
 
 def transport_rhs_kernel(values, v_centers, dx, out=None, work=None):
@@ -109,17 +126,26 @@ def transport_rhs_kernel(values, v_centers, dx, out=None, work=None):
 
 
 def velocity_rhs_kernel(values, cp, cm, dv, out=None, work=None):
-    """Drift-diffusion increment per column from precomputed face coefficients."""
+    """Drift-diffusion increment per column from precomputed face coefficients.
+
+    ``cp`` and ``cm`` are the ``flat_faces`` layout of the per-column
+    coefficients; ``values`` and ``out`` are C-contiguous.  Face k carries
+    the flux cp[k] f[k+1] + cm[k] f[k] of the raveled field; ``out`` holds
+    the cm term before it holds the flux differences.
+    """
     if out is None:
         out = np.empty_like(values)
     if work is None:
         work = Workspace(values.shape)
-    flux, term = work.vflux, work.vterm
-    np.multiply(cp, values[:, 1:], out=flux)
-    np.multiply(cm, values[:, :-1], out=term)
-    np.add(flux, term, out=flux)
-    np.divide(flux[:, 0], dv, out=out[:, 0])
-    np.subtract(flux[:, 1:], flux[:, :-1], out=out[:, 1:-1])
-    np.divide(out[:, 1:-1], dv, out=out[:, 1:-1])
-    np.divide(flux[:, -1], -dv, out=out[:, -1])
+    nv = values.shape[1]
+    f = values.reshape(-1)
+    o = np.reshape(out, -1, copy=False)
+    flux = work.vflux
+    np.multiply(cp, f[1:], out=flux)
+    np.multiply(cm, f[:-1], out=o[:-1])
+    np.add(flux, o[:-1], out=flux)
+    np.subtract(flux[1:], flux[:-1], out=o[1:-1])
+    np.divide(o[1:-1], dv, out=o[1:-1])
+    np.divide(flux[::nv], dv, out=out[:, 0])
+    np.divide(flux[nv - 2 :: nv], -dv, out=out[:, -1])
     return out

@@ -315,7 +315,7 @@ def test_simulate_numerical_abort_exits_three(tmp_path):
     assert dist.shape == (1, 2) and dist[0, 0] == 0.0
 
 
-def test_steady_state_and_export_reference(tmp_path):
+def test_steady_state_and_export_reference(tmp_path, capsys):
     text = (
         MINIMAL
         + "grid.Nx = 32\ngrid.Nv = 32\ngrid.L = 20\ngrid.v_max = 20\n"
@@ -326,6 +326,11 @@ def test_steady_state_and_export_reference(tmp_path):
     assert main(["steady-state", "--config", cfg, "--output", str(out), "--tol-rate", "1e-3"]) == 0
     f, _ = read_checkpoint(out / "steady_state.ckpt")
     assert f.values.min() >= 0.0
+    # the summary names the windows and steps marched; t counts those steps
+    dt, _ = parse_config(text).solver_config().resolve_dt()
+    steps = round(f.time_stamp / dt)
+    assert steps % 50 == 0
+    assert f"after {steps // 50} windows ({steps} steps)" in capsys.readouterr().out
     out2 = tmp_path / "ref"
     assert main(["export-reference", "--config", cfg, "--output", str(out2)]) == 0
     ref, _ = read_checkpoint(out2 / "reference_profile.ckpt")

@@ -1,4 +1,4 @@
-"""The stepping and certification paths run without importing scipy."""
+"""The stepping, steady-state and certification paths run without importing scipy."""
 
 import os
 import subprocess
@@ -34,7 +34,15 @@ COLD_PATH = textwrap.dedent(
     code = cli.main(["verify-lyapunov", "--search", "--config", str(search),
                      "--output", str(out / "search")])
     assert code in (0, 2), code
-    loaded = [name for name in ("scipy.integrate", "scipy.special") if name in sys.modules]
+    steady = out / "steady.cfg"
+    steady.write_text(
+        "model.alpha = 1.5\\nmodel.kind = exp\\nmodel.beta = 0.5\\n"
+        "grid.Nx = 16\\ngrid.Nv = 16\\ngrid.L = 10\\ngrid.v_max = 10\\n"
+        "time.t_final = 100\\ndiagnostics.cadence = 50\\n"
+    )
+    assert cli.main(["steady-state", "--config", str(steady), "--tol-rate", "1e-4",
+                     "--output", str(out / "steady")]) == 0
+    loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
     assert not loaded, f"imported on the cold path: {loaded}"
 
     # the quadrature still imports scipy when it runs, and gives the same bits
@@ -52,8 +60,8 @@ COLD_PATH = textwrap.dedent(
 
 def test_simulate_and_search_do_not_import_scipy(tmp_path):
     """A fresh interpreter that imports the package, runs a small simulate
-    with profile diagnostics and checkpoint snapshots and a small
-    certificate search has not imported scipy.integrate or scipy.special;
+    with profile diagnostics and checkpoint snapshots, a small certificate
+    search and a small steady-state march has imported no scipy module;
     equilibrium then evaluates norm_const to the pinned bits."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

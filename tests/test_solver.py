@@ -191,7 +191,7 @@ def column_equilibria(grid, params):
 def test_velocity_equilibrium_zero_increment(desk):
     params, grid = desk
     g = column_equilibria(grid, params)
-    cp, cm = velocity_face_coefficients(grid, params)
+    cp, cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
     r = kernels.velocity_rhs_kernel(g, cp, cm, grid.dv)
     assert np.abs(r).max() <= 1e-12 * g.max() / grid.dv**2
 
@@ -199,7 +199,7 @@ def test_velocity_equilibrium_zero_increment(desk):
 def test_velocity_column_mass_conserved(desk, rng):
     params, grid = desk
     f = Field(rng.random((grid.Nx, grid.Nv)), grid)
-    cp, cm = velocity_face_coefficients(grid, params)
+    cp, cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
     r = kernels.velocity_rhs_kernel(f.values, cp, cm, grid.dv)
     col = r.sum(axis=1)
     assert np.abs(col).max() <= 1e-13 * np.abs(r).sum(axis=1).max()
@@ -593,6 +593,41 @@ def test_steady_state_exhaustion_raises():
     cfg = _desk_config(t_final=0.05)
     with pytest.raises(RuntimeError, match="last rate"):
         steady_state_reference(cfg, tol_rate=1e-14)
+
+
+def _small_steady_problem():
+    """16^2 desk model on a 20 box, 100-step windows, from an even datum
+    with an off-centre bump (and its mirror image)."""
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    grid = build_grid(20.0, 20.0, 16, 16)
+    cfg = SolverConfig(model=params, grid=grid, t_final=5000.0, diagnostics_cadence=100)
+    x, v = grid.x_centers[:, None], grid.v_centers[None, :]
+    f = default_initial_condition(grid).values + 0.02 * np.exp(-np.abs(x - 4.0) - np.abs(v + 2.0))
+    return cfg, Field(f + f[::-1, ::-1], grid)
+
+
+def test_accelerated_steady_march(kernel_calls):
+    """The returned field passes the benchmark's steady-state checks, the
+    time stamp counts the steps marched, and the march is short: the plain
+    march (no mixing) took 39 windows of 100 steps on this problem."""
+    cfg, f0 = _small_steady_problem()
+    dt, _ = cfg.resolve_dt()
+    window = cfg.diagnostics_cadence
+    f = steady_state_reference(cfg, tol_rate=1e-5, field0=f0)
+    steps = kernel_calls["velocity_rhs_kernel"] // 2  # one velocity Heun pair per step
+    assert f.time_stamp / dt == pytest.approx(steps, abs=1e-9)
+    assert steps % window == 0 and steps // window <= 39 // 2
+    assert abs(mass(f) / mass(f0) - 1.0) <= 1e-12
+    assert f.values.min() >= 0.0
+    assert np.abs(f.values - f.values[::-1, ::-1]).max() <= 1e-12 * f.values.max()
+    after = Stepper(cfg.grid, cfg.model).advance(f.values.copy(), dt, window, fuse=False)
+    assert l1_distance(Field(after, cfg.grid), Field(f.values, cfg.grid)) / (window * dt) < 1e-5
+
+
+def test_steady_state_exhaustion_names_the_windows():
+    cfg, f0 = _small_steady_problem()
+    with pytest.raises(RuntimeError, match=r"within 250 steps \(3 windows\); last rate"):
+        steady_state_reference(cfg, tol_rate=1e-5, field0=f0, max_steps=250)
 
 
 def test_run_refuses_a_state_it_would_not_continue_exactly():
