@@ -609,7 +609,7 @@ def _small_steady_problem():
 def test_accelerated_steady_march(kernel_calls):
     """The returned field passes the benchmark's steady-state checks, the
     time stamp counts the steps marched, and the march is short: the plain
-    march (no mixing) took 39 windows of 100 steps on this problem."""
+    march it replaced took 39 windows of 100 steps on this problem."""
     cfg, f0 = _small_steady_problem()
     dt, _ = cfg.resolve_dt()
     window = cfg.diagnostics_cadence
