@@ -520,6 +520,8 @@ def steady_state_reference(
     config.t_final (or max_steps) caps the steps marched, and exhausting it
     raises with the window count and the last rate.
     """
+    from .diagnostics import l1_distance
+
     if tol_rate <= 0.0:
         raise ValueError("tol_rate must be positive")
     if field0 is None:
@@ -546,8 +548,8 @@ def steady_state_reference(
         windows += 1
         if not np.all(np.isfinite(values)):
             raise NumericalAbort(step)
+        rate = l1_distance(Field(values, grid), Field(res, grid)) / (todo * dt)
         np.subtract(values, res, out=res)
-        rate = float(np.abs(res).sum()) * grid.cell_volume / (todo * dt)
         if rate < tol_rate:
             if not fuse:
                 return Field(values, grid, field0.time_stamp + step * dt)
