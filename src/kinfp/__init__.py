@@ -23,7 +23,6 @@ from .model import (
     lyapunov_weight,
     phi,
     potential,
-    theta_decay,
 )
 from .solver import (
     SolverConfig,
@@ -49,7 +48,6 @@ from .verify import (
     ScanConfig,
     apply_Lstar_fd,
     apply_Lstar_fd_richardson,
-    equivalence_constants,
     find_certified_spec,
     scan_drift_inequality,
 )

@@ -124,9 +124,6 @@ class RunConfig:
                 return v
         raise KeyError(key)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     # -- typed views ---------------------------------------------------
     def model_params(self) -> ModelParams:
         kind = self["model.kind"]
@@ -135,7 +132,6 @@ class RunConfig:
             kind=kind,
             beta=self["model.beta"] if kind == "exp" else None,
             gamma=self["model.gamma"] if kind == "poly" else None,
-            dim=1,
         )
 
     def phase_grid(self) -> PhaseGrid:

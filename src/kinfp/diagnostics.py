@@ -106,9 +106,7 @@ def reference_profile(
         raise ValueError("the energy reference profile needs an exp equilibrium")
     if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    e = energy(
-        grid.x_centers[:, None, None], grid.v_centers[None, :, None], params
-    )
+    e = energy(grid.x_centers[:, None], grid.v_centers, params)
     vals = np.exp(-delta * e ** (params.beta / 2.0))
     f = Field(vals, grid, 0.0)
     if normalize:
@@ -133,7 +131,7 @@ def energy_scatter(
     Cells with f <= 0 are excluded from the dispersion (not the scatter).
     """
     g = field.grid
-    e = energy(g.x_centers[:, None, None], g.v_centers[None, :, None], params).ravel()
+    e = energy(g.x_centers[:, None], g.v_centers, params).ravel()
     f = field.values.ravel()
     lo = float(e.min())
     total = float(np.abs(f).sum())

@@ -85,6 +85,3 @@ class Field:
             )
         if self.time_stamp < 0.0:
             raise ValueError("time_stamp must be nonnegative")
-
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.grid, self.time_stamp)

@@ -2,34 +2,35 @@
 
 The model is the linear kinetic equation
 
-    df/dt = -v . grad_x f + grad_x V . grad_v f + div_v(M grad_v(f / M))
+    df/dt = -v d_x f + V'(x) d_v f + d_v(M d_v(f / M))
 
-on phase space (x, v) in R^d x R^d, with confining potential
-V(x) = <x>^alpha / alpha (where <z> = sqrt(1 + |z|^2)) and a local velocity
+on phase space (x, v) in R x R, with confining potential
+V(x) = <x>^alpha / alpha (where <z> = sqrt(1 + z^2)) and a local velocity
 equilibrium M that is either sub-exponential, M ~ exp(-<v>^beta / beta), or
-fat-tailed polynomial, M ~ <v>^(-d-gamma).
+fat-tailed polynomial, M ~ <v>^(-1-gamma).
 
 This module evaluates every closed-form quantity attached to that equation:
 the potential and its gradient, the normalised equilibria and their
-logarithmic drifts, the mechanical energy E = |v|^2/2 + V(x), the candidate
-Lyapunov functions H = E^ell + eps <x>^A <v>^(-B) (x.v), the dual (adjoint)
+logarithmic drifts, the mechanical energy E = v^2/2 + V(x), the candidate
+Lyapunov functions H = E^ell + eps <x>^A <v>^(-B) x v, the dual (adjoint)
 operator applied analytically to E^ell, to the cross term, to H and to
 weights built from H, the concave comparison function used in the drift
-inequality and that inequality's left side L* m + phi(m), the sub-geometric
-decay profiles, and the closed-form tail asymptotic of the spatial density
-of exp(-delta E^(beta/2)) with its first Laplace correction.  Each closed
-form of E, H, grad_v H and L* is written once, over a private holder of the
-spec-free terms at the given points (<x>, <v>, x.v, E, the drift, ...), so
-an evaluation that needs several of them computes those terms once.
+inequality and that inequality's left side L* m + phi(m), and the
+closed-form tail asymptotic of the spatial density of exp(-delta E^(beta/2))
+with its first Laplace correction.  Each closed form of E, H, d_v H and L*
+is written once, over a private holder of the spec-free terms at the given
+points (<x>, <v>, x v, E, the drift, ...), so an evaluation that needs
+several of them computes those terms once.
 
 scipy is imported on the first evaluation of ``ModelParams.norm_const``
 (through :func:`equilibrium`), the one quadrature here; the stepping and
 certification paths never evaluate it, so they never import scipy.
 
-Array convention: every function accepts points whose LAST axis is the space
-dimension d, broadcasting over any leading axes.  Plain Python scalars are
-accepted for d = 1.  Shape (N,) therefore means one point in d = N; pass
-shape (N, 1) for N points on a line.
+Array convention: the model is one-dimensional, and every closed form is
+elementwise in x and v, which broadcast against each other.  Pass scalars
+for one point, two arrays of shape (N,) for N points, or an x column of
+shape (rows, 1) against a v row of shape (n,) for the (rows, n) grid of
+their pairs.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "apply_Lstar_exact",
     "drift_excess",
     "phi",
-    "theta_decay",
     "asymptotic_density",
     "asymptotic_prefactor",
     "asymptotic_correction",
@@ -76,7 +76,7 @@ _TAIL_BOUND = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Confinement and equilibrium parameters.
+    """Confinement and equilibrium parameters of the one-dimensional model.
 
     Parameters
     ----------
@@ -91,16 +91,12 @@ class ModelParams:
         Velocity-tail exponent for ``kind="poly"``.  Any gamma > 0 gives a
         normalisable equilibrium; the convergence theory (and the drift
         certifier) needs gamma > 1.
-    dim : int
-        Space dimension d (the finite-volume solver only supports d = 1,
-        the formulas here are dimension-agnostic).
     """
 
     alpha: float
     kind: str
     beta: float | None = None
     gamma: float | None = None
-    dim: int = 1
 
     def __post_init__(self):
         problems = []
@@ -112,34 +108,30 @@ class ModelParams:
             problems.append(f"exp equilibrium requires beta > 0, got {self.beta}")
         if self.kind == "poly" and (self.gamma is None or not self.gamma > 0.0):
             problems.append(f"poly equilibrium requires gamma > 0, got {self.gamma}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            problems.append(f"dim must be a positive integer, got {self.dim}")
         if problems:
             raise ValueError("; ".join(problems))
 
     @cached_property
     def norm_const(self) -> float:
-        """Normalisation constant of the unnormalised equilibrium over R^d.
+        """Normalisation constant of the unnormalised equilibrium over R.
 
-        Computed by adaptive Gauss-Kronrod quadrature of the radial profile
-        on [0, R] with R chosen so that a closed-form majorant of the tail
+        Twice the adaptive Gauss-Kronrod quadrature of the even profile on
+        [0, R], with R chosen so that a closed-form majorant of the tail
         integral is below 1e-12.
         """
         # scipy costs most of the package's import time; only this needs it
         from scipy import integrate, special
 
-        d = self.dim
-        surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         if self.kind == "exp":
             b = self.beta
 
             def profile(r):
-                return r ** (d - 1) * np.exp(-np.sqrt(1.0 + r * r) ** b / b)
+                return np.exp(-np.sqrt(1.0 + r * r) ** b / b)
 
             def tail(R):
-                # integrand <= r^(d-1) exp(-r^beta/beta); substitute w = r^b/b
-                return b ** (d / b - 1.0) * float(
-                    special.gammaincc(d / b, R**b / b) * special.gamma(d / b)
+                # integrand <= exp(-r^beta/beta); substitute w = r^b/b
+                return b ** (1.0 / b - 1.0) * float(
+                    special.gammaincc(1.0 / b, R**b / b) * special.gamma(1.0 / b)
                 )
 
             radius = 10.0
@@ -150,11 +142,11 @@ class ModelParams:
             )
         else:
             # split at r = 1 and map the tail through u = 1/r, which turns
-            # it into int_0^1 u^(gamma-1) (1+u^2)^(-(d+gamma)/2) du: exact,
+            # it into int_0^1 u^(gamma-1) (1+u^2)^(-(1+gamma)/2) du: exact,
             # no truncation needed even for slowly decaying tails.
             g = self.gamma
             core, _ = integrate.quad(
-                lambda r: r ** (d - 1) * (1.0 + r * r) ** (-(d + g) / 2.0),
+                lambda r: (1.0 + r * r) ** (-(1.0 + g) / 2.0),
                 0.0,
                 1.0,
                 epsabs=_QUAD_EPSABS,
@@ -162,7 +154,7 @@ class ModelParams:
                 limit=400,
             )
             tail_val, _ = integrate.quad(
-                lambda u: u ** (g - 1.0) * (1.0 + u * u) ** (-(d + g) / 2.0),
+                lambda u: u ** (g - 1.0) * (1.0 + u * u) ** (-(1.0 + g) / 2.0),
                 0.0,
                 1.0,
                 epsabs=_QUAD_EPSABS,
@@ -170,7 +162,7 @@ class ModelParams:
                 limit=400,
             )
             val = core + tail_val
-        out = surface * val
+        out = 2.0 * val
         if not out > 0.0:
             raise ArithmeticError("equilibrium normalisation quadrature failed")
         return out
@@ -254,33 +246,20 @@ def _check_spec(params: ModelParams, spec: LyapunovSpec) -> None:
         )
 
 
-def _vec(z, dim: int) -> np.ndarray:
-    a = np.asarray(z, dtype=np.float64)
-    if a.ndim == 0:
-        if dim != 1:
-            raise ValueError(f"scalar point given but dim={dim}")
-        a = a.reshape(1)
-    if a.shape[-1] != dim:
-        raise ValueError(f"last axis must have length dim={dim}, got shape {a.shape}")
-    return a
-
-
 def _powers(base):
     # base**y as a function of y, each exponent computed once
     return cache(lambda y: base**y)
 
 
 def _bracket(sq):
-    # <z> from |z|^2
+    # <z> from z^2
     return np.sqrt(1.0 + sq)
 
 
 def jbracket(z):
-    """Japanese bracket <z> = sqrt(1 + |z|^2), a smooth surrogate for |z|."""
-    a = np.asarray(z, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1)
-    return _bracket(np.sum(a * a, axis=-1))
+    """Japanese bracket <z> = sqrt(1 + z^2), a smooth surrogate for |z|."""
+    z = np.asarray(z, dtype=np.float64)
+    return _bracket(z * z)
 
 
 def _potential(jx, params: ModelParams):
@@ -290,42 +269,39 @@ def _potential(jx, params: ModelParams):
 
 def potential(x, params: ModelParams):
     """Confining potential V(x) = <x>^alpha / alpha (minimum 1/alpha)."""
-    x = _vec(x, params.dim)
     return _potential(jbracket(x), params)
 
 
 def grad_potential(x, params: ModelParams):
-    """grad V(x) = <x>^(alpha-2) x."""
-    x = _vec(x, params.dim)
-    return jbracket(x)[..., None] ** (params.alpha - 2.0) * x
+    """V'(x) = <x>^(alpha-2) x."""
+    x = np.asarray(x, dtype=np.float64)
+    return jbracket(x) ** (params.alpha - 2.0) * x
 
 
 def equilibrium(v, params: ModelParams):
-    """Normalised local velocity equilibrium M(v); integrates to 1 over R^d."""
-    v = _vec(v, params.dim)
+    """Normalised local velocity equilibrium M(v); integrates to 1 over R."""
     jv = jbracket(v)
     if params.kind == "exp":
         raw = np.exp(-(jv**params.beta) / params.beta)
     else:
-        raw = jv ** (-params.dim - params.gamma)
+        raw = jv ** (-1.0 - params.gamma)
     return raw / params.norm_const
 
 
 def _drift(v, jv, params: ModelParams):
-    # grad_v M / M from v and <v>
-    jv = jv[..., None]
+    # M'/M from v and <v>
     if params.kind == "exp":
         return -(jv ** (params.beta - 2.0)) * v
-    return -(params.dim + params.gamma) * jv ** (-2.0) * v
+    return -(1.0 + params.gamma) * jv ** (-2.0) * v
 
 
 def equilibrium_drift(v, params: ModelParams):
-    """Logarithmic drift grad_v M / M of the local equilibrium.
+    """Logarithmic drift M'(v) / M(v) of the local equilibrium.
 
     Power-law in both cases: -<v>^(beta-2) v for the sub-exponential
-    equilibrium and -(d+gamma) <v>^(-2) v for the polynomial one.
+    equilibrium and -(1+gamma) <v>^(-2) v for the polynomial one.
     """
-    v = _vec(v, params.dim)
+    v = np.asarray(v, dtype=np.float64)
     return _drift(v, jbracket(v), params)
 
 
@@ -333,32 +309,32 @@ class _Points:
     """The spec-free terms at points (x, v), each computed once, on first use.
 
     The closed forms below read them from here, so one evaluation of several
-    forms at the same points shares them.  ``x``, ``v`` and the drift ``dr``
-    keep the space axis; ``xsq`` = |x|^2, ``vsq`` = |v|^2, ``xv`` = x.v,
-    ``jx`` = <x>, ``jv`` = <v>, the energy ``e``, ``xdr`` = x.dr and
-    ``vdr`` = v.dr drop it.  ``e_pow(y)`` is E^y, computed once per exponent.
+    forms at the same points shares them: ``xsq`` = x^2, ``vsq`` = v^2,
+    ``xv`` = x v, ``jx`` = <x>, ``jv`` = <v>, the energy ``e``, the drift
+    ``dr`` = M'/M, ``xdr`` = x dr and ``vdr`` = v dr.  ``e_pow(y)`` is E^y,
+    computed once per exponent.
 
-    Every term broadcasts: x of shape (rows, 1, d) and v of shape (1, n, d)
-    give the x-only terms on (rows, 1), the v-only ones on (1, n) and only
-    the mixed ones (x.v, E, x.dr) on the (rows, n) grid.
+    Every term broadcasts: x of shape (rows, 1) and v of shape (n,) give
+    the x-only terms on (rows, 1), the v-only ones on (n,) and only the
+    mixed ones (x v, E, x dr) on the (rows, n) grid.
     """
 
     def __init__(self, x, v, params: ModelParams):
         self.params = params
-        self.x = _vec(x, params.dim)
-        self.v = _vec(v, params.dim)
+        self.x = np.asarray(x, dtype=np.float64)
+        self.v = np.asarray(v, dtype=np.float64)
 
     @cached_property
     def xsq(self):
-        return np.sum(self.x * self.x, axis=-1)
+        return self.x * self.x
 
     @cached_property
     def vsq(self):
-        return np.sum(self.v * self.v, axis=-1)
+        return self.v * self.v
 
     @cached_property
     def xv(self):
-        return np.sum(self.x * self.v, axis=-1)
+        return self.x * self.v
 
     @cached_property
     def jx(self):
@@ -382,15 +358,15 @@ class _Points:
 
     @cached_property
     def xdr(self):
-        return np.sum(self.x * self.dr, axis=-1)
+        return self.x * self.dr
 
     @cached_property
     def vdr(self):
-        return np.sum(self.v * self.dr, axis=-1)
+        return self.v * self.dr
 
 
 def energy(x, v, params: ModelParams):
-    """Mechanical energy E(x, v) = |v|^2 / 2 + V(x)."""
+    """Mechanical energy E(x, v) = v^2 / 2 + V(x)."""
     return _Points(x, v, params).e
 
 
@@ -400,46 +376,43 @@ def _h(p: _Points, spec: LyapunovSpec):
 
 
 def lyapunov_H(x, v, params: ModelParams, spec: LyapunovSpec):
-    """Candidate Lyapunov function H = E^ell + eps <x>^A <v>^(-B) (x . v)."""
+    """Candidate Lyapunov function H = E^ell + eps <x>^A <v>^(-B) x v."""
     _check_spec(params, spec)
     return _h(_Points(x, v, params), spec)
 
 
 def _grad_v_h(p: _Points, spec: LyapunovSpec):
-    jx = p.jx[..., None]
-    jv = p.jv[..., None]
-    xv = p.xv[..., None]
-    cross = jx**spec.a_exp * (
-        jv ** (-spec.b_exp) * p.x - spec.b_exp * xv * jv ** (-spec.b_exp - 2.0) * p.v
+    jv = p.jv
+    cross = p.jx**spec.a_exp * (
+        jv ** (-spec.b_exp) * p.x - spec.b_exp * p.xv * jv ** (-spec.b_exp - 2.0) * p.v
     )
-    return spec.ell * p.e_pow(spec.ell - 1.0)[..., None] * p.v + spec.eps * cross
+    return spec.ell * p.e_pow(spec.ell - 1.0) * p.v + spec.eps * cross
 
 
 def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
-    """Velocity gradient of H, exact.
+    """Velocity derivative of H, exact.
 
-    grad_v H = ell E^(ell-1) v
-               + eps (<x>^A <v>^(-B) x - B <x>^A (x.v) <v>^(-B-2) v).
+    d_v H = ell E^(ell-1) v
+            + eps (<x>^A <v>^(-B) x - B <x>^A x v <v>^(-B-2) v).
     """
     _check_spec(params, spec)
     return _grad_v_h(_Points(x, v, params), spec)
 
 
 def _dual_energy_power(p: _Points, ell: float):
-    # L*(E^ell) = ell E^(ell-1) [ (ell-1)|v|^2/E + d + v . (grad_v M / M) ]
-    return ell * p.e_pow(ell - 1.0) * ((ell - 1.0) * p.vsq / p.e + p.params.dim + p.vdr)
+    # L*(E^ell) = ell E^(ell-1) [ (ell-1) v^2/E + 1 + v M'/M ]
+    return ell * p.e_pow(ell - 1.0) * ((ell - 1.0) * p.vsq / p.e + 1.0 + p.vdr)
 
 
 def _dual_cross_term(p: _Points, a_exp: float, b_exp: float):
-    # L* applied to <x>^A <v>^(-B) (x.v), gathered into one exact expression.
-    d = p.params.dim
+    # L* applied to <x>^A <v>^(-B) x v, gathered into one exact expression.
     A, B = a_exp, b_exp
     jx, jv, xv, vsq = p.jx, p.jv, p.xv, p.vsq
     bracket = (
         vsq
         + A * xv * xv / (jx * jx)
         - jx ** (p.params.alpha - 2.0) * (p.xsq - B * xv * xv / (jv * jv))
-        - B * xv * ((d + 2.0) / (jv * jv) - (B + 2.0) * vsq / jv**4)
+        - B * xv * (3.0 / (jv * jv) - (B + 2.0) * vsq / jv**4)
         + (p.xdr - B * xv * p.vdr / (jv * jv))
     )
     return jx**A / jv**B * bracket
@@ -476,9 +449,9 @@ def _weight_derivatives(h, spec: LyapunovSpec):
 
 
 def _dual_weight(p: _Points, spec: LyapunovSpec, p1, p2):
-    # L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) |grad_v H|^2
+    # L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2
     g = _grad_v_h(p, spec)
-    return p1 * _dual_full_h(p, spec) + p2 * np.sum(g * g, axis=-1)
+    return p1 * _dual_full_h(p, spec) + p2 * (g * g)
 
 
 def lyapunov_weight(x, v, params: ModelParams, spec: LyapunovSpec):
@@ -489,13 +462,13 @@ def lyapunov_weight(x, v, params: ModelParams, spec: LyapunovSpec):
 def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str):
     """Dual operator L* applied analytically to one of four targets.
 
-    L* m = v . grad_x m - grad_x V . grad_v m + Lap_v m + (grad_v M / M) . grad_v m
+    L* m = v d_x m - V'(x) d_v m + d_v^2 m + (M'/M)(v) d_v m
 
     target:
       ``"energy_power"``  L*(E^ell)
-      ``"cross_term"``    L*(<x>^A <v>^(-B) (x.v))  (eps not applied)
+      ``"cross_term"``    L*(<x>^A <v>^(-B) x v)  (eps not applied)
       ``"full_h"``        L*(H) = L*(E^ell) + eps L*(cross)
-      ``"weight_m"``      L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) |grad_v H|^2
+      ``"weight_m"``      L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2
     """
     if target not in LSTAR_TARGETS:
         raise ValueError(f"unknown target {target!r}, expected one of {LSTAR_TARGETS}")
@@ -517,11 +490,11 @@ def drift_excess(x, v, params: ModelParams, spec: LyapunovSpec):
     Equal bit for bit to ``apply_Lstar_exact(x, v, params, spec, "weight_m")
     + phi(lyapunov_weight(x, v, params, spec), spec)``, with the same checks
     (the spec's comparability condition, phi's domain), but each point's
-    terms are computed once: E, <x>, <v>, x.v and the drift, then H, m,
-    Phi'(H), Phi''(H) and grad_v H, with each power of E and H taken once.
-    The terms broadcast over the leading axes, so x of shape (rows, 1, 1)
-    and v of shape (1, n, 1) give s on the (rows, n) grid with the terms of
-    one coordinate computed once per axis value.
+    terms are computed once: E, <x>, <v>, x v and the drift, then H, m,
+    Phi'(H), Phi''(H) and d_v H, with each power of E and H taken once.
+    x and v broadcast, so an x column of shape (rows, 1) against a v row of
+    shape (n,) gives s on the (rows, n) grid with the terms of one
+    coordinate computed once per axis value.
     :func:`kinfp.verify.scan_drift_inequality` calls it that way on blocks
     of grid rows: the scan's memory then grows with ``lyapunov.samples``
     only through s, r^2 and the radius masks.
@@ -559,24 +532,6 @@ def phi(mval, spec: LyapunovSpec):
     return out if out.ndim else float(out)
 
 
-def theta_decay(t, spec: LyapunovSpec, lam: float = 1.0):
-    """Sub-geometric decay profile matched to the weight mode.
-
-    Exp mode: Theta(t) = exp(-lam t^theta); poly mode: Theta(t) = (1+t)^(-k).
-    ``lam`` is a caller-supplied fit parameter, not derived from constants.
-    """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0):
-        raise ValueError("t must be nonnegative")
-    if isinstance(spec.mode, ExpWeight):
-        out = np.exp(-lam * t**spec.mode.theta)
-    else:
-        out = (1.0 + t) ** (-spec.mode.k)
-    return out if out.ndim else float(out)
-
-
 def _check_tail_params(alpha: float, beta: float, delta: float) -> None:
     if alpha <= 0.0 or beta <= 0.0 or delta <= 0.0:
         raise ValueError("need alpha > 0, beta > 0, delta > 0")
@@ -598,7 +553,7 @@ def asymptotic_density(x, alpha: float, beta: float, delta: float):
     """Leading-order large-|x| density of the profile exp(-delta E^(beta/2)).
 
     rho(x) ~ C |x|^((alpha/2)(1-beta/2)) exp(-delta (<x>^alpha/alpha)^(beta/2))
-    for d = 1, obtained by a Laplace expansion of the velocity integral.
+    obtained by a Laplace expansion of the velocity integral.
     The ratio to the true integral tends to 1 as |x| -> infinity, with a
     slowly decaying correction of order 1/(delta V(x)^(beta/2)).
     """
@@ -618,7 +573,7 @@ def asymptotic_density(x, alpha: float, beta: float, delta: float):
 def asymptotic_correction(x, alpha: float, beta: float, delta: float):
     """First Laplace correction 1 + c1/lam to :func:`asymptotic_density`.
 
-    With V = <x>^alpha/alpha and lam = delta V^(beta/2), the d = 1 density is
+    With V = <x>^alpha/alpha and lam = delta V^(beta/2), the density is
     exactly
 
         rho(x) = sqrt(2) V^(1/2) exp(-lam)

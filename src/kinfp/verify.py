@@ -38,7 +38,6 @@ from .model import (
     PolyWeight,
     apply_Lstar_exact,
     drift_excess,
-    energy,
     equilibrium_drift,
     grad_potential,
     lyapunov_H,
@@ -51,10 +50,7 @@ __all__ = [
     "apply_Lstar_fd_richardson",
     "lstar_term_scale",
     "scan_drift_inequality",
-    "equivalence_constants",
     "find_certified_spec",
-    "subexp_weight_exponents",
-    "poly_weight_exponents",
     "EXP_SEARCH_GRID",
     "POLY_SEARCH_GRID",
 ]
@@ -68,32 +64,9 @@ __all__ = [
 _SCAN_CHUNK = 1 << 14
 
 
-def subexp_weight_exponents(alpha: float, a: float, b: float) -> tuple[float, float]:
-    """Map proof parameters (a, b) of the quadratic-energy weight to (A, B).
-
-    The sub-exponential construction uses x-exponent A = alpha*a and
-    v-exponent B = 1 - b with a, b in (0, 1).
-    """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise ValueError("a and b must lie in (0, 1)")
-    return alpha * a, 1.0 - b
-
-
-def poly_weight_exponents(
-    alpha: float, ell: float, a: float, b: float
-) -> tuple[float, float]:
-    """Map proof parameters (a, b) of the E^ell weight to (A, B).
-
-    The polynomial construction uses A = alpha*(ell - 2 + a), B = 1 - b.
-    """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise ValueError("a and b must lie in (0, 1)")
-    return alpha * (ell - 2.0 + a), 1.0 - b
-
-
 @dataclass(frozen=True)
 class ScanConfig:
-    """Sampling plan for the drift-inequality scan (d = 1).
+    """Sampling plan for the drift-inequality scan.
 
     The scan covers the box [-x_half, x_half] x [-v_half, v_half] with a
     tensor-product grid of ``samples_per_axis`` points per axis plus both
@@ -148,40 +121,33 @@ class CertificateReport:
 def apply_Lstar_fd(F, x, v, params: ModelParams, h: float):
     """Centered second-order finite-difference approximation of L* F at (x, v).
 
-    F is a callable F(x, v) -> float taking d-vectors.  The same base step
-    is used in every coordinate, scaled automatically to the point: the
+    F is a callable F(x, v) -> float, evaluated at float x and v; x and v
+    may be given as floats or one-element arrays.  The same base step is
+    used in both coordinates, scaled automatically to the point: the
     energy-type functions differenced here vary on the scale of the point
-    itself, so the effective step is h * (10 + |x|^2 + |v|^2), which keeps
+    itself, so the effective step is h * (10 + x^2 + v^2), which keeps
     truncation and roundoff balanced near the empirical 1e-6 accuracy
     target (a fixed step is roundoff-dominated once the differenced values
     grow like E^ell).
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    d = params.dim
-    if x.size != d or v.size != d:
-        raise ValueError("point size does not match params.dim")
-    heff = h * (10.0 + float(np.sum(x * x)) + float(np.sum(v * v)))
-
-    gv = np.asarray(grad_potential(x, params)).reshape(-1)
-    dr = np.asarray(equilibrium_drift(v, params)).reshape(-1)
+    # V' and M'/M at one-element arrays: numpy's scalar pow rounds
+    # differently from its array loop, which the closed forms use elsewhere
+    xa = np.asarray(x, dtype=np.float64).reshape(1)
+    va = np.asarray(v, dtype=np.float64).reshape(1)
+    gv = grad_potential(xa, params).item()
+    dr = equilibrium_drift(va, params).item()
+    x, v = xa.item(), va.item()
+    heff = h * (10.0 + x * x + v * v)
     f0 = float(F(x, v))
     if not np.isfinite(f0):
         raise ArithmeticError("non-finite value of F at the base point")
-    out = 0.0
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = heff
-        fxp = float(F(x + ei, v))
-        fxm = float(F(x - ei, v))
-        fvp = float(F(x, v + ei))
-        fvm = float(F(x, v - ei))
-        dFx = (fxp - fxm) / (2.0 * heff)
-        dFv = (fvp - fvm) / (2.0 * heff)
-        d2Fv = (fvp - 2.0 * f0 + fvm) / (heff * heff)
-        out += v[i] * dFx - gv[i] * dFv + d2Fv + dr[i] * dFv
+    fvp, fvm = float(F(x, v + heff)), float(F(x, v - heff))
+    dFx = (float(F(x + heff, v)) - float(F(x - heff, v))) / (2.0 * heff)
+    dFv = (fvp - fvm) / (2.0 * heff)
+    d2Fv = (fvp - 2.0 * f0 + fvm) / (heff * heff)
+    out = v * dFx - gv * dFv + d2Fv + dr * dFv
     if not np.isfinite(out):
         raise ArithmeticError("non-finite finite-difference evaluation")
     return out
@@ -215,31 +181,21 @@ def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str)
     h = lyapunov_H(x, v, params, spec)
     _, p1, p2 = _weight_derivatives(h, spec)
     g = grad_v_H(x, v, params, spec)
-    return np.abs(p1) * (ep + ct) + np.abs(p2) * np.sum(g * g, axis=-1)
-
-
-def _scan_axes(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The scan's axes xs, vs: n samples across each side of the box."""
-    n = cfg.samples_per_axis
-    return np.linspace(-cfg.x_half, cfg.x_half, n), np.linspace(-cfg.v_half, cfg.v_half, n)
+    return np.abs(p1) * (ep + ct) + np.abs(p2) * (g * g)
 
 
 def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan's axes xs, vs and r^2 at its points.
+    """The scan's axes xs, vs (n samples across each side of the box) and
+    r^2 at its points.
 
     The points are the grid (xs[i], vs[j]) in x-major order, then the
     x-axis (xs[i], 0), then the v-axis (0, vs[j]): n^2 + 2n of them.
     """
-    xs, vs = _scan_axes(cfg)
+    n = cfg.samples_per_axis
+    xs = np.linspace(-cfg.x_half, cfg.x_half, n)
+    vs = np.linspace(-cfg.v_half, cfg.v_half, n)
     grid = (xs * xs)[:, None] + (vs * vs)[None, :]
     return xs, vs, np.concatenate([grid.reshape(-1), xs * xs, vs * vs])
-
-
-def _axis_points(xs, vs) -> tuple[np.ndarray, np.ndarray]:
-    """The scan's 2n axis points as (2n, 1) arrays x, v."""
-    x = np.concatenate([xs, np.zeros_like(vs)])
-    v = np.concatenate([np.zeros_like(xs), vs])
-    return x[:, None], v[:, None]
 
 
 def _point(i: int, xs, vs) -> tuple[float, float]:
@@ -290,13 +246,15 @@ def _drift_excess_chunks(
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         block = s[r0 * n : r1 * n]
-        x = xs[r0:r1, None, None]
-        block[:] = drift_excess(x, vs[None, :, None], params, spec).reshape(-1)
+        block[:] = drift_excess(xs[r0:r1, None], vs, params, spec).reshape(-1)
         if stop_radius is not None and r1 < n:
             outside = r2[r0 * n : r1 * n] > stop_radius * stop_radius
             if not np.max(block, where=outside, initial=-np.inf) <= 0.0:
                 return None
-    s[n * n :] = drift_excess(*_axis_points(xs, vs), params, spec)
+    zeros = np.zeros(n)
+    s[n * n :] = drift_excess(
+        np.concatenate([xs, zeros]), np.concatenate([zeros, vs]), params, spec
+    )
     return s
 
 
@@ -329,8 +287,6 @@ def _scan(
     candidate radius before its last block gives None there; a spec that
     reaches its last block gives its report.
     """
-    if params.dim != 1:
-        raise ValueError("the scan certifier is one-dimensional")
     _check_mode_ranges(params, spec)
     stop = max(cfg.exclusion_radii) if fail_fast else None
     s = _drift_excess_chunks(params, spec, *points, stop_radius=stop)
@@ -351,30 +307,6 @@ def scan_drift_inequality(
     candidate and gives a NaN margin at the first NaN point.
     """
     return _scan(params, spec, cfg, _scan_points(cfg))
-
-
-def equivalence_constants(
-    params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig
-) -> tuple[float, float]:
-    """Measured (c1, c2) with c1 E^ell <= H <= c2 E^ell on the scan box.
-
-    H / E^ell is evaluated over the scan's points in the scan's blocks of
-    grid rows, then on the 2n axis points, keeping only running extremes.
-    """
-    xs, vs = _scan_axes(cfg)
-    n = xs.size
-    rows = max(1, _SCAN_CHUNK // n)
-    blocks = [(xs[r0 : r0 + rows, None, None], vs[None, :, None]) for r0 in range(0, n, rows)]
-    blocks.append(_axis_points(xs, vs))
-    c1, c2 = np.inf, -np.inf
-    for x, v in blocks:
-        ratio = lyapunov_H(x, v, params, spec) / energy(x, v, params) ** spec.ell
-        c1 = np.minimum(c1, np.min(ratio))  # NaN-propagating, like one np.min
-        c2 = np.maximum(c2, np.max(ratio))
-    c1, c2 = float(c1), float(c2)
-    if c1 <= 0.0:
-        raise ValueError(f"H is not positive on the scan box (c1={c1}); spec rejected")
-    return c1, c2
 
 
 # Documented coarse search grids for certificate hunting.  Candidates are
@@ -430,7 +362,9 @@ def find_certified_spec(
             raise ValueError("exp search needs theta")
         grid = search_grid or EXP_SEARCH_GRID
         base = ExpWeight(theta=theta, delta=1.0)
-        corner = np.array([[cfg.x_half]]), np.array([[cfg.v_half]])
+        # one-element arrays: numpy's scalar pow rounds differently from
+        # the array loop that the scan uses
+        corner = np.array([cfg.x_half]), np.array([cfg.v_half])
 
         def modes(probe: LyapunovSpec) -> list:
             h_corner = lyapunov_H(*corner, params, probe).item()

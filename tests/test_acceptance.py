@@ -128,9 +128,10 @@ def desk200_run():
 
 @pytest.fixture(scope="session")
 def steady_ref(desk200_run):
-    """Steady reference continued from the T=50 state until the L1 rate
-    settles below 1e-5 per unit time (reference error well under the fitted
-    distances)."""
+    """Steady reference continued from the T=50 state until one 2000-step
+    window's L1 rate is below 1e-5 per unit time.  That leaves it 2.7e-4 in
+    L1 from a reference marched on to a rate of 1e-8 (measured once, not
+    checked here)."""
     grid = desk200_run["grid"]
     cfg = SolverConfig(
         model=DESK_PARAMS, grid=grid, t_final=1500.0, cfl_safety=0.45,

@@ -92,11 +92,7 @@ def test_l1_weighted_against_direct_sum(desk):
     from kinfp import ExpWeight, LyapunovSpec
 
     spec = LyapunovSpec(2.0, 0.05, 0.5, 0.6, ExpWeight(theta=0.25, delta=0.05))
-    w = np.asarray(
-        lyapunov_weight(
-            grid.x_centers[:, None, None], grid.v_centers[None, :, None], params, spec
-        )
-    )
+    w = lyapunov_weight(grid.x_centers[:, None], grid.v_centers, params, spec)
     f0 = default_initial_condition(grid)
     f2 = Field(2.0 * f0.values, grid)
     got = l1_distance(f2, f0, weight=w)
@@ -112,7 +108,7 @@ def test_reference_profile_values(desk):
     e0 = float(energy(0.0, 0.0, params))
     assert math.exp(-1.15 * e0**0.25) == pytest.approx(0.3537580, abs=1e-7)
     ref = reference_profile(grid, params, delta=1.15)
-    e = energy(grid.x_centers[:, None, None], grid.v_centers[None, :, None], params)
+    e = energy(grid.x_centers[:, None], grid.v_centers, params)
     np.testing.assert_allclose(
         ref.values, np.exp(-1.15 * np.asarray(e) ** 0.25), rtol=1e-14
     )

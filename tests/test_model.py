@@ -26,7 +26,6 @@ from kinfp import (
     lyapunov_weight,
     phi,
     potential,
-    theta_decay,
 )
 from kinfp.model import asymptotic_prefactor
 
@@ -35,8 +34,8 @@ def test_jbracket_values():
     assert float(jbracket(0.0)) == 1.0
     assert float(jbracket(3.0)) == pytest.approx(math.sqrt(10.0), rel=1e-15)
     assert float(jbracket(-3.0)) == float(jbracket(3.0))
-    # vectorised: last axis is the component axis
-    out = jbracket(np.array([[3.0], [0.0]]))
+    # vectorised: elementwise
+    out = jbracket(np.array([3.0, 0.0]))
     assert out.shape == (2,)
     assert out[1] == 1.0
 
@@ -60,17 +59,6 @@ def test_grad_potential_matches_finite_differences(rng):
         )
         g = grad_potential(x, params).item()
         assert abs(fd - g) / max(abs(g), 1e-12) < 1e-6
-
-
-def test_grad_potential_dimension_two(rng):
-    params = ModelParams(alpha=1.7, kind="exp", beta=1.0, dim=2)
-    x = rng.uniform(-5, 5, size=2)
-    g = np.asarray(grad_potential(x, params))
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1e-6
-        fd = (float(potential(x + e, params)) - float(potential(x - e, params))) / 2e-6
-        assert abs(fd - g[i]) < 1e-6 * max(1.0, abs(g[i]))
 
 
 def test_equilibrium_normalisation_constants():
@@ -218,7 +206,7 @@ def test_apply_Lstar_energy_power_hand_values():
     assert float(apply_Lstar_exact(0.0, 1.0, p2, spec, "energy_power")) == pytest.approx(
         2.0, rel=1e-14
     )
-    # at v = 0 only the Laplacian term survives: ell E^(ell-1) d
+    # at v = 0 only the Laplacian term survives: ell E^(ell-1)
     x = 3.0
     e = float(energy(x, 0.0, p2))
     assert float(apply_Lstar_exact(x, 0.0, p2, spec, "energy_power")) == pytest.approx(
@@ -289,8 +277,8 @@ def test_drift_excess_bitwise_matches_composition():
     ]
     zs = np.linspace(-50.0, 50.0, 37)
     xg, vg = np.meshgrid(zs, zs, indexing="ij")
-    x = np.concatenate([xg.ravel(), zs, np.zeros_like(zs)])[:, None]
-    v = np.concatenate([vg.ravel(), np.zeros_like(zs), zs])[:, None]
+    x = np.concatenate([xg.ravel(), zs, np.zeros_like(zs)])
+    v = np.concatenate([vg.ravel(), np.zeros_like(zs), zs])
     for params, spec in cases:
         got = drift_excess(x, v, params, spec)
         want = apply_Lstar_exact(x, v, params, spec, "weight_m") + phi(
@@ -334,22 +322,6 @@ def test_phi_nondecreasing_tail():
     s_quarter = LyapunovSpec(2.0, 0.1, 0.5, 0.6, ExpWeight(theta=0.25, delta=0.1))
     m = np.linspace(math.exp(3.0), 200.0, 400)
     assert np.all(np.diff(phi(m, s_quarter)) >= 0.0)
-
-
-def test_theta_decay():
-    s_half = LyapunovSpec(2.0, 0.1, 0.5, 0.6, ExpWeight(theta=0.5, delta=0.1))
-    assert theta_decay(4.0, s_half, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-    assert theta_decay(0.0, s_half, 3.0) == 1.0
-    s_poly = LyapunovSpec(2.0, 0.1, 0.5, 0.6, PolyWeight(k=2.0))
-    assert theta_decay(1.0, s_poly) == pytest.approx(0.25, rel=1e-15)
-    assert theta_decay(0.0, s_poly) == 1.0
-    t = np.linspace(0.0, 30.0, 200)
-    vals = theta_decay(t, s_half, 0.7)
-    assert np.all(np.diff(vals) < 0.0)
-    # log Theta is linear (hence concave) in the stretched time s = t^theta
-    s_coord = t[1:] ** 0.5
-    slopes = np.diff(np.log(vals[1:])) / np.diff(s_coord)
-    assert np.all(np.abs(slopes + 0.7) < 1e-9)
 
 
 def test_asymptotic_density_constant_and_shape():

@@ -23,7 +23,6 @@ from kinfp.solver import (
     Stepper,
     cc_delta,
     discrete_velocity_equilibrium,
-    double_exponential_datum,
     fuses_transport,
     read_checkpoint,
     velocity_face_coefficients,
@@ -74,12 +73,6 @@ def test_grid_rejects_odd_counts():
 # ---------------------------------------------------------------- initial condition
 
 
-def test_initial_datum_values():
-    assert double_exponential_datum(0.0, 0.0) == 1.0 / 16.0
-    x, v = 1.7, -2.4
-    assert double_exponential_datum(x, v) == double_exponential_datum(-x, -v)
-
-
 def test_initial_condition_mass_production_resolution():
     # continuum mass is exactly 1; cell averaging leaves only the
     # domain-truncation deficit at the production resolution
@@ -91,7 +84,8 @@ def test_initial_condition_mass_production_resolution():
     # cell averages agree with the pointwise datum to second order
     fine = build_grid(50.0, 50.0, 1024, 1024)
     ff = default_initial_condition(fine)
-    pointwise = double_exponential_datum(fine.x_centers[:, None], fine.v_centers[None, :])
+    x, v = fine.x_centers[:, None], fine.v_centers[None, :]
+    pointwise = np.exp(-np.abs(x) / 2.0 - np.abs(v) / 2.0) / 16.0
     assert np.abs(ff.values - pointwise).max() < 3e-4 * pointwise.max()
 
 

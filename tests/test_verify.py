@@ -17,14 +17,12 @@ from kinfp import (
     apply_Lstar_fd_richardson,
     drift_excess,
     energy,
-    equivalence_constants,
     find_certified_spec,
     lyapunov_H,
     scan_drift_inequality,
 )
 import kinfp.verify as verify
 from kinfp import CertificateReport
-from kinfp.verify import poly_weight_exponents, subexp_weight_exponents
 
 FAST_SCAN = ScanConfig(samples_per_axis=96, exclusion_radii=(20.0, 30.0, 40.0))
 
@@ -142,7 +140,7 @@ def _flat_scan(params, spec, cfg):
     vs = np.linspace(-cfg.v_half, cfg.v_half, n)
     x = np.concatenate([np.repeat(xs, n), xs, np.zeros(n)])
     v = np.concatenate([np.tile(vs, n), np.zeros(n), vs])
-    s = drift_excess(x[:, None], v[:, None], params, spec)
+    s = drift_excess(x, v, params, spec)
     r2 = x * x + v * v
     for radius in sorted(cfg.exclusion_radii):
         outside = r2 > radius * radius
@@ -216,7 +214,7 @@ def test_worst_point_maps_back_to_its_coordinates(monkeypatch, chunk, peaks, wan
 
     def peaked(x, v, params, spec):
         d2 = np.min([(x - a) ** 2 + (v - b) ** 2 for a, b in (coords(*p) for p in peaks)], axis=0)
-        return 1.0 - d2[..., 0]
+        return 1.0 - d2
 
     monkeypatch.setattr(verify, "drift_excess", peaked)
     if chunk is not None:
@@ -271,58 +269,6 @@ def test_scan_rejects_out_of_range_modes():
         scan_drift_inequality(ppoly, bad_ell, FAST_SCAN)
     with pytest.raises(ValueError):  # weight mode / equilibrium mismatch
         scan_drift_inequality(ppoly, spec, FAST_SCAN)
-
-
-def test_equivalence_constants(exp_params):
-    cfg = ScanConfig(samples_per_axis=64, exclusion_radii=(20.0,))
-    s0 = LyapunovSpec(2.0, 0.0, 0.5, 0.6, ExpWeight(theta=0.25, delta=0.1))
-    c1, c2 = equivalence_constants(exp_params, s0, cfg)
-    assert c1 == 1.0 and c2 == 1.0
-    s1 = LyapunovSpec(2.0, 1e-3, 0.05, 0.95, ExpWeight(theta=0.25, delta=0.1))
-    c1, c2 = equivalence_constants(exp_params, s1, cfg)
-    assert 0.0 < c1 <= 1.0 <= c2
-    s2 = LyapunovSpec(2.0, 5e-4, 0.05, 0.95, ExpWeight(theta=0.25, delta=0.1))
-    d1, d2 = equivalence_constants(exp_params, s2, cfg)
-    assert c1 <= d1 <= 1.0 <= d2 <= c2  # halving eps tightens both constants
-
-
-README_SPECS = [
-    (ModelParams(alpha=1.5, kind="exp", beta=0.5),
-     LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.25, delta=2.0))),
-    (ModelParams(alpha=2.0, kind="exp", beta=1.0),
-     LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))),
-    (ModelParams(alpha=2.0, kind="exp", beta=3.0),
-     LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1))),
-    (ModelParams(alpha=2.0, kind="poly", gamma=2.0),
-     LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5))),
-]
-
-
-@pytest.mark.parametrize("samples", [16, 100, 256])
-@pytest.mark.parametrize("chunk", ["default", 7, "uneven"])
-def test_equivalence_constants_independent_of_blocks(monkeypatch, samples, chunk):
-    """(c1, c2) from the scan's row blocks equal, bit for bit, the extremes
-    of H / E^ell over the whole grid and the axes in one evaluation, for the
-    README certificates with one block, blocks of one row, and blocks of
-    three rows that do not divide the row count."""
-    if chunk == "uneven":
-        chunk = 3 * samples + 1
-        assert samples % 3 != 0
-    if chunk != "default":
-        monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
-    cfg = ScanConfig(samples_per_axis=samples)
-    xs = np.linspace(-cfg.x_half, cfg.x_half, samples)
-    vs = np.linspace(-cfg.v_half, cfg.v_half, samples)
-    for params, spec in README_SPECS:
-        def h_over_e(x, v):
-            return (lyapunov_H(x, v, params, spec) / energy(x, v, params) ** spec.ell).reshape(-1)
-
-        ratio = np.concatenate(
-            [h_over_e(xs[:, None, None], vs[None, :, None]), h_over_e(*verify._axis_points(xs, vs))]
-        )
-        want = (float(np.min(ratio)), float(np.max(ratio)))
-        got = equivalence_constants(params, spec, cfg)
-        assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
 def test_find_certified_spec_exp():
@@ -549,13 +495,3 @@ def test_scan_overflow_fails_with_nan_margin():
     assert report.worst_point == (-100.0, -100.0)
     assert report.summary().startswith("FAIL R=45 ")
 
-
-def test_weight_exponent_helpers():
-    A, B = subexp_weight_exponents(1.5, 2.0 / 3.0, 0.4)
-    assert A == pytest.approx(1.0)
-    assert B == pytest.approx(0.6)
-    A, B = poly_weight_exponents(2.0, 1.75, 0.25, 0.1)
-    assert A == pytest.approx(2.0 * (1.75 - 2.0 + 0.25))
-    assert B == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        subexp_weight_exponents(1.5, 1.5, 0.4)
