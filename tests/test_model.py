@@ -27,7 +27,7 @@ from kinfp import (
     phi,
     potential,
 )
-from kinfp.model import asymptotic_prefactor
+from kinfp.model import LSTAR_TARGETS, asymptotic_prefactor
 
 
 def test_jbracket_values():
@@ -182,6 +182,15 @@ def test_model_params_validation():
         ModelParams(alpha=1.5, kind="poly", gamma=-0.5)
     with pytest.raises(ValueError):
         ModelParams(alpha=1.5, kind="weird", beta=1.0)
+
+
+def test_model_params_are_one_dimensional():
+    # the model has no space-dimension option
+    with pytest.raises(TypeError):
+        ModelParams(alpha=2.0, kind="exp", beta=1.0, dim=1)
+    # d = 1 surface factor: the Gaussian constant is sqrt(2 pi) e^(-1/2)
+    p = ModelParams(alpha=2.0, kind="exp", beta=2.0)
+    assert p.norm_const == pytest.approx(math.sqrt(2.0 * math.pi) * math.exp(-0.5), rel=1e-12)
 
 
 def test_grad_v_H_values_and_fd(rng, exp_params, exp_spec):
@@ -422,3 +431,51 @@ def test_lyapunov_weight_modes(exp_params, exp_spec, poly_params, poly_spec):
     assert float(lyapunov_weight(x, v, poly_params, poly_spec)) == pytest.approx(
         hp ** (poly_spec.mode.k / poly_spec.ell), rel=1e-14
     )
+
+
+BROADCAST_MODELS = {
+    "exp": (
+        ModelParams(alpha=1.5, kind="exp", beta=0.5),
+        LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.25, delta=2.0)),
+    ),
+    "poly": (
+        ModelParams(alpha=2.0, kind="poly", gamma=2.0),
+        LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5)),
+    ),
+}
+CLOSED_FORMS = {
+    "energy": lambda x, v, params, spec: energy(x, v, params),
+    "lyapunov_H": lyapunov_H,
+    "grad_v_H": grad_v_H,
+    "lyapunov_weight": lyapunov_weight,
+    "drift_excess": drift_excess,
+    **{
+        f"Lstar_{target}": (
+            lambda x, v, params, spec, target=target: apply_Lstar_exact(
+                x, v, params, spec, target
+            )
+        )
+        for target in LSTAR_TARGETS
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(BROADCAST_MODELS))
+@pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+def test_closed_form_broadcasts_column_against_row(form, model):
+    """An x column (rows, 1) against a v row (n,) gives the (rows, n) grid,
+    equal bit for bit to the same pairs passed as two flat (N,) arrays; a
+    scalar pair gives a 0-d value of that grid."""
+    params, spec = BROADCAST_MODELS[model]
+    f = CLOSED_FORMS[form]
+    xs = np.linspace(-40.0, 40.0, 9)
+    vs = np.linspace(-30.0, 30.0, 12)
+    grid = f(xs[:, None], vs, params, spec)
+    assert grid.shape == (xs.size, vs.size)
+    assert np.all(np.isfinite(grid))
+    flat = f(np.repeat(xs, vs.size), np.tile(vs, xs.size), params, spec)
+    assert flat.shape == (xs.size * vs.size,)
+    np.testing.assert_array_equal(grid.reshape(-1).view(np.uint64), flat.view(np.uint64))
+    one = f(xs[2], vs[7], params, spec)
+    assert np.ndim(one) == 0
+    assert float(one) == pytest.approx(grid[2, 7], rel=1e-13)

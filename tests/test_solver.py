@@ -175,6 +175,41 @@ def test_cc_delta_values():
     assert cc_delta(-800.0) == pytest.approx(1.0 - 1.0 / 800.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "w, want",
+    [
+        (500.0, 1.0 / 500.0),
+        (709.8, 1.0 / 709.8),
+        (1e6, 1e-6),
+        (np.inf, 0.0),
+        (-745.0, 1.0 - 1.0 / 745.0),
+        (-1e6, 1.0 - 1e-6),
+        (-np.inf, 1.0),
+    ],
+)
+def test_cc_delta_formula_at_range_edges(w, want):
+    # e^w - 1 overflows to inf or rounds to -1 here; the formula still holds
+    # and raises no floating-point warning
+    with np.errstate(all="raise"):
+        got = cc_delta(w)
+        vec = cc_delta(np.array([0.0, w]))
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert vec[0] == 0.5 and vec[1] == got
+
+
+def test_cc_delta_monotone_in_unit_interval():
+    # decreasing from 1 to 0 across the series switch at |w| = 1e-4
+    w = np.concatenate(
+        [-np.logspace(6, -8, 400), [0.0], np.logspace(-8, 6, 400)]
+    )
+    d = cc_delta(w)
+    assert np.all((d >= 0.0) & (d <= 1.0))
+    assert np.all(np.diff(d) <= 0.0)
+    # delta(w) + delta(-w) = 1, to the formula's cancellation error of about
+    # eps / |w| just above the switch
+    np.testing.assert_allclose(d + cc_delta(-w), 1.0, rtol=0.0, atol=2.5e-12)
+
+
 def column_equilibria(grid, params):
     """The discrete velocity equilibrium of each column x_n, as row n."""
     return np.array(

@@ -71,6 +71,22 @@ def test_fd_richardson_consistency(rng, kind):
     assert min(orders) >= 1.9
 
 
+def test_fd_point_as_float_or_one_element_array(exp_params, exp_spec):
+    seen = []
+
+    def F(x, v):
+        seen.append((type(x), type(v)))
+        return float(lyapunov_H(x, v, exp_params, exp_spec))
+
+    outs = [
+        apply_Lstar_fd(F, x, v, exp_params, 1e-4)
+        for x, v in ((1.7, -2.4), ([1.7], [-2.4]), (np.array([1.7]), np.array([-2.4])))
+    ]
+    assert all(type(out) is float for out in outs)
+    assert outs[0] == outs[1] == outs[2]
+    assert set(seen) == {(float, float)}
+
+
 def test_fd_rejects_bad_input(exp_params):
     with pytest.raises(ValueError):
         apply_Lstar_fd(lambda x, v: 1.0, [0.0], [0.0], exp_params, -1e-4)
