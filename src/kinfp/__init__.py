@@ -14,7 +14,6 @@ from .model import (
     asymptotic_density,
     drift_excess,
     energy,
-    equilibrium,
     equilibrium_drift,
     grad_potential,
     grad_v_H,

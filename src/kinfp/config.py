@@ -18,9 +18,9 @@ Every key is validated at parse time, for every command, by the object
 that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
 ``LyapunovSpec`` (with its weight mode) and ``ScanConfig``, built through
 the typed views of ``RunConfig``.  So ``model.gamma`` needs only gamma > 0,
-the range where the solver and the normalisation are defined; the drift
-certifier itself refuses a poly model unless 3/2 < ell < 1 + gamma/2, which
-excludes gamma <= 1.
+the range where the equilibrium has finite mass and the solver is defined;
+the drift certifier itself refuses a poly model unless 3/2 < ell <
+1 + gamma/2, which excludes gamma <= 1.
 """
 
 from __future__ import annotations

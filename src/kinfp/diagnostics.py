@@ -210,11 +210,14 @@ def rate_fit(
     ``mode="exp"`` fits log(dist) = a - lam t^theta (requires ``theta``);
     ``mode="poly"`` fits log(dist) = a - k log(1 + t).  An initial transient
     t < t_burn is dropped before fitting; the default burn-in is 10% of the
-    series time span.  At least 8 samples must survive.
+    series time span.  Every time and distance must be finite, and at
+    least 8 samples must survive.
     """
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be an (N, 2) array of (t, distance) rows")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times and distances must be finite")
     t, dist = arr[:, 0], arr[:, 1]
     if t_burn is None:
         t_burn = t.min() + 0.1 * (t.max() - t.min())

@@ -10,8 +10,9 @@ equilibrium M that is either sub-exponential, M ~ exp(-<v>^beta / beta), or
 fat-tailed polynomial, M ~ <v>^(-1-gamma).
 
 This module evaluates every closed-form quantity attached to that equation:
-the potential and its gradient, the normalised equilibria and their
-logarithmic drifts, the mechanical energy E = v^2/2 + V(x), the candidate
+the potential and its gradient, the logarithmic drift M'/M of the
+equilibrium (the only way M enters the operator, so M is never
+normalised), the mechanical energy E = v^2/2 + V(x), the candidate
 Lyapunov functions H = E^ell + eps <x>^A <v>^(-B) x v, the dual (adjoint)
 operator applied analytically to E^ell, to the cross term, to H and to
 weights built from H, the concave comparison function used in the drift
@@ -21,10 +22,6 @@ with its first Laplace correction.  Each closed form of E, H, d_v H and L*
 is written once, over a private holder of the spec-free terms at the given
 points (<x>, <v>, x v, E, the drift, ...), so an evaluation that needs
 several of them computes those terms once.
-
-scipy is imported on the first evaluation of ``ModelParams.norm_const``
-(through :func:`equilibrium`), the one quadrature here; the stepping and
-certification paths never evaluate it, so they never import scipy.
 
 Array convention: the model is one-dimensional, and every closed form is
 elementwise in x and v, which broadcast against each other.  Pass scalars
@@ -49,7 +46,6 @@ __all__ = [
     "jbracket",
     "potential",
     "grad_potential",
-    "equilibrium",
     "equilibrium_drift",
     "energy",
     "lyapunov_H",
@@ -66,13 +62,6 @@ __all__ = [
 #: admissible targets for :func:`apply_Lstar_exact`
 LSTAR_TARGETS = ("energy_power", "cross_term", "full_h", "weight_m")
 
-# quadrature tolerances for the equilibrium normalisation constant; the
-# truncation radius is grown until the analytic tail bound drops below
-# _TAIL_BOUND so the quoted accuracy is honest.
-_QUAD_EPSABS = 1e-14
-_QUAD_EPSREL = 1e-12
-_TAIL_BOUND = 1e-12
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -88,9 +77,9 @@ class ModelParams:
     beta : float, optional
         Velocity-tail exponent for ``kind="exp"`` (beta > 0).
     gamma : float, optional
-        Velocity-tail exponent for ``kind="poly"``.  Any gamma > 0 gives a
-        normalisable equilibrium; the convergence theory (and the drift
-        certifier) needs gamma > 1.
+        Velocity-tail exponent for ``kind="poly"``, gamma > 0: the
+        equilibrium <v>^(-1-gamma) then has finite mass.  The convergence
+        theory (and the drift certifier) needs gamma > 1.
     """
 
     alpha: float
@@ -110,62 +99,6 @@ class ModelParams:
             problems.append(f"poly equilibrium requires gamma > 0, got {self.gamma}")
         if problems:
             raise ValueError("; ".join(problems))
-
-    @cached_property
-    def norm_const(self) -> float:
-        """Normalisation constant of the unnormalised equilibrium over R.
-
-        Twice the adaptive Gauss-Kronrod quadrature of the even profile on
-        [0, R], with R chosen so that a closed-form majorant of the tail
-        integral is below 1e-12.
-        """
-        # scipy costs most of the package's import time; only this needs it
-        from scipy import integrate, special
-
-        if self.kind == "exp":
-            b = self.beta
-
-            def profile(r):
-                return np.exp(-np.sqrt(1.0 + r * r) ** b / b)
-
-            def tail(R):
-                # integrand <= exp(-r^beta/beta); substitute w = r^b/b
-                return b ** (1.0 / b - 1.0) * float(
-                    special.gammaincc(1.0 / b, R**b / b) * special.gamma(1.0 / b)
-                )
-
-            radius = 10.0
-            while tail(radius) >= _TAIL_BOUND and radius < 1e9:
-                radius *= 2.0
-            val, _ = integrate.quad(
-                profile, 0.0, radius, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=400
-            )
-        else:
-            # split at r = 1 and map the tail through u = 1/r, which turns
-            # it into int_0^1 u^(gamma-1) (1+u^2)^(-(1+gamma)/2) du: exact,
-            # no truncation needed even for slowly decaying tails.
-            g = self.gamma
-            core, _ = integrate.quad(
-                lambda r: (1.0 + r * r) ** (-(1.0 + g) / 2.0),
-                0.0,
-                1.0,
-                epsabs=_QUAD_EPSABS,
-                epsrel=_QUAD_EPSREL,
-                limit=400,
-            )
-            tail_val, _ = integrate.quad(
-                lambda u: u ** (g - 1.0) * (1.0 + u * u) ** (-(1.0 + g) / 2.0),
-                0.0,
-                1.0,
-                epsabs=_QUAD_EPSABS,
-                epsrel=_QUAD_EPSREL,
-                limit=400,
-            )
-            val = core + tail_val
-        out = 2.0 * val
-        if not out > 0.0:
-            raise ArithmeticError("equilibrium normalisation quadrature failed")
-        return out
 
 
 @dataclass(frozen=True)
@@ -276,16 +209,6 @@ def grad_potential(x, params: ModelParams):
     """V'(x) = <x>^(alpha-2) x."""
     x = np.asarray(x, dtype=np.float64)
     return jbracket(x) ** (params.alpha - 2.0) * x
-
-
-def equilibrium(v, params: ModelParams):
-    """Normalised local velocity equilibrium M(v); integrates to 1 over R."""
-    jv = jbracket(v)
-    if params.kind == "exp":
-        raw = np.exp(-(jv**params.beta) / params.beta)
-    else:
-        raw = jv ** (-1.0 - params.gamma)
-    return raw / params.norm_const
 
 
 def _drift(v, jv, params: ModelParams):

@@ -37,6 +37,7 @@ a marched window.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -411,11 +412,13 @@ def run(
 ANDERSON_DEPTH = 3
 
 
-class _AndersonHistory:
-    """The last ANDERSON_DEPTH + 1 window ends G(x_i) and residuals G(x_i) - x_i.
+def _anderson_mix(ends, res, order, out):
+    """Write the type-II Anderson mixture sum_i a_i G(x_i) into ``out``.
 
     Type-II Anderson mixing (Anderson 1965; Walker & Ni 2011) of a
-    fixed-point map G: the next start state is sum_i a_i G(x_i), with
+    fixed-point map G: ``ends[i]`` holds a window end G(x_i) and
+    ``res[i]`` its residual G(x_i) - x_i, for the slots i of ``order``,
+    oldest first.  The next start state is sum_i a_i G(x_i), with
     sum_i a_i = 1 and a chosen to minimise the norm of the mixed residual
     sum_i a_i (G(x_i) - x_i).  The norm is that of L2(1/f), with f the
     newest window end, so each cell counts with its squared relative
@@ -423,69 +426,35 @@ class _AndersonHistory:
     alone and leaves the tails behind: on the 200^2 desk reference it left
     3 times the L1 error against a reference marched to a rate of 1e-8.
     Cells below the rounding level of the field's maximum are weighted as
-    if they were at it.  The history lives in two preallocated stacks of
-    fields.
+    if they were at it.  ``out`` first holds the weight 1/f, so the solve
+    needs one more field-sized temporary at a time.
     """
-
-    def __init__(self, shape: tuple[int, int]):
-        self.slots = ANDERSON_DEPTH + 1
-        self.ends = np.empty((self.slots,) + shape)
-        self.res = np.empty((self.slots,) + shape)
-        self._order: list[int] = []  # slots in use, oldest first
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def reset(self) -> None:
-        self._order.clear()
-
-    def free_slot(self) -> int:
-        """A slot for the next window's residual: a free one, else the oldest."""
-        if len(self._order) == self.slots:
-            return self._order[0]
-        return min(set(range(self.slots)) - set(self._order))
-
-    def push(self, k: int, end: np.ndarray) -> None:
-        """Record the window end G(x) whose residual slot ``k`` holds."""
-        if k in self._order:
-            self._order.remove(k)
-        self._order.append(k)
-        np.copyto(self.ends[k], end)
-
-    def mix(self, out: np.ndarray) -> np.ndarray:
-        """Write the mixed start state sum_i a_i G(x_i) into ``out``.
-
-        ``out`` first holds the weight 1/f, so the solve needs one more
-        field-sized temporary at a time.
-        """
-        order = self._order
-        newest = self.ends[order[-1]]
-        weight = np.maximum(newest, np.finfo(float).eps * newest.max(), out=out)
-        np.divide(1.0, weight, out=weight)
-        n = len(order)
-        gram = np.empty((n, n))
-        for a, i in enumerate(order):
-            weighted = weight * self.res[i]
-            for b in range(a, n):
-                gram[a, b] = gram[b, a] = np.vdot(weighted, self.res[order[b]])
-        # min |F_k - sum_j c_j (F_k - F_j)|^2 by its normal equations; a
-        # ridge of 1e-12 of their mean diagonal keeps them solvable when the
-        # residual differences are (nearly) collinear
-        rhs = gram[-1, -1] - gram[-1, :-1]
-        lhs = rhs[:, None] + rhs[None, :] - gram[-1, -1] + gram[:-1, :-1]
-        lhs[np.diag_indices(n - 1)] += 1e-12 * np.trace(lhs) / (n - 1) + np.finfo(float).tiny
-        coef = np.linalg.solve(lhs, rhs)
-        np.multiply(1.0 - coef.sum(), newest, out=out)
-        for c, j in zip(coef, order[:-1]):
-            out += c * self.ends[j]
-        return out
+    newest = ends[order[-1]]
+    weight = np.maximum(newest, np.finfo(float).eps * newest.max(), out=out)
+    np.divide(1.0, weight, out=weight)
+    n = len(order)
+    gram = np.empty((n, n))
+    for a, i in enumerate(order):
+        weighted = weight * res[i]
+        for b in range(a, n):
+            gram[a, b] = gram[b, a] = np.vdot(weighted, res[order[b]])
+    # min |F_k - sum_j c_j (F_k - F_j)|^2 by its normal equations; a
+    # ridge of 1e-12 of their mean diagonal keeps them solvable when the
+    # residual differences are (nearly) collinear
+    rhs = gram[-1, -1] - gram[-1, :-1]
+    lhs = rhs[:, None] + rhs[None, :] - gram[-1, -1] + gram[:-1, :-1]
+    lhs[np.diag_indices(n - 1)] += 1e-12 * np.trace(lhs) / (n - 1) + np.finfo(float).tiny
+    coef = np.linalg.solve(lhs, rhs)
+    np.multiply(1.0 - coef.sum(), newest, out=out)
+    for c, j in zip(coef, order[:-1]):
+        out += c * ends[j]
+    return out
 
 
 def steady_state_reference(
     config: SolverConfig,
     tol_rate: float = 1e-8,
     field0: Field | None = None,
-    max_steps: int | None = None,
 ) -> Field:
     """March windows of steps until one's L1 change rate drops below tol_rate.
 
@@ -500,15 +469,18 @@ def steady_state_reference(
 
     The window is a contraction whose slowest mode decays at the truncated
     operator's small spectral gap, so each window starts from an Anderson
-    mixture of the last ANDERSON_DEPTH + 1 window ends (``_AndersonHistory``)
-    rather than from the last end alone.  The mixture is clipped at 0 and
-    rescaled to field0's mass.  The history restarts when the march turns
-    to symmetric windows (a different map) and when a window's rate
-    exceeds the one before it.  Acceptance does not depend on the mixing:
+    mixture of the last ANDERSON_DEPTH + 1 window ends (``_anderson_mix``)
+    rather than from the last end alone.  The ends and their residuals
+    live in a ring of ANDERSON_DEPTH + 1 preallocated slots; each window
+    takes the next slot, which holds the oldest entry once the ring is
+    full.  The mixture is clipped at 0 and rescaled to field0's mass.  The
+    history restarts (``used`` = 0 stored ends) when the march turns to
+    symmetric windows (a different map) and when a window's rate exceeds
+    the one before it.  Acceptance does not depend on the mixing:
     the result is a marched window's end, and its time stamp is field0's
     plus the steps marched, so it counts steps and is not a solution time.
-    config.t_final (or max_steps) caps the steps marched, and exhausting it
-    raises with the window count and the last rate.
+    config.t_final caps the steps marched, and exhausting it raises with
+    the window count and the last rate.
     """
     # bound per call: perfbench counts a solve's windows by wrapped l1_distance calls
     from .diagnostics import l1_distance
@@ -518,21 +490,22 @@ def steady_state_reference(
     if field0 is None:
         field0 = default_initial_condition(config.grid)
     dt, n_steps = config.resolve_dt()
-    if max_steps is not None:
-        n_steps = min(n_steps, max_steps)
     window = config.diagnostics_cadence
     grid = config.grid
     stepper = Stepper(grid, config.model)
     fuse = fuses_transport(grid, dt)
-    history = _AndersonHistory(field0.values.shape)
+    slots = ANDERSON_DEPTH + 1
+    ends = np.empty((slots,) + field0.values.shape)
+    residuals = np.empty_like(ends)
     total0 = field0.values.sum()
     values = field0.values.copy()
-    step = windows = 0
+    step = windows = used = 0
+    k = slots - 1  # the ring slot of the last window
     rate = prev_rate = np.inf
     while step < n_steps:
         todo = min(window, n_steps - step)
-        k = history.free_slot()
-        res = history.res[k]
+        k = (k + 1) % slots
+        res = residuals[k]
         np.copyto(res, values)
         stepper.advance(values, dt, todo, fuse)
         step += todo
@@ -545,13 +518,15 @@ def steady_state_reference(
             if not fuse:
                 return Field(values, grid, field0.time_stamp + step * dt)
             fuse = False
-            history.reset()
+            used = 0
         else:
             if rate > prev_rate:
-                history.reset()
-            history.push(k, values)
-            if len(history) > 1:
-                history.mix(values)
+                used = 0
+            np.copyto(ends[k], values)
+            used = min(used + 1, slots)
+            if used > 1:
+                order = [(k - used + 1 + i) % slots for i in range(used)]  # oldest first
+                _anderson_mix(ends, residuals, order, values)
                 np.maximum(values, 0.0, out=values)
                 values *= total0 / values.sum()
         prev_rate = rate
@@ -585,12 +560,16 @@ def read_checkpoint(path) -> tuple[Field, int]:
         magic, nx, nv, step, L, v_max, time_stamp = _HEADER.unpack(head)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        data = np.frombuffer(fh.read(nx * nv * 8), dtype="<f8").astype(np.float64)
-        if fh.read(1):
+        if not np.isfinite(time_stamp):
+            raise ValueError(f"non-finite checkpoint time {time_stamp!r}: {path}")
+        # the header is checked whole before the payload is read, so a
+        # corrupt cell count cannot ask for more memory than the file holds
+        grid = PhaseGrid(L=L, v_max=v_max, Nx=int(nx), Nv=int(nv))
+        size = nx * nv * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise ValueError(f"truncated checkpoint payload: {path}")
+        if left > size:
             raise ValueError(f"trailing bytes after the checkpoint payload: {path}")
-    if data.size != nx * nv:
-        raise ValueError(f"truncated checkpoint payload: {path}")
-    if not np.isfinite(time_stamp):
-        raise ValueError(f"non-finite checkpoint time {time_stamp!r}: {path}")
-    grid = PhaseGrid(L=L, v_max=v_max, Nx=int(nx), Nv=int(nv))
+        data = np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64)
     return Field(data.reshape(nx, nv), grid, time_stamp), int(step)

@@ -133,6 +133,19 @@ def test_simulate_resume_rejects_relabelled_time(tmp_path, capsys):
     assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
+def test_simulate_resume_refuses_a_header_larger_than_its_file(tmp_path, capsys):
+    from kinfp.solver import _HEADER, CHECKPOINT_MAGIC
+
+    # 2^20 x 2^20 cells claimed, 64 payload bytes present
+    ck = tmp_path / "huge.ckpt"
+    ck.write_bytes(_HEADER.pack(CHECKPOINT_MAGIC, 2**20, 2**20, 0, 20.0, 20.0, 0.0) + bytes(64))
+    cfg = _write(tmp_path, SMALL_RUN)
+    out = tmp_path / "r"
+    assert main(["simulate", "--config", cfg, "--output", str(out), "--resume", str(ck)]) == 1
+    assert "truncated checkpoint payload" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_resume_rejects_step_inside_a_segment(tmp_path, capsys):
     """Resume from step 10 under cadences that do not stop there: an
     uninterrupted run fuses straight across step 10, so exit 1."""
@@ -274,6 +287,14 @@ def test_fit_rate_exact_and_errors(tmp_path, capsys):
     bad.write_text("t,distance\n1.0,2.0\nnot-a-number\n")
     assert main(["fit-rate", "--config", cfg, "--series", str(bad), "--output", str(out)]) == 1
     assert "line 3" in capsys.readouterr().err
+    # a non-finite distance is refused and writes no fit
+    nonfinite = tmp_path / "nan.csv"
+    nonfinite.write_text(series.read_text().replace(f"{float(d[20])!r}", "nan"))
+    refused = tmp_path / "refused"
+    argv = ["fit-rate", "--config", cfg, "--series", str(nonfinite), "--output", str(refused)]
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (refused / "rate_fit.txt").exists()
 
 
 def test_simulate_numerical_abort_exits_three(tmp_path):

@@ -14,7 +14,7 @@ COLD_PATH = textwrap.dedent(
     from pathlib import Path
 
     import kinfp, kinfp.cli
-    from kinfp import cli, model
+    from kinfp import cli
 
     out = Path(sys.argv[1])
     sim = out / "sim.cfg"
@@ -45,14 +45,6 @@ COLD_PATH = textwrap.dedent(
     loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
     assert not loaded, f"imported on the cold path: {loaded}"
 
-    # the quadrature still imports scipy when it runs, and gives the same bits
-    pinned = [
-        (model.ModelParams(alpha=1.5, kind="exp", beta=0.5), "0x1.2b8aa470808d4p-1"),
-        (model.ModelParams(alpha=2.0, kind="poly", gamma=2.0), "0x1.0000000000000p+1"),
-    ]
-    for params, want in pinned:
-        model.equilibrium(0.0, params)
-        assert params.norm_const.hex() == want, (params, params.norm_const.hex())
     print("cold path ok")
     """
 )
@@ -61,8 +53,7 @@ COLD_PATH = textwrap.dedent(
 def test_simulate_and_search_do_not_import_scipy(tmp_path):
     """A fresh interpreter that imports the package, runs a small simulate
     with profile diagnostics and checkpoint snapshots, a small certificate
-    search and a small steady-state march has imported no scipy module;
-    equilibrium then evaluates norm_const to the pinned bits."""
+    search and a small steady-state march has imported no scipy module."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATH, str(tmp_path)],

@@ -218,6 +218,13 @@ def test_rate_fit_input_validation():
         rate_fit(np.c_[t, np.exp(-t)], "weird")
     with pytest.raises(ValueError):
         rate_fit(np.c_[t, np.exp(-t)], "exp", theta=2.0)
+    for bad in (np.nan, np.inf):
+        for col in (0, 1):
+            series = np.c_[t, np.exp(-t)]
+            series[12, col] = bad
+            for mode, theta in (("exp", 0.5), ("poly", None)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    rate_fit(series, mode, theta=theta)
 
 
 @given(

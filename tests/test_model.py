@@ -17,7 +17,6 @@ from kinfp import (
     asymptotic_density,
     drift_excess,
     energy,
-    equilibrium,
     equilibrium_drift,
     grad_potential,
     grad_v_H,
@@ -61,56 +60,6 @@ def test_grad_potential_matches_finite_differences(rng):
         assert abs(fd - g) / max(abs(g), 1e-12) < 1e-6
 
 
-def test_equilibrium_normalisation_constants():
-    # beta = 2: closed form sqrt(2 pi) e^(-1/2)
-    p = ModelParams(alpha=2.0, kind="exp", beta=2.0)
-    assert p.norm_const == pytest.approx(math.sqrt(2 * math.pi) * math.exp(-0.5), rel=1e-10)
-    assert p.norm_const == pytest.approx(1.52035, abs=5e-6)
-    # gamma = 1: arctan antiderivative gives exactly pi
-    pp = ModelParams(alpha=1.5, kind="poly", gamma=1.0)
-    assert pp.norm_const == pytest.approx(math.pi, rel=1e-12)
-    assert float(equilibrium(0.0, pp)) == pytest.approx(1.0 / math.pi, rel=1e-12)
-
-
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
-def test_exp_equilibrium_integrates_to_one(beta):
-    params = ModelParams(alpha=1.5, kind="exp", beta=beta)
-    val, _ = integrate.quad(
-        lambda v: float(equilibrium(v, params)), -1000.0, 1000.0, limit=300
-    )
-    # tail beyond |v| = 1000 bounded through the unnormalised majorant
-    from scipy import special
-
-    tail = (
-        2.0
-        * beta ** (1.0 / beta - 1.0)
-        * special.gammaincc(1.0 / beta, 1000.0**beta / beta)
-        * special.gamma(1.0 / beta)
-        / params.norm_const
-    )
-    assert abs(val - 1.0) <= tail + 1e-8
-
-
-@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
-def test_poly_equilibrium_integrates_to_one(gamma):
-    params = ModelParams(alpha=1.5, kind="poly", gamma=gamma)
-    val, _ = integrate.quad(
-        lambda v: float(equilibrium(v, params)), -1000.0, 1000.0, limit=300
-    )
-    tail = 2.0 * 1000.0 ** (-gamma) / gamma / params.norm_const
-    assert abs(val - 1.0) <= tail + 1e-8
-
-
-def test_equilibrium_even_symmetry(rng, exp_params, poly_params):
-    for params in (exp_params, poly_params):
-        v = rng.uniform(0.0, 30.0, size=20)
-        np.testing.assert_allclose(
-            np.asarray([float(equilibrium(t, params)) for t in v]),
-            np.asarray([float(equilibrium(-t, params)) for t in v]),
-            rtol=0,
-        )
-
-
 def test_equilibrium_drift_values():
     pg = ModelParams(alpha=2.0, kind="exp", beta=2.0)
     assert equilibrium_drift(3.0, pg).item() == pytest.approx(-3.0, rel=1e-15)
@@ -121,13 +70,17 @@ def test_equilibrium_drift_values():
 
 
 def test_equilibrium_drift_is_log_gradient(rng, exp_params, poly_params):
+    def log_profile(v, params):
+        # log of the unnormalised equilibrium, written out independently
+        jv = math.sqrt(1.0 + v * v)
+        if params.kind == "exp":
+            return -(jv**params.beta) / params.beta
+        return -(1.0 + params.gamma) * math.log(jv)
+
     for params in (exp_params, poly_params):
         for v in rng.uniform(-50.0, 50.0, size=40):
             h = 1e-6 * max(1.0, abs(v))
-            fd = (
-                math.log(float(equilibrium(v + h, params)))
-                - math.log(float(equilibrium(v - h, params)))
-            ) / (2.0 * h)
+            fd = (log_profile(v + h, params) - log_profile(v - h, params)) / (2.0 * h)
             dr = equilibrium_drift(v, params).item()
             assert abs(fd - dr) / max(abs(dr), 1e-9) < 1e-6
 
@@ -184,13 +137,38 @@ def test_model_params_validation():
         ModelParams(alpha=1.5, kind="weird", beta=1.0)
 
 
+FAMILIES = [("exp", 0.5), ("exp", 1.0), ("exp", 2.0), ("exp", 3.0),
+            ("poly", 1.5), ("poly", 2.0), ("poly", 3.0)]
+
+
+@pytest.mark.parametrize("kind, power", FAMILIES)
+def test_equilibrium_drift_is_odd_and_log_gradient(rng, kind, power):
+    """M is even, so M'/M is odd bit for bit and 0 at v = 0; it is the
+    derivative of the unnormalised log profile, -<v>^beta / beta or
+    -(1 + gamma) log<v>, across each family's exponent range."""
+    shape = {"beta": power} if kind == "exp" else {"gamma": power}
+    params = ModelParams(alpha=1.5, kind=kind, **shape)
+    v = rng.uniform(0.0, 200.0, size=50)
+    np.testing.assert_array_equal(
+        equilibrium_drift(-v, params), -equilibrium_drift(v, params)
+    )
+    assert equilibrium_drift(0.0, params).item() == 0.0
+
+    def log_profile(t):
+        jt = math.sqrt(1.0 + t * t)
+        return -(jt**power) / power if kind == "exp" else -(1.0 + power) * math.log(jt)
+
+    for t in v[:20]:
+        h = 1e-6 * max(1.0, t)
+        fd = (log_profile(t + h) - log_profile(t - h)) / (2.0 * h)
+        dr = equilibrium_drift(t, params).item()
+        assert abs(fd - dr) / max(abs(dr), 1e-9) < 1e-6
+
+
 def test_model_params_are_one_dimensional():
     # the model has no space-dimension option
     with pytest.raises(TypeError):
         ModelParams(alpha=2.0, kind="exp", beta=1.0, dim=1)
-    # d = 1 surface factor: the Gaussian constant is sqrt(2 pi) e^(-1/2)
-    p = ModelParams(alpha=2.0, kind="exp", beta=2.0)
-    assert p.norm_const == pytest.approx(math.sqrt(2.0 * math.pi) * math.exp(-0.5), rel=1e-12)
 
 
 def test_grad_v_H_values_and_fd(rng, exp_params, exp_spec):

@@ -1,5 +1,6 @@
 """Grid construction, finite-volume substeps, stepping, run loop, checkpoints."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,9 @@ from kinfp import (
 )
 from kinfp import kernels
 from kinfp.solver import (
+    ANDERSON_DEPTH,
     Stepper,
+    _anderson_mix,
     cc_delta,
     discrete_velocity_equilibrium,
     fuses_transport,
@@ -569,14 +572,22 @@ def test_checkpoint_refuses_trailing_bytes_and_non_finite_header(tmp_path, desk)
     path.write_bytes(good + bytes(15))
     with pytest.raises(ValueError, match="trailing bytes"):
         read_checkpoint(path)
+    path.write_bytes(good[:-8])
+    with pytest.raises(ValueError, match="truncated checkpoint payload"):
+        read_checkpoint(path)
     payload = good[_HEADER.size :]
-    for L, v_max, time_stamp, message in [
-        (50.0, 50.0, np.inf, "non-finite checkpoint time"),
-        (50.0, 50.0, np.nan, "non-finite checkpoint time"),
-        (np.inf, 50.0, 0.75, "L must be positive and finite"),
-        (50.0, np.inf, 0.75, "v_max must be positive and finite"),
+    ok = (grid.Nx, grid.Nv)
+    # the header is checked against the file size before the payload is read
+    for nx, nv, L, v_max, time_stamp, message in [
+        (*ok, 50.0, 50.0, np.inf, "non-finite checkpoint time"),
+        (*ok, 50.0, 50.0, np.nan, "non-finite checkpoint time"),
+        (*ok, np.inf, 50.0, 0.75, "L must be positive and finite"),
+        (*ok, 50.0, np.inf, 0.75, "v_max must be positive and finite"),
+        (-2, grid.Nv, 50.0, 50.0, 0.75, "Nx must be an even positive integer"),
+        (2**20, 2**20, 50.0, 50.0, 0.75, "truncated checkpoint payload"),
+        (2**31, 2**31, 50.0, 50.0, 0.75, "truncated checkpoint payload"),
     ]:
-        head = _HEADER.pack(CHECKPOINT_MAGIC, grid.Nx, grid.Nv, 3, L, v_max, time_stamp)
+        head = _HEADER.pack(CHECKPOINT_MAGIC, nx, nv, 3, L, v_max, time_stamp)
         path.write_bytes(head + payload)
         with pytest.raises(ValueError, match=message):
             read_checkpoint(path)
@@ -653,10 +664,40 @@ def test_accelerated_steady_march(kernel_calls):
     assert l1_distance(Field(after, cfg.grid), Field(f.values, cfg.grid)) / (window * dt) < 1e-5
 
 
+def test_anderson_mix_reads_the_ring_in_the_given_order(rng):
+    """The mixture depends on the slots only through ``order``: a wrapped
+    ring gives the same bits as the same ends stacked oldest first."""
+    slots = ANDERSON_DEPTH + 1
+    ends = rng.uniform(0.5, 2.0, size=(slots, 6, 5))
+    res = rng.normal(size=(slots, 6, 5))
+    for used in range(2, slots + 1):
+        for k in range(slots):
+            order = [(k - used + 1 + i) % slots for i in range(used)]
+            ring = _anderson_mix(ends, res, order, np.empty((6, 5)))
+            flat = _anderson_mix(ends[order], res[order], list(range(used)), np.empty((6, 5)))
+            np.testing.assert_array_equal(ring, flat)
+
+
+def test_anderson_mix_solves_an_affine_map_from_two_ends(rng):
+    """For G(x) = c x + b the residual is affine in x, so two ends on a
+    line through the fixed point x* mix to G(x*) = x*, up to the ridge."""
+    c, b = 0.9, rng.uniform(0.5, 1.5, size=(4, 3))
+    fixed = b / (1.0 - c)
+    d = rng.uniform(0.1, 0.3, size=b.shape)
+    starts = np.stack([fixed + d, fixed + 2.0 * d])
+    ends = c * starts + b
+    res = ends - starts
+    # oldest in slot 1, newest in slot 0
+    out = _anderson_mix(ends[::-1].copy(), res[::-1].copy(), [1, 0], np.empty(b.shape))
+    np.testing.assert_allclose(out, fixed, rtol=1e-9)
+
+
 def test_steady_state_exhaustion_names_the_windows():
     cfg, f0 = _small_steady_problem()
+    dt, _ = cfg.resolve_dt()
+    capped = dataclasses.replace(cfg, t_final=250 * dt, dt=dt)
     with pytest.raises(RuntimeError, match=r"within 250 steps \(3 windows\); last rate"):
-        steady_state_reference(cfg, tol_rate=1e-5, field0=f0, max_steps=250)
+        steady_state_reference(capped, tol_rate=1e-5, field0=f0)
 
 
 def test_run_refuses_a_state_it_would_not_continue_exactly():
