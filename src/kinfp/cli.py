@@ -6,11 +6,12 @@ input error (every ValueError or OSError a command raises ends there, with
 its message), 2 verification failure, 3 numerical abort.
 
 All real numbers in CSV output are written in scientific notation with 17
-significant digits so 64-bit values round-trip bit-faithfully.  Every run
-directory receives exactly one ``manifest.json`` naming each file the
-command produced (the manifest also records the config echo, the package
-version and the wall time; the data files themselves are deterministic for
-a fixed config).
+significant digits so 64-bit values round-trip bit-faithfully.  Each
+``cmd_*`` returns its exit code and the files it wrote (None when it made
+no directory); ``main`` times it and writes the one ``manifest.json``
+naming those files, with the config echo, the package version and the
+wall time (the data files are deterministic for a fixed config).  Inputs
+are checked by the config parser and the library functions that read them.
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA, ConfigError, RunConfig, parse_config
-from .diagnostics import (
-    density,
-    mass,
-    rate_fit,
-    reference_profile,
-)
+from .config import SCHEMA, RunConfig, parse_config
+from .diagnostics import density, mass, rate_fit, reference_profile
 from .grid import Field
 from .solver import (
     NumericalAbort,
@@ -42,13 +38,9 @@ from .solver import (
     steady_state_reference,
     write_checkpoint,
 )
-from .verify import find_certified_spec, scan_drift_inequality
+from .verify import EXP_SEARCH_GRID, POLY_SEARCH_GRID, find_certified_spec, scan_drift_inequality
 
 FMT = "%.16e"  # 17 significant digits
-
-# spec keys that ``verify-lyapunov --search`` chooses itself (delta only
-# under lyapunov.mode = exp; the config refuses it under poly)
-_SEARCHED_KEYS = ("lyapunov.eps", "lyapunov.a_exp", "lyapunov.b_exp", "lyapunov.delta")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -65,37 +57,44 @@ def _write_field_csv(path: Path, field: Field) -> None:
     _write_csv(path, "x,v,f", zip(xg, vg, field.values.ravel()))
 
 
-def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, t0: float):
+def _write_keys(path: Path, **values) -> None:
+    """One ``key = value`` line per keyword, each value in its str form."""
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+
+
+def _replace(path: Path, write) -> None:
+    """Write ``path`` whole or not at all: ``write(tmp)`` fills a temporary
+    file that then replaces ``path``, and a failed write leaves no temporary
+    file behind (no fsync: a power loss may still truncate ``path``)."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, wall_s: float):
     manifest = {
         "command": command,
         "version": __version__,
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.entries},
         "outputs": sorted(outputs),
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": wall_s,
     }
-    # written whole or not at all, as last_checkpoint.ckpt is
-    tmp = outdir / "manifest.json.tmp"
-    try:
+
+    def dump(tmp: Path) -> None:
         with open(tmp, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, outdir / "manifest.json")
-    finally:
-        tmp.unlink(missing_ok=True)
 
-
-def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    _replace(outdir / "manifest.json", dump)
 
 
 def _initial_field(cfg: RunConfig, grid) -> Field:
     if cfg["initial.preset"] == "file":
         field, _ = read_checkpoint(cfg["initial.file"])
-        if field.grid != grid:
-            raise ConfigError(
-                ["initial.file: checkpoint grid does not match the configured grid"]
-            )
-        return Field(field.values, grid, 0.0)
+        return Field(field.values, field.grid, 0.0)
     return default_initial_condition(grid)
 
 
@@ -105,15 +104,12 @@ def _reference_field(cfg: RunConfig, grid, params) -> Field | None:
         return None
     if source == "profile":
         return reference_profile(grid, params, cfg["diagnostics.delta"], normalize=True)
-    field, _ = read_checkpoint(cfg["diagnostics.reference_file"])
-    if field.grid != grid:
-        raise ConfigError(["diagnostics.reference_file: grid mismatch"])
-    return field
+    return read_checkpoint(cfg["diagnostics.reference_file"])[0]
 
 
-def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int:
-    """Run the solver; ``run`` refuses a resume state it would not continue exactly."""
-    t0 = time.time()
+def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> tuple[int, list]:
+    """Run the solver; ``run`` refuses a field, a reference or a resume
+    state it would not continue exactly."""
     params = cfg.model_params()
     solver_cfg = cfg.solver_config()
     grid = solver_cfg.grid
@@ -123,13 +119,10 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
     density_rows: list[tuple] = []
     distance_rows: list[tuple] = []
     reference = _reference_field(cfg, grid, params)
-    if resume:
-        field0, start_step = read_checkpoint(resume)
-    else:
-        field0, start_step = _initial_field(cfg, grid), 0
+    field0, start_step = read_checkpoint(resume) if resume else (_initial_field(cfg, grid), 0)
 
     # the output directory is made only once run has accepted the state:
-    # its first sink call or its return comes after the resume checks
+    # its first sink call or its return comes after its input checks
     def on_snapshot(field: Field, step: int):
         outdir.mkdir(parents=True, exist_ok=True)
         stem = f"snapshot_{step:08d}"
@@ -140,28 +133,19 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
             name = stem + ".ckpt"
             write_checkpoint(field, step, outdir / name)
         outputs.append(name)
-        # a process killed mid-write must not destroy the last good
-        # checkpoint (no fsync: a power loss may still truncate it)
-        tmp = outdir / "last_checkpoint.ckpt.tmp"
-        write_checkpoint(field, step, tmp)
-        os.replace(tmp, outdir / "last_checkpoint.ckpt")
+        # a process killed mid-write must not destroy the last good checkpoint
+        _replace(outdir / "last_checkpoint.ckpt", lambda tmp: write_checkpoint(field, step, tmp))
         rho = density(field)
         density_rows.extend(
             (field.time_stamp, x, r) for x, r in zip(grid.x_centers, rho)
         )
 
     def on_diagnostics(rec):
-        diag_rows.append(
-            (
-                rec.time,
-                rec.mass,
-                rec.min_value,
-                rec.max_value,
-                rec.l1_distance_to_reference if rec.l1_distance_to_reference is not None else np.nan,
-            )
-        )
-        if rec.l1_distance_to_reference is not None:
-            distance_rows.append((rec.time, rec.l1_distance_to_reference))
+        dist = rec.l1_distance_to_reference
+        row = (rec.time, rec.mass, rec.min_value, rec.max_value)
+        diag_rows.append(row + (np.nan if dist is None else dist,))
+        if dist is not None:
+            distance_rows.append((rec.time, dist))
 
     sinks = Sinks(snapshot=on_snapshot, diagnostics=on_diagnostics, reference=reference)
     final = None
@@ -182,50 +166,42 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> int
         if rows:
             _write_csv(outdir / name, header, rows)
             outputs.append(name)
-    _write_manifest(outdir, "simulate", cfg, outputs, t0)
     if final is None:
-        return 3
+        return 3, outputs
     print(f"simulate: t={final.time_stamp:g} mass={mass(final):.12g} -> {outdir}")
-    return 0
+    return 0, outputs
 
 
-def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> int:
-    t0 = time.time()
+def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> tuple[int, list]:
     params = cfg.model_params()
     scan_cfg = cfg.scan_config()
     if search:
-        chosen = [key for key in _SEARCHED_KEYS if cfg[key] != SCHEMA[key][1]]
+        exp = cfg["lyapunov.mode"] == "exp"
+        keys = [f"lyapunov.{name}" for name in (EXP_SEARCH_GRID if exp else POLY_SEARCH_GRID)]
+        chosen = [key for key in keys if cfg[key] != SCHEMA[key][1]]
         if chosen:
             raise ValueError(
                 f"--search chooses {', '.join(chosen)} itself; leave them at their defaults"
             )
-    if not search:
-        report = scan_drift_inequality(params, cfg.lyapunov_spec(), scan_cfg)
-    elif cfg["lyapunov.mode"] == "exp":
-        _, report = find_certified_spec(
-            params, scan_cfg, theta=cfg["lyapunov.theta"], ell=cfg["lyapunov.ell"]
-        )
+        weight = {"theta": cfg["lyapunov.theta"]} if exp else {"k": cfg["lyapunov.k"]}
+        _, report = find_certified_spec(params, scan_cfg, ell=cfg["lyapunov.ell"], **weight)
     else:
-        _, report = find_certified_spec(
-            params, scan_cfg, ell=cfg["lyapunov.ell"], k=cfg["lyapunov.k"]
-        )
+        report = scan_drift_inequality(params, cfg.lyapunov_spec(), scan_cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"passed = {report.passed}",
-        f"chosen_R = {report.chosen_R!r}",
-        f"chosen_C = {report.chosen_C!r}",
-        f"min_margin_outside = {report.min_margin_outside!r}",
-        f"worst_point = {report.worst_point!r}",
-        f"spec = {report.spec_echo!r}",
-    ]
-    (outdir / "certificate.txt").write_text("\n".join(lines) + "\n")
-    _write_manifest(outdir, "verify-lyapunov", cfg, ["certificate.txt"], t0)
+    _write_keys(
+        outdir / "certificate.txt",
+        passed=report.passed,
+        chosen_R=report.chosen_R,
+        chosen_C=report.chosen_C,
+        min_margin_outside=report.min_margin_outside,
+        worst_point=report.worst_point,
+        spec=report.spec_echo,
+    )
     print(report.summary())
-    return 0 if report.passed else 2
+    return 0 if report.passed else 2, ["certificate.txt"]
 
 
-def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> int:
-    t0 = time.time()
+def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> tuple[int, list]:
     rows = []
     with open(series_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -251,29 +227,27 @@ def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> int:
         t_burn=t.min() + cfg["diagnostics.rate_burn_fraction"] * span,
     )
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"mode = {fit.mode}",
-        f"theta = {fit.theta!r}",
-        f"fitted = {fit.fitted!r}",
-        f"window = {fit.window!r}",
-        f"residual_rms = {fit.residual_rms!r}",
-    ]
-    (outdir / "rate_fit.txt").write_text("\n".join(lines) + "\n")
-    _write_manifest(outdir, "fit-rate", cfg, ["rate_fit.txt"], t0)
+    _write_keys(
+        outdir / "rate_fit.txt",
+        mode=fit.mode,
+        theta=fit.theta,
+        fitted=fit.fitted,
+        window=fit.window,
+        residual_rms=fit.residual_rms,
+    )
     label = "lambda" if mode == "exp" else "k"
     print(f"fit-rate: {label}={fit.fitted:.6g} residual_rms={fit.residual_rms:.3g}")
-    return 0
+    return 0, ["rate_fit.txt"]
 
 
-def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> int:
-    t0 = time.time()
+def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> tuple[int, list | None]:
     solver_cfg = cfg.solver_config()
     field0 = _initial_field(cfg, solver_cfg.grid)
     try:
         ref = steady_state_reference(solver_cfg, tol_rate=tol_rate, field0=field0)
-    except (RuntimeError, NumericalAbort) as exc:
+    except RuntimeError as exc:  # NumericalAbort is one
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3, None
     outdir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ref, 0, outdir / "steady_state.ckpt")
     _write_csv(
@@ -281,37 +255,26 @@ def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> int:
         "x,rho",
         zip(solver_cfg.grid.x_centers, density(ref)),
     )
-    _write_manifest(
-        outdir, "steady-state", cfg, ["steady_state.ckpt", "steady_density.csv"], t0
-    )
-    # every window but the last marches the full cadence
+    # field0 starts at t = 0, and every window but the last marches the full cadence
     dt = solver_cfg.resolve_dt()[0]
-    steps = round((ref.time_stamp - field0.time_stamp) / dt)
+    steps = round(ref.time_stamp / dt)
     windows = -(-steps // solver_cfg.diagnostics_cadence)
     print(
         f"steady-state: frozen at t={ref.time_stamp:g} after {windows} windows "
         f"({steps} steps), mass={mass(ref):.12g}"
     )
-    return 0
+    return 0, ["steady_state.ckpt", "steady_density.csv"]
 
 
-def cmd_export_reference(cfg: RunConfig, outdir: Path) -> int:
-    t0 = time.time()
+def cmd_export_reference(cfg: RunConfig, outdir: Path) -> tuple[int, list]:
     params = cfg.model_params()
     grid = cfg.phase_grid()
     ref = reference_profile(grid, params, cfg["diagnostics.delta"], normalize=True)
     outdir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ref, 0, outdir / "reference_profile.ckpt")
     _write_field_csv(outdir / "reference_profile.csv", ref)
-    _write_manifest(
-        outdir,
-        "export-reference",
-        cfg,
-        ["reference_profile.ckpt", "reference_profile.csv"],
-        t0,
-    )
     print(f"export-reference: delta={cfg['diagnostics.delta']:g} -> {outdir}")
-    return 0
+    return 0, ["reference_profile.ckpt", "reference_profile.csv"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,17 +317,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = parse_config(Path(args.config).read_text())
         outdir = Path(args.output) if args.output else Path(cfg["output.dir"])
+        t0 = time.time()
         if args.command == "simulate":
-            return cmd_simulate(cfg, outdir, resume=args.resume)
-        if args.command == "verify-lyapunov":
-            return cmd_verify_lyapunov(cfg, outdir, search=args.search)
-        if args.command == "fit-rate":
-            return cmd_fit_rate(cfg, args.series, outdir)
-        if args.command == "steady-state":
-            return cmd_steady_state(cfg, outdir, tol_rate=args.tol_rate)
-        return cmd_export_reference(cfg, outdir)
+            code, outputs = cmd_simulate(cfg, outdir, resume=args.resume)
+        elif args.command == "verify-lyapunov":
+            code, outputs = cmd_verify_lyapunov(cfg, outdir, search=args.search)
+        elif args.command == "fit-rate":
+            code, outputs = cmd_fit_rate(cfg, args.series, outdir)
+        elif args.command == "steady-state":
+            code, outputs = cmd_steady_state(cfg, outdir, tol_rate=args.tol_rate)
+        else:
+            code, outputs = cmd_export_reference(cfg, outdir)
+        if outputs is not None:
+            _write_manifest(outdir, args.command, cfg, outputs, time.time() - t0)
+        return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,16 +17,20 @@ it keeps its default.
 Every key is validated at parse time, for every command, by the object
 that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
 ``LyapunovSpec`` (with its weight mode) and ``ScanConfig``, built through
-the typed views of ``RunConfig``.  So ``model.gamma`` needs only gamma > 0,
-the range where the equilibrium has finite mass and the solver is defined;
-the drift certifier itself refuses a poly model unless 3/2 < ell <
-1 + gamma/2, which excludes gamma <= 1.
+the typed views of ``RunConfig``, or by the check that the function
+reading it runs: ``reference_profile``'s on ``diagnostics.delta``,
+``rate_fit``'s on ``diagnostics.rate_theta`` (under ``rate_mode = exp``).
+So ``model.gamma`` needs only gamma > 0, the range where the equilibrium
+has finite mass and the solver is defined; the drift certifier itself
+refuses a poly model unless 3/2 < ell < 1 + gamma/2, which excludes
+gamma <= 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagnostics import check_delta, check_rate_theta
 from .grid import PhaseGrid
 from .model import ExpWeight, LyapunovSpec, ModelParams, PolyWeight
 from .solver import SolverConfig
@@ -215,9 +219,9 @@ def parse_config(text: str) -> RunConfig:
 
     This module checks only the file itself: syntax, known keys, choice
     values and keys that another key's value requires or ignores.  Each
-    numeric rule lives in the object that uses the value, so the typed views
-    are built here and their ValueErrors collected; the solver config is
-    built once its model and grid are valid.
+    numeric rule lives where the value is used, so the typed views are
+    built and the diagnostics checks run here, their ValueErrors collected;
+    the solver config is built once its model and grid are valid.
     """
     violations: list[str] = []
     raw = _parse_lines(text, violations)
@@ -272,6 +276,10 @@ def parse_config(text: str) -> RunConfig:
         builds("time", cfg.solver_config)
     builds("lyapunov", cfg.lyapunov_spec)
     builds("lyapunov", cfg.scan_config)
+    builds("diagnostics.delta", lambda: check_delta(values["diagnostics.delta"]))
+    if values["diagnostics.rate_mode"] == "exp":
+        theta = values["diagnostics.rate_theta"]
+        builds("diagnostics.rate_theta", lambda: check_rate_theta(theta))
     if violations:
         raise ConfigError(violations)
     return cfg

@@ -23,6 +23,8 @@ __all__ = [
     "mass",
     "density",
     "l1_distance",
+    "check_delta",
+    "check_rate_theta",
     "reference_profile",
     "energy_scatter",
     "tail_comparison",
@@ -94,23 +96,38 @@ def l1_distance(f: Field, g: Field, weight: np.ndarray | None = None) -> float:
     return float(diff.sum() * f.grid.cell_volume)
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a profile decay rate that is not nonnegative and finite."""
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
+
+
+def check_rate_theta(theta: float | None) -> None:
+    """Refuse an exp-mode decay exponent outside (0, 1]."""
+    if theta is None or not 0.0 < theta <= 1.0:
+        raise ValueError(f"exp mode needs theta in (0, 1], got {theta}")
+
+
 def reference_profile(
     grid: PhaseGrid, params: ModelParams, delta: float, normalize: bool = False
 ) -> Field:
     """Energy profile exp(-delta E^(beta/2)) sampled at cell centers.
 
     This is the closed-form stand-in for the (non-explicit) steady state of
-    the sub-exponential model; optionally normalised to unit mass.
+    the sub-exponential model; optionally normalised to unit mass, which a
+    delta large enough to underflow every cell to 0 leaves undefined.
     """
     if params.kind != "exp":
         raise ValueError("the energy reference profile needs an exp equilibrium")
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     e = energy(grid.x_centers[:, None], grid.v_centers, params)
     vals = np.exp(-delta * e ** (params.beta / 2.0))
     f = Field(vals, grid, 0.0)
     if normalize:
-        f.values /= mass(f)
+        total = mass(f)
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"profile mass {total} at delta = {delta} cannot be normalised")
+        f.values /= total
     return f
 
 
@@ -228,8 +245,7 @@ def rate_fit(
     if t.size < 8:
         raise ValueError(f"need at least 8 samples after burn-in, got {t.size}")
     if mode == "exp":
-        if theta is None or not 0.0 < theta <= 1.0:
-            raise ValueError("exp mode needs theta in (0, 1]")
+        check_rate_theta(theta)
         s = t**theta
     elif mode == "poly":
         s = np.log1p(t)

@@ -4,8 +4,7 @@ A symmetric time step evaluates the transport kernel four times and the
 velocity kernel twice (a step inside a fused segment evaluates transport
 twice), and a run takes hundreds of thousands of steps.  Both kernels
 write their result into ``out`` and keep every intermediate in a
-``Workspace`` allocated once per grid shape, so a warmed-up call allocates
-no array.  Without a workspace argument a call builds a throwaway one.
+``Workspace`` allocated once per grid shape, so a call allocates no array.
 
 Transport kernel: second-order flux for the row-wise linear advection with
 speed v_m, minmod-limited reconstruction, upwinded by the sign of the
@@ -76,7 +75,7 @@ def flat_faces(coef: np.ndarray) -> np.ndarray:
     return padded.reshape(-1)[:-1]
 
 
-def transport_rhs_kernel(values, v_centers, dx, out=None, work=None):
+def transport_rhs_kernel(values, v_centers, dx, out, work):
     """Advection increment d f/dt = -v df/dx, conservative flux-difference form.
 
     ``v_centers`` must be ascending.  Row f of the face arrays is the face
@@ -86,10 +85,6 @@ def transport_rhs_kernel(values, v_centers, dx, out=None, work=None):
     cells x_{-2}, x_{-1}, x_{Nx}, x_{Nx+1} are views of the mirrored rows.
     """
     nx, nv = values.shape
-    if out is None:
-        out = np.empty_like(values)
-    if work is None:
-        work = Workspace(values.shape)
     neg = slice(0, int(np.searchsorted(v_centers, 0.0)))
     pos = slice(neg.stop, nv)
     g0, g1 = values[1, ::-1], values[0, ::-1]
@@ -125,7 +120,7 @@ def transport_rhs_kernel(values, v_centers, dx, out=None, work=None):
     return out
 
 
-def velocity_rhs_kernel(values, cp, cm, dv, out=None, work=None):
+def velocity_rhs_kernel(values, cp, cm, dv, out, work):
     """Drift-diffusion increment per column from precomputed face coefficients.
 
     ``cp`` and ``cm`` are the ``flat_faces`` layout of the per-column
@@ -133,10 +128,6 @@ def velocity_rhs_kernel(values, cp, cm, dv, out=None, work=None):
     the flux cp[k] f[k+1] + cm[k] f[k] of the raveled field; ``out`` holds
     the cm term before it holds the flux differences.
     """
-    if out is None:
-        out = np.empty_like(values)
-    if work is None:
-        work = Workspace(values.shape)
     nv = values.shape[1]
     f = values.reshape(-1)
     o = np.reshape(out, -1, copy=False)

@@ -319,6 +319,11 @@ def fuses_transport(grid: PhaseGrid, dt: float) -> bool:
     return grid.v_max * dt / grid.dx <= 0.5
 
 
+def _check_grid(field: Field, config: SolverConfig, what: str) -> None:
+    if field.grid != config.grid:
+        raise ValueError(f"{what} lives on {field.grid}, not on the configured {config.grid}")
+
+
 def _emit(sinks: Sinks, field: Field, step: int, snapshot=True, diagnostics=True):
     """Hand ``field`` to the sinks that are set and due at this step."""
     if snapshot and sinks.snapshot is not None:
@@ -354,15 +359,17 @@ def run(
     (at O(dt^2)), and a resumed run continues bit-identically when
     ``start_step`` ends a segment of the same config: the state, the step
     size and the step counter then fully determine every later operation.
-    A ``field0`` whose time is not ``start_step`` x dt, or a ``start_step``
-    inside a fused segment, is refused with ValueError.  Non-finite values
-    abort with the offending step index.
+    A ``field0`` or ``sinks.reference`` on another grid, a ``field0`` whose
+    time is not ``start_step`` x dt, or a ``start_step`` inside a fused
+    segment, is refused with ValueError before the first emission.
+    Non-finite values abort with the offending step index.
     """
     sinks = sinks or Sinks()
     if field0 is None:
         field0 = default_initial_condition(config.grid)
-    if field0.grid != config.grid:
-        raise ValueError("initial field does not live on the configured grid")
+    _check_grid(field0, config, "initial field")
+    if sinks.reference is not None:
+        _check_grid(sinks.reference, config, "reference field")
     dt, n_steps = config.resolve_dt()
     expected = start_step * dt
     if not math.isclose(field0.time_stamp, expected, rel_tol=1e-12):
@@ -480,15 +487,18 @@ def steady_state_reference(
     the result is a marched window's end, and its time stamp is field0's
     plus the steps marched, so it counts steps and is not a solution time.
     config.t_final caps the steps marched, and exhausting it raises with
-    the window count and the last rate.
+    the window count and the last rate.  A ``tol_rate`` that is not
+    positive and finite, or a ``field0`` on another grid, is refused with
+    ValueError.
     """
     # bound per call: perfbench counts a solve's windows by wrapped l1_distance calls
     from .diagnostics import l1_distance
 
-    if tol_rate <= 0.0:
-        raise ValueError("tol_rate must be positive")
+    if not 0.0 < tol_rate < np.inf:
+        raise ValueError(f"tol_rate must be positive and finite, got {tol_rate}")
     if field0 is None:
         field0 = default_initial_condition(config.grid)
+    _check_grid(field0, config, "initial field")
     dt, n_steps = config.resolve_dt()
     window = config.diagnostics_cadence
     grid = config.grid

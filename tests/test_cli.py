@@ -381,12 +381,18 @@ def test_poly_gamma_below_one_simulates_but_is_not_certified(tmp_path, capsys):
         ("export-reference", POLY_RUN, []),
         ("export-reference", SMALL_RUN + "diagnostics.delta = -1\n", []),
         ("export-reference", SMALL_RUN + "diagnostics.delta = nan\n", []),
+        ("export-reference", SMALL_RUN + "diagnostics.delta = inf\n", []),
+        ("export-reference", SMALL_RUN + "diagnostics.delta = 1e6\n", []),
         ("steady-state", SMALL_RUN, ["--tol-rate", "-1"]),
+        ("steady-state", SMALL_RUN, ["--tol-rate", "0"]),
+        ("steady-state", SMALL_RUN, ["--tol-rate", "nan"]),
+        ("steady-state", SMALL_RUN, ["--tol-rate", "inf"]),
         ("simulate", SMALL_RUN.replace("grid.v_max = 20", "grid.v_max = inf"), []),
     ],
     ids=[
         "simulate-poly-profile", "export-poly", "export-delta-neg", "export-delta-nan",
-        "steady-tol", "simulate-vmax-inf",
+        "export-delta-inf", "export-delta-underflow", "steady-tol", "steady-tol-zero",
+        "steady-tol-nan", "steady-tol-inf", "simulate-vmax-inf",
     ],
 )
 def test_command_value_errors_exit_one(tmp_path, capsys, command, text, flags):
@@ -420,3 +426,97 @@ def test_manifest_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
         main(argv)
     assert (out / "manifest.json").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == files
+
+
+@pytest.mark.parametrize("source", ["simulate-initial", "steady-initial", "reference", "resume"])
+def test_field_from_another_box_exits_one(tmp_path, capsys, source):
+    """A checkpoint of the configured shape from a box of another L is
+    refused by the solver before anything is written: exit 1, no directory."""
+    from kinfp import build_grid
+    from kinfp.solver import default_initial_condition, write_checkpoint
+
+    ck = tmp_path / "other.ckpt"
+    write_checkpoint(default_initial_condition(build_grid(40.0, 20.0, 32, 32)), 0, ck)
+    initial = f"initial.preset = file\ninitial.file = {ck}\n"
+    command, extra, flags = {
+        "simulate-initial": ("simulate", initial, []),
+        "steady-initial": ("steady-state", initial, ["--tol-rate", "1e300"]),
+        "reference": (
+            "simulate", f"diagnostics.reference = file\ndiagnostics.reference_file = {ck}\n", []
+        ),
+        "resume": ("simulate", "", ["--resume", str(ck)]),
+    }[source]
+    out = tmp_path / "o"
+    argv = [command, "--config", _write(tmp_path, SMALL_RUN + extra), "--output", str(out), *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "L=40.0" in err and "not on the configured" in err
+    assert not out.exists()
+
+
+def test_last_checkpoint_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
+    """A last_checkpoint.ckpt write that fails part way keeps the previous
+    checkpoint and leaves no temporary file."""
+    import kinfp.cli as cli
+
+    write = cli.write_checkpoint
+
+    def interrupted(field, step, path):
+        if Path(path).name == "last_checkpoint.ckpt.tmp" and step > 0:
+            Path(path).write_bytes(b"KINFP")
+            raise OSError("interrupted")
+        write(field, step, path)
+
+    monkeypatch.setattr(cli, "write_checkpoint", interrupted)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, SMALL_RUN), "--output", str(out)]) == 1
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["last_checkpoint.ckpt", "snapshot_00000000.csv", "snapshot_00000008.csv"]
+    assert read_checkpoint(out / "last_checkpoint.ckpt")[1] == 0
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("simulate-abort", 3), ("verify-lyapunov", 0), ("verify-fail", 2), ("fit-rate", 0),
+        ("steady-state", 0), ("export-reference", 0),
+    ],
+)
+def test_manifest_lists_exactly_the_files_written(tmp_path, command, code):
+    """main writes the one manifest after every exit that made a directory,
+    and it names every other file there."""
+    from kinfp import build_grid
+    from kinfp.grid import Field
+    from kinfp.solver import write_checkpoint
+
+    series = tmp_path / "series.csv"
+    t = np.linspace(0.0, 40.0, 50)
+    series.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, np.exp(-t**0.5))))
+    bad = tmp_path / "bad.ckpt"
+    write_checkpoint(Field(np.full((32, 32), np.nan), build_grid(20.0, 20.0, 32, 32), 0.0), 0, bad)
+    text, argv = {
+        "simulate-abort": (
+            SMALL_RUN + f"initial.preset = file\ninitial.file = {bad}\n", ["simulate"]
+        ),
+        "verify-lyapunov": (VERIFY_PASS, ["verify-lyapunov"]),
+        "verify-fail": (
+            VERIFY_PASS.replace("lyapunov.eps = 0.2", "lyapunov.eps = 0.0"), ["verify-lyapunov"]
+        ),
+        "fit-rate": (MINIMAL, ["fit-rate", "--series", str(series)]),
+        "steady-state": (SMALL_RUN, ["steady-state", "--tol-rate", "1e300"]),
+        "export-reference": (SMALL_RUN, ["export-reference"]),
+    }[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--config", _write(tmp_path, text), "--output", str(out)]) == code
+    man = _manifest(out)
+    assert man["command"] == argv[0]
+    assert man["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+def test_steady_state_that_is_not_reached_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["steady-state", "--config", _write(tmp_path, SMALL_RUN), "--output", str(out),
+            "--tol-rate", "1e-14"]
+    assert main(argv) == 3
+    assert "steady state not reached" in capsys.readouterr().err
+    assert not out.exists()

@@ -163,6 +163,33 @@ def test_infinite_box_and_horizon_rejected_at_parse_time(line, message):
         parse_config(MINIMAL + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("diagnostics.delta", "-2"),
+        ("diagnostics.delta", "inf"),
+        ("diagnostics.delta", "nan"),
+        ("diagnostics.rate_theta", "5"),
+        ("diagnostics.rate_theta", "0"),
+        ("diagnostics.rate_theta", "nan"),
+    ],
+)
+def test_diagnostics_values_rejected_at_parse_time(key, value):
+    """The checks that reference_profile and rate_fit run on their inputs
+    refuse the values when the config is parsed, for every command."""
+    rule = {
+        "diagnostics.delta": "delta must be nonnegative and finite",
+        "diagnostics.rate_theta": r"exp mode needs theta in \(0, 1\]",
+    }[key]
+    with pytest.raises(ConfigError, match=f"{key}: {rule}"):
+        parse_config(MINIMAL + f"{key} = {value}\n")
+
+
+def test_diagnostics_values_at_the_range_edges_parse():
+    cfg = parse_config(MINIMAL + "diagnostics.delta = 0\ndiagnostics.rate_theta = 1\n")
+    assert cfg["diagnostics.delta"] == 0.0 and cfg["diagnostics.rate_theta"] == 1.0
+
+
 @pytest.mark.parametrize("fraction", [-3.0, -1e-9, 1.0, 2.0])
 def test_rate_burn_fraction_outside_unit_interval_rejected(fraction):
     with pytest.raises(ConfigError, match="rate_burn_fraction"):

@@ -117,6 +117,23 @@ def test_reference_profile_values(desk):
         reference_profile(grid, ModelParams(alpha=2.0, kind="poly", gamma=2.0), 1.0)
 
 
+@pytest.mark.parametrize("delta", [-2.0, np.inf, np.nan])
+def test_reference_profile_refuses_delta_outside_its_range(desk, delta):
+    params, grid = desk
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+        reference_profile(grid, params, delta)
+
+
+@pytest.mark.parametrize("delta", [1e3, 1e6])
+def test_reference_profile_refuses_to_normalise_an_underflowed_profile(desk, delta):
+    """A delta large enough to underflow every cell leaves no mass to
+    divide by; the unnormalised profile is still all zeros."""
+    params, grid = desk
+    assert np.all(reference_profile(grid, params, delta).values == 0.0)
+    with pytest.raises(ValueError, match="cannot be normalised"):
+        reference_profile(grid, params, delta, normalize=True)
+
+
 def test_energy_scatter_pure_energy_function_has_tiny_dispersion(desk):
     params, grid = desk
     ref = reference_profile(grid, params, delta=1.15, normalize=True)

@@ -40,6 +40,12 @@ def desk():
     return params, grid
 
 
+def scratch(grid):
+    """A kernel's ``out`` and ``work`` arguments for one field on ``grid``."""
+    shape = (grid.Nx, grid.Nv)
+    return np.empty(shape), kernels.Workspace(shape)
+
+
 # ---------------------------------------------------------------- grid
 
 
@@ -115,14 +121,14 @@ def test_cfl_production_configuration():
 def test_transport_constant_field_zero_increment(desk):
     _, grid = desk
     f = Field(np.full((grid.Nx, grid.Nv), 0.37), grid)
-    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx)
+    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx, *scratch(grid))
     assert np.all(r == 0.0)
 
 
 def test_transport_specular_increment_sums_to_zero(desk, rng):
     _, grid = desk
     f = Field(rng.random((grid.Nx, grid.Nv)), grid)
-    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx)
+    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx, *scratch(grid))
     assert abs(r.sum()) <= 1e-13 * np.abs(r).sum()
 
 
@@ -224,7 +230,7 @@ def test_velocity_equilibrium_zero_increment(desk):
     params, grid = desk
     g = column_equilibria(grid, params)
     cp, cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
-    r = kernels.velocity_rhs_kernel(g, cp, cm, grid.dv)
+    r = kernels.velocity_rhs_kernel(g, cp, cm, grid.dv, *scratch(grid))
     assert np.abs(r).max() <= 1e-12 * g.max() / grid.dv**2
 
 
@@ -232,7 +238,7 @@ def test_velocity_column_mass_conserved(desk, rng):
     params, grid = desk
     f = Field(rng.random((grid.Nx, grid.Nv)), grid)
     cp, cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
-    r = kernels.velocity_rhs_kernel(f.values, cp, cm, grid.dv)
+    r = kernels.velocity_rhs_kernel(f.values, cp, cm, grid.dv, *scratch(grid))
     col = r.sum(axis=1)
     assert np.abs(col).max() <= 1e-13 * np.abs(r).sum(axis=1).max()
 
@@ -712,3 +718,36 @@ def test_run_refuses_a_state_it_would_not_continue_exactly():
     with pytest.raises(ValueError, match="resume step 7"):
         run(cfg, Field(values, cfg.grid, 7 * dt), start_step=7)
     run(cfg, Field(values, cfg.grid, 5 * dt), start_step=5)  # a snapshot step
+
+
+def test_run_refuses_a_field_or_reference_from_another_box():
+    """A field of the configured shape from a box of another L is refused,
+    as the initial field or as the reference, before the first emission."""
+    cfg = _desk_config(t_final=0.1)
+    g = cfg.grid
+    other = default_initial_condition(build_grid(2.0 * g.L, g.v_max, g.Nx, g.Nv))
+    emitted = []
+    sinks = Sinks(snapshot=lambda f, step: emitted.append(step), diagnostics=emitted.append)
+    with pytest.raises(ValueError, match="initial field lives on .*not on the configured"):
+        run(cfg, other, sinks)
+    sinks.reference = other
+    with pytest.raises(ValueError, match="reference field lives on .*not on the configured"):
+        run(cfg, None, sinks)
+    assert emitted == []
+
+
+def test_steady_state_refuses_a_field_from_another_box():
+    """The 16^2 field of an L = 20 box is not marched as if it lay on an
+    L = 10 box of the same shape (a tolerance that accepts any window
+    would return it relabelled)."""
+    cfg, f0 = _small_steady_problem()
+    smaller = dataclasses.replace(cfg, grid=build_grid(10.0, 20.0, 16, 16))
+    with pytest.raises(ValueError, match="initial field lives on .*not on the configured"):
+        steady_state_reference(smaller, tol_rate=1e300, field0=f0)
+
+
+@pytest.mark.parametrize("tol_rate", [0.0, -1.0, np.inf, np.nan])
+def test_steady_state_refuses_a_tolerance_that_is_not_positive_and_finite(tol_rate):
+    cfg, f0 = _small_steady_problem()
+    with pytest.raises(ValueError, match="tol_rate must be positive and finite"):
+        steady_state_reference(cfg, tol_rate=tol_rate, field0=f0)
