@@ -45,8 +45,6 @@ from .diagnostics import (
 from .verify import (
     CertificateReport,
     ScanConfig,
-    apply_Lstar_fd,
-    apply_Lstar_fd_richardson,
     find_certified_spec,
     scan_drift_inequality,
 )

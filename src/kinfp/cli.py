@@ -7,11 +7,15 @@ its message), 2 verification failure, 3 numerical abort.
 
 All real numbers in CSV output are written in scientific notation with 17
 significant digits so 64-bit values round-trip bit-faithfully.  Each
-``cmd_*`` returns its exit code and the files it wrote (None when it made
-no directory); ``main`` times it and writes the one ``manifest.json``
-naming those files, with the config echo, the package version and the
-wall time (the data files are deterministic for a fixed config).  Inputs
-are checked by the config parser and the library functions that read them.
+``cmd_*`` appends every file it writes to the list it is given, as soon
+as the file is written, and returns its exit code with a one-line reason.
+Once the output directory exists, ``main`` times the command and writes
+the one ``manifest.json`` naming those files, with the exit code and
+reason, the config echo, the package version and the wall time (the data
+files are deterministic for a fixed config); a command that fails with
+an OSError or ValueError after writing a file gets its manifest too.
+Inputs are checked by the config parser and the library functions that
+read them.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ from .solver import (
     steady_state_reference,
     write_checkpoint,
 )
-from .verify import EXP_SEARCH_GRID, POLY_SEARCH_GRID, find_certified_spec, scan_drift_inequality
+from .verify import (
+    EXP_SEARCH_GRID,
+    POLY_SEARCH_GRID,
+    check_weight_mode,
+    find_certified_spec,
+    scan_drift_inequality,
+)
 
 FMT = "%.16e"  # 17 significant digits
 
@@ -74,12 +84,15 @@ def _replace(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, wall_s: float):
+def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, code: int,
+                    reason: str, wall_s: float):
     manifest = {
         "command": command,
         "version": __version__,
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.entries},
         "outputs": sorted(outputs),
+        "exit_code": code,
+        "exit_reason": reason,
         "wall_time_s": wall_s,
     }
 
@@ -107,13 +120,14 @@ def _reference_field(cfg: RunConfig, grid, params) -> Field | None:
     return read_checkpoint(cfg["diagnostics.reference_file"])[0]
 
 
-def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> tuple[int, list]:
+def cmd_simulate(
+    cfg: RunConfig, outdir: Path, outputs: list, resume: str | None = None
+) -> tuple[int, str]:
     """Run the solver; ``run`` refuses a field, a reference or a resume
     state it would not continue exactly."""
     params = cfg.model_params()
     solver_cfg = cfg.solver_config()
     grid = solver_cfg.grid
-    outputs: list[str] = []
     snap_fmt = cfg["output.snapshot_format"]
     diag_rows: list[tuple] = []
     density_rows: list[tuple] = []
@@ -135,6 +149,8 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> tup
         outputs.append(name)
         # a process killed mid-write must not destroy the last good checkpoint
         _replace(outdir / "last_checkpoint.ckpt", lambda tmp: write_checkpoint(field, step, tmp))
+        if "last_checkpoint.ckpt" not in outputs:
+            outputs.append("last_checkpoint.ckpt")
         rho = density(field)
         density_rows.extend(
             (field.time_stamp, x, r) for x, r in zip(grid.x_centers, rho)
@@ -152,12 +168,11 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> tup
     try:
         final = run(solver_cfg, field0, sinks, start_step=start_step)
     except NumericalAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
+        abort = f"numerical abort: {exc}"
+        print(abort, file=sys.stderr)
 
     # an aborted run keeps every row it collected before the abort
     outdir.mkdir(parents=True, exist_ok=True)
-    if (outdir / "last_checkpoint.ckpt").exists():
-        outputs.append("last_checkpoint.ckpt")
     for name, header, rows in (
         ("diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows),
         ("density_series.csv", "t,x,rho", density_rows),
@@ -167,15 +182,19 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, resume: str | None = None) -> tup
             _write_csv(outdir / name, header, rows)
             outputs.append(name)
     if final is None:
-        return 3, outputs
+        return 3, abort
     print(f"simulate: t={final.time_stamp:g} mass={mass(final):.12g} -> {outdir}")
-    return 0, outputs
+    return 0, "completed"
 
 
-def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> tuple[int, list]:
+def cmd_verify_lyapunov(
+    cfg: RunConfig, outdir: Path, outputs: list, search: bool = False
+) -> tuple[int, str]:
     params = cfg.model_params()
     scan_cfg = cfg.scan_config()
     if search:
+        # the search reads theta or k, and ell, as the configured weight mode does
+        check_weight_mode(params, cfg.lyapunov_spec())
         exp = cfg["lyapunov.mode"] == "exp"
         keys = [f"lyapunov.{name}" for name in (EXP_SEARCH_GRID if exp else POLY_SEARCH_GRID)]
         chosen = [key for key in keys if cfg[key] != SCHEMA[key][1]]
@@ -197,11 +216,12 @@ def cmd_verify_lyapunov(cfg: RunConfig, outdir: Path, search: bool = False) -> t
         worst_point=report.worst_point,
         spec=report.spec_echo,
     )
+    outputs.append("certificate.txt")
     print(report.summary())
-    return 0 if report.passed else 2, ["certificate.txt"]
+    return 0 if report.passed else 2, report.summary()
 
 
-def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> tuple[int, list]:
+def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path, outputs: list) -> tuple[int, str]:
     rows = []
     with open(series_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -235,26 +255,31 @@ def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path) -> tuple[int, l
         window=fit.window,
         residual_rms=fit.residual_rms,
     )
+    outputs.append("rate_fit.txt")
     label = "lambda" if mode == "exp" else "k"
     print(f"fit-rate: {label}={fit.fitted:.6g} residual_rms={fit.residual_rms:.3g}")
-    return 0, ["rate_fit.txt"]
+    return 0, "completed"
 
 
-def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> tuple[int, list | None]:
+def cmd_steady_state(
+    cfg: RunConfig, outdir: Path, outputs: list, tol_rate: float
+) -> tuple[int, str]:
     solver_cfg = cfg.solver_config()
     field0 = _initial_field(cfg, solver_cfg.grid)
     try:
         ref = steady_state_reference(solver_cfg, tol_rate=tol_rate, field0=field0)
     except RuntimeError as exc:  # NumericalAbort is one
         print(f"error: {exc}", file=sys.stderr)
-        return 3, None
+        return 3, str(exc)
     outdir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ref, 0, outdir / "steady_state.ckpt")
+    outputs.append("steady_state.ckpt")
     _write_csv(
         outdir / "steady_density.csv",
         "x,rho",
         zip(solver_cfg.grid.x_centers, density(ref)),
     )
+    outputs.append("steady_density.csv")
     # field0 starts at t = 0, and every window but the last marches the full cadence
     dt = solver_cfg.resolve_dt()[0]
     steps = round(ref.time_stamp / dt)
@@ -263,18 +288,20 @@ def cmd_steady_state(cfg: RunConfig, outdir: Path, tol_rate: float) -> tuple[int
         f"steady-state: frozen at t={ref.time_stamp:g} after {windows} windows "
         f"({steps} steps), mass={mass(ref):.12g}"
     )
-    return 0, ["steady_state.ckpt", "steady_density.csv"]
+    return 0, "completed"
 
 
-def cmd_export_reference(cfg: RunConfig, outdir: Path) -> tuple[int, list]:
+def cmd_export_reference(cfg: RunConfig, outdir: Path, outputs: list) -> tuple[int, str]:
     params = cfg.model_params()
     grid = cfg.phase_grid()
     ref = reference_profile(grid, params, cfg["diagnostics.delta"], normalize=True)
     outdir.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ref, 0, outdir / "reference_profile.ckpt")
+    outputs.append("reference_profile.ckpt")
     _write_field_csv(outdir / "reference_profile.csv", ref)
+    outputs.append("reference_profile.csv")
     print(f"export-reference: delta={cfg['diagnostics.delta']:g} -> {outdir}")
-    return 0, ["reference_profile.ckpt", "reference_profile.csv"]
+    return 0, "completed"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,18 +347,25 @@ def main(argv=None) -> int:
         cfg = parse_config(Path(args.config).read_text())
         outdir = Path(args.output) if args.output else Path(cfg["output.dir"])
         t0 = time.time()
-        if args.command == "simulate":
-            code, outputs = cmd_simulate(cfg, outdir, resume=args.resume)
-        elif args.command == "verify-lyapunov":
-            code, outputs = cmd_verify_lyapunov(cfg, outdir, search=args.search)
-        elif args.command == "fit-rate":
-            code, outputs = cmd_fit_rate(cfg, args.series, outdir)
-        elif args.command == "steady-state":
-            code, outputs = cmd_steady_state(cfg, outdir, tol_rate=args.tol_rate)
-        else:
-            code, outputs = cmd_export_reference(cfg, outdir)
-        if outputs is not None:
-            _write_manifest(outdir, args.command, cfg, outputs, time.time() - t0)
+        outputs: list[str] = []
+        try:
+            if args.command == "simulate":
+                code, reason = cmd_simulate(cfg, outdir, outputs, resume=args.resume)
+            elif args.command == "verify-lyapunov":
+                code, reason = cmd_verify_lyapunov(cfg, outdir, outputs, search=args.search)
+            elif args.command == "fit-rate":
+                code, reason = cmd_fit_rate(cfg, args.series, outdir, outputs)
+            elif args.command == "steady-state":
+                code, reason = cmd_steady_state(cfg, outdir, outputs, tol_rate=args.tol_rate)
+            else:
+                code, reason = cmd_export_reference(cfg, outdir, outputs)
+        except (OSError, ValueError) as exc:
+            if not outputs:
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+            code, reason = 1, f"error: {exc}"
+        if outdir.is_dir():
+            _write_manifest(outdir, args.command, cfg, outputs, code, reason, time.time() - t0)
         return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

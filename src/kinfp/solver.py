@@ -11,9 +11,12 @@ flux uses exponentially fitted face weights delta(w) = 1/w - 1/(e^w - 1),
 w = dv * D at the face, so the discrete per-column equilibrium with ratios
 g_{m+1}/g_m = exp(-w_{m+1/2}) carries exactly zero flux.  One time step is
 the symmetric composition transport(dt/2) . velocity(dt) . transport(dt/2),
-each substep advanced with Heun's two-stage method.  Boundaries: specular
-reflection at the x-walls, zero flux at the v-walls; both conserve mass to
-machine precision.
+each substep advanced with Heun's two-stage method.  Both substeps are
+evaluated in flux form: the transport pair combines the Courant-scaled face
+fluxes of its two stages, and the linear velocity operator's pair
+f + dt L f + (dt^2/2) L^2 f is one conservative update with a four-point
+face flux (see ``kernels``).  Boundaries: specular reflection at the
+x-walls, zero flux at the v-walls; both conserve mass to machine precision.
 
 Between two emission points (diagnostics, snapshots, steady-state window
 ends, the last step) ``run`` and ``steady_state_reference`` advance one
@@ -228,12 +231,21 @@ class Stepper:
     It steps the model's one operator: specular x-walls, the force V'(x) of
     each column, transport on.  One step is transport(dt/2) . velocity(dt)
     . transport(dt/2), each substep a Heun pair; ``advance`` takes a segment
-    of steps, fused as the module docstring describes.  The stepper owns a
-    workspace allocated once: the Heun increments k1 and k2, the stage
-    state, and a ``kernels.Workspace`` (three more field-sized arrays and
-    two masks), so a step allocates no array.  The kernels are looked up on
-    the ``kernels`` module at each call, so a wrapper installed there (a
-    profiler, a tracer) sees them all.
+    of steps, fused as the module docstring describes.  A transport Heun
+    pair is stage = f + dF1, out = f + (dF1 + dF2)/2 on the Courant-scaled
+    face fluxes F1 = F(f), F2 = F(stage), with dF = F[:-1] - F[1:]; the
+    velocity Heun step is one kernel call on weights folded from the face
+    coefficients and dt (see ``kernels``).
+
+    The Courant numbers for dt and dt/2 and the velocity weights depend on
+    dt: they are built when a step first sees a dt and rebuilt only when dt
+    changes.  The first build also allocates the workspace, once the
+    build's temporaries are freed, so that it reuses their memory: the two
+    transport face fluxes F1 and F2, the stage state, and a
+    ``kernels.Workspace`` (two more field-sized arrays).  After that a step
+    allocates no array.  The kernels are looked up on the ``kernels``
+    module at each call, so a wrapper installed there (a profiler, a
+    tracer) sees them all.
 
     ``step(values, dt)`` leaves ``values`` untouched and returns a new array;
     ``step(values, dt, out=values)`` advances in place.  The workspace holds
@@ -245,33 +257,36 @@ class Stepper:
     def __init__(self, grid: PhaseGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        self.cp, self.cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
-        self._v = np.ascontiguousarray(grid.v_centers)
-        shape = (grid.Nx, grid.Nv)
-        self._k1 = np.empty(shape)
-        self._k2 = np.empty(shape)
-        self._stage = np.empty(shape)
-        self._work = kernels.Workspace(shape)
+        self._dt = None  # the dt of the Courant numbers and weights
 
-    def _heun(self, rhs, values, dt, out):
-        """out = values + dt/2 (k1 + k2), k1 = rhs(values), k2 = rhs(values + dt k1)."""
-        k1 = rhs(values, self._k1)
-        stage = np.multiply(dt, k1, out=self._stage)
+    def _coefficients(self, dt: float):
+        """(Courant numbers for dt/2, for dt, velocity weights) of this dt."""
+        if dt != self._dt:
+            g = self.grid
+            ratio = dt / g.dx
+            self._courant = (g.v_centers * (0.5 * ratio), g.v_centers * ratio)
+            cp, cm = velocity_face_coefficients(g, self.params)
+            self._weights = kernels.velocity_heun_weights(cp, cm, dt, g.dv)
+            del cp, cm
+            if self._dt is None:
+                self._f1 = np.empty((g.Nx + 1, g.Nv))
+                self._f2 = np.empty((g.Nx + 1, g.Nv))
+                self._stage = np.empty((g.Nx, g.Nv))
+                self._work = kernels.Workspace((g.Nx, g.Nv))
+            self._dt = dt
+        return (*self._courant, self._weights)
+
+    def _transport_heun(self, values, courant, out):
+        """out = values + (dF1 + dF2)/2 over the substep whose Courant
+        numbers are ``courant``; ``out`` may be ``values``."""
+        f1 = kernels.transport_rhs_kernel(values, courant, self._f1, self._work)
+        stage = np.subtract(f1[:-1], f1[1:], out=self._stage)
         np.add(values, stage, out=stage)
-        k2 = rhs(stage, self._k2)
-        np.add(k1, k2, out=k2)
-        np.multiply(0.5 * dt, k2, out=k2)
-        return np.add(values, k2, out=out)
-
-    def _transport(self, values, out):
-        return kernels.transport_rhs_kernel(
-            values, self._v, self.grid.dx, out, self._work
-        )
-
-    def _velocity(self, values, out):
-        return kernels.velocity_rhs_kernel(
-            values, self.cp, self.cm, self.grid.dv, out, self._work
-        )
+        f2 = kernels.transport_rhs_kernel(stage, courant, self._f2, self._work)
+        np.add(f1, f2, out=f2)
+        half = np.subtract(f2[:-1], f2[1:], out=self._stage)
+        np.multiply(half, 0.5, out=half)
+        return np.add(values, half, out=out)
 
     def step(
         self,
@@ -290,11 +305,12 @@ class Stepper:
         """
         if out is None:
             out = np.empty_like(values)
+        half, full, weights = self._coefficients(dt)
         src = values
         if opens:
-            src = self._heun(self._transport, src, 0.5 * dt, out)
-        src = self._heun(self._velocity, src, dt, out)
-        return self._heun(self._transport, src, 0.5 * dt if closes else dt, out)
+            src = self._transport_heun(src, half, out)
+        src = kernels.velocity_rhs_kernel(src, weights, out, self._work)
+        return self._transport_heun(src, half if closes else full, out)
 
     def advance(self, values: np.ndarray, dt: float, n: int, fuse: bool) -> np.ndarray:
         """Advance ``values`` in place by one segment of n steps and return it.

@@ -1,16 +1,11 @@
-"""Independent checks of the Lyapunov drift inequality.
+"""A grid-scan certifier of the Lyapunov drift inequality.
 
-Two tools live here:
+It tests the drift condition
 
-* a centered finite-difference discretisation of the dual operator L*,
-  used as an oracle against the closed-form expressions in
-  :mod:`kinfp.model`;
-* a grid-scan certifier that tests the drift condition
+    L* m <= C 1_{B_R} - phi(m)
 
-      L* m <= C 1_{B_R} - phi(m)
-
-  pointwise on a box, reporting the smallest admissible exclusion radius R,
-  the observed constant C inside the ball, and the worst margin outside.
+pointwise on a box, reporting the smallest admissible exclusion radius R,
+the observed constant C inside the ball, and the worst margin outside.
 
 The scan is a numerical check at sampled points, not a proof: "<=" is
 certified literally, with the scanned C absorbing all constants.  The
@@ -31,24 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ExpWeight,
-    LyapunovSpec,
-    ModelParams,
-    PolyWeight,
-    apply_Lstar_exact,
-    drift_excess,
-    equilibrium_drift,
-    grad_potential,
-    lyapunov_H,
-)
+from .model import ExpWeight, LyapunovSpec, ModelParams, PolyWeight, drift_excess, lyapunov_H
 
 __all__ = [
     "ScanConfig",
     "CertificateReport",
-    "apply_Lstar_fd",
-    "apply_Lstar_fd_richardson",
-    "lstar_term_scale",
+    "check_weight_mode",
     "scan_drift_inequality",
     "find_certified_spec",
     "EXP_SEARCH_GRID",
@@ -118,72 +101,6 @@ class CertificateReport:
         )
 
 
-def apply_Lstar_fd(F, x, v, params: ModelParams, h: float):
-    """Centered second-order finite-difference approximation of L* F at (x, v).
-
-    F is a callable F(x, v) -> float, evaluated at float x and v; x and v
-    may be given as floats or one-element arrays.  The same base step is
-    used in both coordinates, scaled automatically to the point: the
-    energy-type functions differenced here vary on the scale of the point
-    itself, so the effective step is h * (10 + x^2 + v^2), which keeps
-    truncation and roundoff balanced near the empirical 1e-6 accuracy
-    target (a fixed step is roundoff-dominated once the differenced values
-    grow like E^ell).
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    # V' and M'/M at one-element arrays: numpy's scalar pow rounds
-    # differently from its array loop, which the closed forms use elsewhere
-    xa = np.asarray(x, dtype=np.float64).reshape(1)
-    va = np.asarray(v, dtype=np.float64).reshape(1)
-    gv = grad_potential(xa, params).item()
-    dr = equilibrium_drift(va, params).item()
-    x, v = xa.item(), va.item()
-    heff = h * (10.0 + x * x + v * v)
-    f0 = float(F(x, v))
-    if not np.isfinite(f0):
-        raise ArithmeticError("non-finite value of F at the base point")
-    fvp, fvm = float(F(x, v + heff)), float(F(x, v - heff))
-    dFx = (float(F(x + heff, v)) - float(F(x - heff, v))) / (2.0 * heff)
-    dFv = (fvp - fvm) / (2.0 * heff)
-    d2Fv = (fvp - 2.0 * f0 + fvm) / (heff * heff)
-    out = v * dFx - gv * dFv + d2Fv + dr * dFv
-    if not np.isfinite(out):
-        raise ArithmeticError("non-finite finite-difference evaluation")
-    return out
-
-
-def apply_Lstar_fd_richardson(F, x, v, params: ModelParams, h: float):
-    """Richardson-extrapolated oracle: (4 fd(h/2) - fd(h)) / 3, O(h^4)."""
-    return (
-        4.0 * apply_Lstar_fd(F, x, v, params, h / 2.0)
-        - apply_Lstar_fd(F, x, v, params, h)
-    ) / 3.0
-
-
-def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str):
-    """Magnitude scale of the dual-operator terms composing the target.
-
-    Sum of the absolute values of the contributions that are added (with
-    cancellation) to form L* applied to the target.  Relative errors of
-    numerical evaluations are meaningful against this scale: near zero
-    crossings of the result itself, |fd - exact| / |exact| is unbounded for
-    any finite-difference method while the term scale stays O(1).
-    """
-    from .model import _weight_derivatives, grad_v_H
-
-    ep = np.abs(apply_Lstar_exact(x, v, params, spec, "energy_power"))
-    ct = spec.eps * np.abs(apply_Lstar_exact(x, v, params, spec, "cross_term"))
-    if target in ("energy_power", "cross_term", "full_h"):
-        return ep + ct
-    if target != "weight_m":
-        raise ValueError(f"unknown target {target!r}")
-    h = lyapunov_H(x, v, params, spec)
-    _, p1, p2 = _weight_derivatives(h, spec)
-    g = grad_v_H(x, v, params, spec)
-    return np.abs(p1) * (ep + ct) + np.abs(p2) * (g * g)
-
-
 def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scan's axes xs, vs (n samples across each side of the box) and
     r^2 at its points.
@@ -207,7 +124,10 @@ def _point(i: int, xs, vs) -> tuple[float, float]:
     return (float(xs[i]), 0.0) if i < n else (0.0, float(vs[i - n]))
 
 
-def _check_mode_ranges(params: ModelParams, spec: LyapunovSpec) -> None:
+def check_weight_mode(params: ModelParams, spec: LyapunovSpec) -> None:
+    """Refuse a weight mode that does not fit the equilibrium family: the
+    exp weight needs an exp model with theta <= min(1, beta/2), the poly
+    weight a poly model with 3/2 < ell < 1 + gamma/2."""
     if isinstance(spec.mode, ExpWeight):
         if params.kind != "exp":
             raise ValueError("exp weight mode requires an exp equilibrium")
@@ -287,7 +207,7 @@ def _scan(
     candidate radius before its last block gives None there; a spec that
     reaches its last block gives its report.
     """
-    _check_mode_ranges(params, spec)
+    check_weight_mode(params, spec)
     stop = max(cfg.exclusion_radii) if fail_fast else None
     s = _drift_excess_chunks(params, spec, *points, stop_radius=stop)
     return None if s is None else _report(s, *points, cfg, spec)

@@ -267,6 +267,32 @@ def test_verify_lyapunov_search_refuses_searched_keys(tmp_path, capsys, lines, k
     assert (out / "certificate.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL + "lyapunov.mode = poly\n", "poly weight mode requires a poly equilibrium"),
+        (
+            "model.alpha = 2.0\nmodel.kind = poly\nmodel.gamma = 2.0\n",
+            "exp weight mode requires an exp equilibrium",
+        ),
+    ],
+    ids=["poly-mode-exp-model", "exp-mode-poly-model"],
+)
+def test_verify_lyapunov_mode_against_kind_same_error_with_search(
+    tmp_path, capsys, text, message
+):
+    """A weight mode of the other equilibrium family exits 1 with the same
+    mode-against-kind message with and without --search, and writes nothing."""
+    cfg = _write(tmp_path, text + "lyapunov.samples = 16\nlyapunov.radii = 20\n")
+    out = tmp_path / "o"
+    errors = []
+    for flags in ([], ["--search"]):
+        assert main(["verify-lyapunov", *flags, "--config", cfg, "--output", str(out)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] == f"error: {message}\n"
+
+
 def test_fit_rate_exact_and_errors(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "diagnostics.rate_theta = 0.5\n")
     t = np.linspace(0.0, 40.0, 50)
@@ -314,9 +340,11 @@ def test_simulate_numerical_abort_exits_three(tmp_path):
         assert (out / name).exists()
 
     # finite but overflowing data aborts at the first diagnostics step (5);
-    # the rows that step 0 produced are still written and listed
+    # the rows that step 0 produced are still written and listed.  The
+    # scheme's updates are convex-like in range, so it takes a velocity
+    # column at the largest float, which the drift pushes past it
     huge = default_initial_condition(grid).values.copy()
-    huge[16, 16] = 1e308
+    huge[16] = np.finfo(float).max
     ck = tmp_path / "huge.ckpt"
     write_checkpoint(Field(huge, grid, 0.0), 0, ck)
     cfg = _write(
@@ -456,7 +484,8 @@ def test_field_from_another_box_exits_one(tmp_path, capsys, source):
 
 def test_last_checkpoint_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
     """A last_checkpoint.ckpt write that fails part way keeps the previous
-    checkpoint and leaves no temporary file."""
+    checkpoint and leaves no temporary file; the command exits 1, and main
+    still writes the manifest of the files written before the failure."""
     import kinfp.cli as cli
 
     write = cli.write_checkpoint
@@ -470,9 +499,13 @@ def test_last_checkpoint_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "write_checkpoint", interrupted)
     out = tmp_path / "o"
     assert main(["simulate", "--config", _write(tmp_path, SMALL_RUN), "--output", str(out)]) == 1
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["last_checkpoint.ckpt", "snapshot_00000000.csv", "snapshot_00000008.csv"]
+    names = ["last_checkpoint.ckpt", "snapshot_00000000.csv", "snapshot_00000008.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
     assert read_checkpoint(out / "last_checkpoint.ckpt")[1] == 0
+    # the manifest names exactly the files written, with the exit reason
+    man = _manifest(out)
+    assert man["outputs"] == names
+    assert man["exit_code"] == 1 and man["exit_reason"] == "error: interrupted"
 
 
 @pytest.mark.parametrize(
@@ -509,7 +542,7 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, command, code):
     out = tmp_path / "o"
     assert main([*argv, "--config", _write(tmp_path, text), "--output", str(out)]) == code
     man = _manifest(out)
-    assert man["command"] == argv[0]
+    assert man["command"] == argv[0] and man["exit_code"] == code
     assert man["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 

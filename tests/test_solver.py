@@ -40,10 +40,26 @@ def desk():
     return params, grid
 
 
-def scratch(grid):
-    """A kernel's ``out`` and ``work`` arguments for one field on ``grid``."""
-    shape = (grid.Nx, grid.Nv)
-    return np.empty(shape), kernels.Workspace(shape)
+def transport_increment(values, grid, dt):
+    """One forward-Euler transport stage's increment F[:-1] - F[1:] over dt."""
+    nx, nv = values.shape
+    faces = kernels.transport_rhs_kernel(
+        values, grid.v_centers * (dt / grid.dx), np.empty((nx + 1, nv)),
+        kernels.Workspace(values.shape),
+    )
+    return faces[:-1] - faces[1:]
+
+
+def velocity_steps(values, grid, params, dt, n=1):
+    """n velocity Heun steps of length dt, the stepper's kernel call, into a
+    new array."""
+    weights = kernels.velocity_heun_weights(
+        *velocity_face_coefficients(grid, params), dt, grid.dv
+    )
+    out, work = values.copy(), kernels.Workspace(values.shape)
+    for _ in range(n):
+        kernels.velocity_rhs_kernel(out, weights, out, work)
+    return out
 
 
 # ---------------------------------------------------------------- grid
@@ -121,14 +137,14 @@ def test_cfl_production_configuration():
 def test_transport_constant_field_zero_increment(desk):
     _, grid = desk
     f = Field(np.full((grid.Nx, grid.Nv), 0.37), grid)
-    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx, *scratch(grid))
+    r = transport_increment(f.values, grid, 0.5 * grid.dx / grid.v_max)
     assert np.all(r == 0.0)
 
 
 def test_transport_specular_increment_sums_to_zero(desk, rng):
     _, grid = desk
     f = Field(rng.random((grid.Nx, grid.Nv)), grid)
-    r = kernels.transport_rhs_kernel(f.values, grid.v_centers, grid.dx, *scratch(grid))
+    r = transport_increment(f.values, grid, 0.5 * grid.dx / grid.v_max)
     assert abs(r.sum()) <= 1e-13 * np.abs(r).sum()
 
 
@@ -159,8 +175,9 @@ def test_transport_smooth_advection_order():
         dt = T / n
         stepper = Stepper(grid, ModelParams(alpha=2.0, kind="exp", beta=2.0))
         vals = exact(0.0)
+        _, courant, _ = stepper._coefficients(dt)
         for _ in range(n):
-            vals = stepper._heun(stepper._transport, vals, dt, np.empty_like(vals))
+            vals = stepper._transport_heun(vals, courant, np.empty_like(vals))
         return np.abs(vals - exact(T)).sum() * dx
 
     e1, e2 = l1_error(128), l1_error(256)
@@ -229,16 +246,16 @@ def column_equilibria(grid, params):
 def test_velocity_equilibrium_zero_increment(desk):
     params, grid = desk
     g = column_equilibria(grid, params)
-    cp, cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
-    r = kernels.velocity_rhs_kernel(g, cp, cm, grid.dv, *scratch(grid))
-    assert np.abs(r).max() <= 1e-12 * g.max() / grid.dv**2
+    dt = cfl_timestep(grid, params, 0.45)
+    r = velocity_steps(g, grid, params, dt) - g
+    assert np.abs(r).max() <= 1e-12 * g.max() * dt / grid.dv**2
 
 
 def test_velocity_column_mass_conserved(desk, rng):
     params, grid = desk
     f = Field(rng.random((grid.Nx, grid.Nv)), grid)
-    cp, cm = map(kernels.flat_faces, velocity_face_coefficients(grid, params))
-    r = kernels.velocity_rhs_kernel(f.values, cp, cm, grid.dv, *scratch(grid))
+    dt = cfl_timestep(grid, params, 0.45)
+    r = velocity_steps(f.values, grid, params, dt) - f.values
     col = r.sum(axis=1)
     assert np.abs(col).max() <= 1e-13 * np.abs(r).sum(axis=1).max()
 
@@ -472,12 +489,13 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("n, cadence, pairs", [(1, 100, 2), (7, 100, 8), (7, 3, 10)])
 def test_fused_segment_kernel_calls(kernel_calls, n, cadence, pairs):
     """A segment of n steps makes n + 1 transport Heun pairs and n velocity
-    pairs; 7 steps at cadence 3 are segments of 3, 3 and 1 steps."""
+    Heun steps, one kernel call each; 7 steps at cadence 3 are segments of
+    3, 3 and 1 steps."""
     dt, _ = _desk_config().resolve_dt()
     cfg = _desk_config(t_final=n * dt, dt=dt, snapshot_cadence=100, diagnostics_cadence=cadence)
     assert cfg.resolve_dt() == (dt, n) and fuses_transport(cfg.grid, dt)
     run(cfg)
-    assert kernel_calls == {"transport_rhs_kernel": 2 * pairs, "velocity_rhs_kernel": 2 * n}
+    assert kernel_calls == {"transport_rhs_kernel": 2 * pairs, "velocity_rhs_kernel": n}
 
 
 def test_steady_march_fuses_then_ends_symmetric(kernel_calls):
@@ -486,7 +504,7 @@ def test_steady_march_fuses_then_ends_symmetric(kernel_calls):
     cfg = _desk_config(t_final=50.0, diagnostics_cadence=6)
     f = steady_state_reference(cfg, tol_rate=1e300)  # accepts every window
     assert f.time_stamp == 12 * cfg.resolve_dt()[0]
-    assert kernel_calls == {"transport_rhs_kernel": 2 * (7 + 12), "velocity_rhs_kernel": 2 * 12}
+    assert kernel_calls == {"transport_rhs_kernel": 2 * (7 + 12), "velocity_rhs_kernel": 12}
 
 
 def test_steady_state_is_steady_under_symmetric_steps():
@@ -607,11 +625,8 @@ def test_steady_state_fixed_point_terminates_immediately(desk):
     cfg = _desk_config(t_final=50.0)
     # velocity-only dynamics: its exact fixed point must be detected at once
     eq = column_equilibria(grid, params)
-    stepper = Stepper(grid, params)
     dt, _ = cfg.resolve_dt()
-    vals = eq
-    for _ in range(cfg.diagnostics_cadence):
-        vals = stepper._heun(stepper._velocity, vals, dt, np.empty_like(vals))
+    vals = velocity_steps(eq, grid, params, dt, cfg.diagnostics_cadence)
     rate = np.abs(vals - eq).sum() * grid.cell_volume / (cfg.diagnostics_cadence * dt)
     assert rate < 1e-12
 
@@ -623,11 +638,8 @@ def test_velocity_only_converges_to_column_equilibrium():
     params = ModelParams(alpha=2.0, kind="exp", beta=2.0)
     grid = build_grid(50.0, 50.0, 64, 64)
     f0 = default_initial_condition(grid)
-    stepper = Stepper(grid, params)
     dt = cfl_timestep(grid, params, 0.45)
-    vals = f0.values.copy()
-    for _ in range(4800):
-        vals = stepper._heun(stepper._velocity, vals, dt, vals)
+    vals = velocity_steps(f0.values, grid, params, dt, 4800)
     # velocity dynamics conserves each column's mass separately
     col_mass = f0.values.sum(axis=1) * grid.dv
     target = col_mass[:, None] * column_equilibria(grid, params)
@@ -660,7 +672,7 @@ def test_accelerated_steady_march(kernel_calls):
     dt, _ = cfg.resolve_dt()
     window = cfg.diagnostics_cadence
     f = steady_state_reference(cfg, tol_rate=1e-5, field0=f0)
-    steps = kernel_calls["velocity_rhs_kernel"] // 2  # one velocity Heun pair per step
+    steps = kernel_calls["velocity_rhs_kernel"]  # one velocity Heun step per step
     assert f.time_stamp / dt == pytest.approx(steps, abs=1e-9)
     assert steps % window == 0 and steps // window <= 39 // 2
     assert abs(mass(f) / mass(f0) - 1.0) <= 1e-12

@@ -13,8 +13,6 @@ from kinfp import (
     PolyWeight,
     ScanConfig,
     apply_Lstar_exact,
-    apply_Lstar_fd,
-    apply_Lstar_fd_richardson,
     drift_excess,
     energy,
     find_certified_spec,
@@ -23,6 +21,7 @@ from kinfp import (
 )
 import kinfp.verify as verify
 from kinfp import CertificateReport
+from oracles import apply_Lstar_fd, apply_Lstar_fd_richardson
 
 FAST_SCAN = ScanConfig(samples_per_axis=96, exclusion_radii=(20.0, 30.0, 40.0))
 
