@@ -15,8 +15,13 @@ each substep advanced with Heun's two-stage method.  Both substeps are
 evaluated in flux form: the transport pair combines the Courant-scaled face
 fluxes of its two stages, and the linear velocity operator's pair
 f + dt L f + (dt^2/2) L^2 f is one conservative update with a four-point
-face flux (see ``kernels``).  Boundaries: specular reflection at the
-x-walls, zero flux at the v-walls; both conserve mass to machine precision.
+face flux.  Both kernels work on the field transposed to one row per
+velocity and padded with two ghost columns at each x-wall, where every
+pass is one contiguous array operation (see ``kernels``); ``Stepper``
+keeps a segment's state in that layout and loads and stores the natural
+(Nx, Nv) field only at the segment's ends.  Boundaries: specular
+reflection at the x-walls, zero flux at the v-walls; both conserve mass
+to machine precision.
 
 Between two emission points (diagnostics, snapshots, steady-state window
 ends, the last step) ``run`` and ``steady_state_reference`` advance one
@@ -232,26 +237,33 @@ class Stepper:
     each column, transport on.  One step is transport(dt/2) . velocity(dt)
     . transport(dt/2), each substep a Heun pair; ``advance`` takes a segment
     of steps, fused as the module docstring describes.  A transport Heun
-    pair is stage = f + dF1, out = f + (dF1 + dF2)/2 on the Courant-scaled
-    face fluxes F1 = F(f), F2 = F(stage), with dF = F[:-1] - F[1:]; the
-    velocity Heun step is one kernel call on weights folded from the face
-    coefficients and dt (see ``kernels``).
+    pair is stage = f + dF(F1), out = f + dF(F1 + F2)/2 on the
+    Courant-scaled face fluxes F1 = F(f), F2 = F(stage), where dF(F) is
+    each cell's left-face flux minus its right-face flux; the velocity Heun
+    step is one kernel call on weights folded from the face coefficients
+    and dt (see ``kernels``).
+
+    The stepper steps its own state, a ``kernels.state_array``: the field
+    transposed to one row per velocity and padded with two ghost columns
+    at each x-wall, so that every kernel pass is one contiguous array
+    operation.  ``step(values, dt)`` takes a natural-layout (Nx, Nv) field:
+    it loads it into the state, steps and stores the cells back, leaving
+    ``values`` untouched and returning a new array, or advancing in place
+    with ``out=values``.  ``advance`` loads once, calls ``self.step`` on
+    the state once per step, and stores once at the segment end.  Inside a
+    segment the state between two steps is not a solution value at any
+    time; only the segment's result may be observed.
 
     The Courant numbers for dt and dt/2 and the velocity weights depend on
     dt: they are built when a step first sees a dt and rebuilt only when dt
-    changes.  The first build also allocates the workspace, once the
-    build's temporaries are freed, so that it reuses their memory: the two
-    transport face fluxes F1 and F2, the stage state, and a
-    ``kernels.Workspace`` (two more field-sized arrays).  After that a step
-    allocates no array.  The kernels are looked up on the ``kernels``
+    changes.  The first build also allocates, once the build's temporaries
+    are freed so that it reuses their memory, the state, the stage state,
+    the two transport face fluxes F1 and F2 and a two-row kernel scratch
+    array (about six fields).  After that neither a step nor a segment
+    allocates an array.  The kernels are looked up on the ``kernels``
     module at each call, so a wrapper installed there (a profiler, a
-    tracer) sees them all.
-
-    ``step(values, dt)`` leaves ``values`` untouched and returns a new array;
-    ``step(values, dt, out=values)`` advances in place.  The workspace holds
-    no state between steps, so fields on the same grid may share a stepper.
-    Inside a segment the state between two steps is not a solution value at
-    any time; only the segment's result may be observed.
+    tracer) sees them all.  The state holds nothing between calls of
+    ``step`` or ``advance``, so fields on the same grid may share a stepper.
     """
 
     def __init__(self, grid: PhaseGrid, params: ModelParams):
@@ -269,24 +281,26 @@ class Stepper:
             self._weights = kernels.velocity_heun_weights(cp, cm, dt, g.dv)
             del cp, cm
             if self._dt is None:
-                self._f1 = np.empty((g.Nx + 1, g.Nv))
-                self._f2 = np.empty((g.Nx + 1, g.Nv))
-                self._stage = np.empty((g.Nx, g.Nv))
-                self._work = kernels.Workspace((g.Nx, g.Nv))
+                shape = (g.Nx, g.Nv)
+                self._state, self._stage, self._f1, self._f2 = (
+                    kernels.state_array(shape) for _ in range(4)
+                )
+                self._scratch = kernels.scratch_array(shape)
             self._dt = dt
         return (*self._courant, self._weights)
 
-    def _transport_heun(self, values, courant, out):
-        """out = values + (dF1 + dF2)/2 over the substep whose Courant
-        numbers are ``courant``; ``out`` may be ``values``."""
-        f1 = kernels.transport_rhs_kernel(values, courant, self._f1, self._work)
-        stage = np.subtract(f1[:-1], f1[1:], out=self._stage)
-        np.add(values, stage, out=stage)
-        f2 = kernels.transport_rhs_kernel(stage, courant, self._f2, self._work)
+    def _transport_heun(self, courant):
+        """Advance the state in place by the transport Heun pair whose
+        Courant numbers are ``courant``."""
+        state, stage, f1, f2 = self._state, self._stage, self._f1, self._f2
+        kernels.transport_rhs_kernel(state, courant, f1, self._scratch)
+        kernels.transport_increment(f1, courant, stage)
+        np.add(state, stage, out=stage)
+        kernels.transport_rhs_kernel(stage, courant, f2, self._scratch)
         np.add(f1, f2, out=f2)
-        half = np.subtract(f2[:-1], f2[1:], out=self._stage)
+        half = kernels.transport_increment(f2, courant, stage)
         np.multiply(half, 0.5, out=half)
-        return np.add(values, half, out=out)
+        np.add(state, half, out=state)
 
     def step(
         self,
@@ -299,18 +313,27 @@ class Stepper:
     ) -> np.ndarray:
         """Advance one split step; the result goes to ``out`` (new array if None).
 
-        ``opens``/``closes`` say whether the step starts/ends a fused
-        segment, and only ``advance`` sets them; the defaults give the
-        symmetric step T(dt/2) V(dt) T(dt/2).
+        ``values`` is a natural-layout field, or the stepper's own state,
+        which ``advance`` passes and which is then advanced in place
+        (``out`` is not used).  ``opens``/``closes`` say whether the step
+        starts/ends a fused segment, and only ``advance`` sets them; the
+        defaults give the symmetric step T(dt/2) V(dt) T(dt/2).
         """
+        half, full, weights = self._coefficients(dt)
+        state = self._state
+        loaded = values is state
+        if not loaded:
+            np.copyto(kernels.interior(state), values)
+        if opens:
+            self._transport_heun(half)
+        kernels.velocity_rhs_kernel(state, weights, state, self._scratch)
+        self._transport_heun(half if closes else full)
+        if loaded:
+            return state
         if out is None:
             out = np.empty_like(values)
-        half, full, weights = self._coefficients(dt)
-        src = values
-        if opens:
-            src = self._transport_heun(src, half, out)
-        src = kernels.velocity_rhs_kernel(src, weights, out, self._work)
-        return self._transport_heun(src, half if closes else full, out)
+        np.copyto(out, kernels.interior(state))
+        return out
 
     def advance(self, values: np.ndarray, dt: float, n: int, fuse: bool) -> np.ndarray:
         """Advance ``values`` in place by one segment of n steps and return it.
@@ -318,11 +341,15 @@ class Stepper:
         With ``fuse`` the segment's transport half-steps merge (see the
         module docstring); without it every step is the symmetric one.
         """
+        self._coefficients(dt)
+        state = self._state
+        np.copyto(kernels.interior(state), values)
         for i in range(n):
             self.step(
-                values, dt, out=values,
+                state, dt,
                 opens=i == 0 or not fuse, closes=i == n - 1 or not fuse,
             )
+        np.copyto(values, kernels.interior(state))
         return values
 
 

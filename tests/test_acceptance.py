@@ -183,12 +183,13 @@ def test_c03_equilibrium_preservation():
     weights = kernels.velocity_heun_weights(
         *velocity_face_coefficients(grid, DESK_PARAMS), dt, grid.dv
     )
-    work = kernels.Workspace(f_eq.shape)
+    state = kernels.state_array(f_eq.shape)
+    np.copyto(kernels.interior(state), f_eq)
+    scratch = kernels.scratch_array(f_eq.shape)
     t0 = time.time()
-    vals = f_eq.copy()
     for _ in range(1000):
-        vals = kernels.velocity_rhs_kernel(vals, weights, np.empty_like(vals), work)
-    rel = np.abs(vals - f_eq).max() / f_eq.max()
+        kernels.velocity_rhs_kernel(state, weights, state, scratch)
+    rel = np.abs(kernels.interior(state) - f_eq).max() / f_eq.max()
     _report(
         "criterion 3 (Chang-Cooper equilibrium preservation)",
         rel < 1e-12,

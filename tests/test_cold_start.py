@@ -1,10 +1,14 @@
-"""The stepping, steady-state and certification paths run without importing scipy."""
+"""The package's import surface: the stepping, steady-state and certification
+paths run without importing scipy, and a star import brings in no module."""
 
 import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
+
+import kinfp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -62,3 +66,12 @@ def test_simulate_and_search_do_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("cold path ok")
+
+
+def test_star_import_brings_the_listed_names_and_no_module():
+    namespace = {}
+    exec("from kinfp import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(kinfp.__all__)
+    modules = [name for name, obj in namespace.items() if isinstance(obj, types.ModuleType)]
+    assert not modules, modules

@@ -1,12 +1,13 @@
-"""The workspace kernels match the plain vectorised formulas bit for bit, and
-the one-pass Heun steps they make match the two-stage Heun pairs they replace."""
+"""The kernels match the plain vectorised formulas bit for bit, the one-pass
+Heun steps they make match the two-stage Heun pairs they replace, and the
+stepper's transposed state steps exactly as the natural-layout formulas."""
 
 import numpy as np
 import pytest
 
 from kinfp import ModelParams, build_grid
 from kinfp import kernels
-from kinfp.solver import Stepper, velocity_face_coefficients
+from kinfp.solver import Stepper, cfl_timestep, velocity_face_coefficients
 
 DESK_PARAMS = ModelParams(alpha=1.5, kind="exp", beta=0.5)
 
@@ -27,13 +28,58 @@ def reference_transport_flux(values, courant):
     return np.where(courant >= 0.0, courant * left, courant * right)
 
 
-def reference_velocity_heun(values, weights):
-    wm, w0, w1, w2 = weights
-    f = values.reshape(-1)
-    padded = np.concatenate([[0.0], f, [0.0]])
-    flux = w0 * f[:-1] + w1 * f[1:] + w2 * padded[3:] + wm * padded[:-3]
-    flux = np.concatenate([[0.0], flux, [0.0]])
-    return values + (flux[1:] - flux[:-1]).reshape(values.shape)
+def reference_velocity_heun(values, cp, cm, dt, dv):
+    """One velocity Heun step f + H[k] - H[k-1] per column, with the
+    four-point face flux of ``kernels.velocity_heun_weights`` written out:
+    a coefficient of a face beyond the column's faces, and a cell beyond
+    the column's cells, is zero."""
+    a = dt / dv
+    b = 0.5 * a * a
+    pp = np.pad(cp, ((0, 0), (1, 1)))  # pp[:, k + 1] is face k
+    pm = np.pad(cm, ((0, 0), (1, 1)))
+    wm = cm * pm[:, :-2] * -b
+    w0 = ((cm - cp - pp[:, :-2]) * b + a) * cm
+    w1 = ((cm - cp + pm[:, 2:]) * b + a) * cp
+    w2 = cp * pp[:, 2:] * b
+    f = np.pad(values, ((0, 0), (1, 1)))  # f[:, m + 1] is cell m
+    flux = w0 * f[:, 1:-2] + w1 * f[:, 2:-1] + w2 * f[:, 3:]
+    flux = flux + wm * f[:, :-3]
+    flux = np.pad(flux, ((0, 0), (1, 1)))
+    return values + (flux[:, 1:] - flux[:, :-1])
+
+
+def reference_transport_heun(values, courant):
+    f1 = reference_transport_flux(values, courant)
+    stage = values + (f1[:-1] - f1[1:])
+    s = f1 + reference_transport_flux(stage, courant)
+    return values + (s[:-1] - s[1:]) * 0.5
+
+
+def reference_advance(values, grid, params, dt, n, fuse):
+    """A segment of n steps in the natural (Nx, Nv) layout, fused as
+    ``Stepper.advance`` fuses it."""
+    half = grid.v_centers * (0.5 * (dt / grid.dx))
+    full = grid.v_centers * (dt / grid.dx)
+    cp, cm = velocity_face_coefficients(grid, params)
+    for i in range(n):
+        if i == 0 or not fuse:
+            values = reference_transport_heun(values, half)
+        values = reference_velocity_heun(values, cp, cm, dt, grid.dv)
+        values = reference_transport_heun(values, half if i == n - 1 or not fuse else full)
+    return values
+
+
+def to_state(values):
+    state = kernels.state_array(values.shape)
+    np.copyto(kernels.interior(state), values)
+    return state
+
+
+def upwind_faces(out, courant):
+    """The (Nx + 1, Nv) face fluxes from the transport kernel's layout,
+    where a face's flux sits in the column of its upwind cell."""
+    nx = out.shape[1] - 4
+    return np.where(courant[:, None] >= 0.0, out[:, 1 : nx + 2], out[:, 2 : nx + 3]).T
 
 
 def reference_velocity_rhs(values, cp, cm, dv):
@@ -59,27 +105,50 @@ def test_kernels_bitwise_match_reference(rng, L, v_max, nx, nv):
     grid = build_grid(L, v_max, nx, nv)
     dt = 0.3 * grid.dx / grid.v_max
     courant = grid.v_centers * (dt / grid.dx)
-    weights = kernels.velocity_heun_weights(
-        *velocity_face_coefficients(grid, DESK_PARAMS), dt, grid.dv
-    )
-    work = kernels.Workspace((nx, nv))
-    faces = np.empty((nx + 1, nv))
-    out = np.empty((nx, nv))
-    # the same workspace twice on different inputs: stale buffer state would show
+    cp, cm = velocity_face_coefficients(grid, DESK_PARAMS)
+    weights = kernels.velocity_heun_weights(cp, cm, dt, grid.dv)
+    scratch = kernels.scratch_array((nx, nv))
+    faces = kernels.state_array((nx, nv))
+    increment = kernels.state_array((nx, nv))
+    out = kernels.state_array((nx, nv))
+    # the same buffers twice on different inputs: stale buffer state would show
     for _ in range(2):
         values = rng.standard_normal((nx, nv))
+        state = to_state(values)
         ref = reference_transport_flux(values, courant)
-        got = kernels.transport_rhs_kernel(values, courant, faces, work)
+        got = kernels.transport_rhs_kernel(state, courant, faces, scratch)
         assert got is faces
-        assert np.array_equal(bits(got), bits(ref))
-        ref = reference_velocity_heun(values, weights)
-        got = kernels.velocity_rhs_kernel(values, weights, out, work)
+        assert np.array_equal(bits(upwind_faces(got, courant)), bits(ref))
+        got = kernels.transport_increment(faces, courant, increment)
+        assert got is increment
+        assert np.array_equal(bits(kernels.interior(got)), bits(ref[:-1] - ref[1:]))
+        ref = reference_velocity_heun(values, cp, cm, dt, grid.dv)
+        got = kernels.velocity_rhs_kernel(state, weights, out, scratch)
         assert got is out
-        assert np.array_equal(bits(got), bits(ref))
+        assert np.array_equal(bits(kernels.interior(got)), bits(ref))
     # in place, as the stepper calls it
-    inplace = values.copy()
-    kernels.velocity_rhs_kernel(inplace, weights, inplace, work)
-    assert np.array_equal(bits(inplace), bits(ref))
+    kernels.velocity_rhs_kernel(state, weights, state, scratch)
+    assert np.array_equal(bits(kernels.interior(state)), bits(ref))
+
+
+@pytest.mark.parametrize("nx, nv", [(2, 2), (4, 2), (64, 96), (128, 128)])
+@pytest.mark.parametrize("fuse", [True, False])
+def test_advance_bitwise_matches_natural_layout_reference(rng, nx, nv, fuse):
+    """Segments of 1, 2 and 7 steps in the stepper's transposed, padded
+    state give the bits of the natural-layout formulas, one after another
+    on the same stepper and array, and ``step`` gives the symmetric step."""
+    grid = build_grid(50.0, 50.0, nx, nv)
+    dt = cfl_timestep(grid, DESK_PARAMS, 0.45)
+    stepper = Stepper(grid, DESK_PARAMS)
+    values = rng.random((nx, nv))
+    ref = values.copy()
+    for n in (1, 2, 7):
+        assert stepper.advance(values, dt, n, fuse) is values
+        ref = reference_advance(ref, grid, DESK_PARAMS, dt, n, fuse)
+        assert np.array_equal(bits(values), bits(ref))
+    stepped = stepper.step(values, dt)
+    ref = reference_advance(ref, grid, DESK_PARAMS, dt, 1, False)
+    assert np.array_equal(bits(stepped), bits(ref))
 
 
 @pytest.mark.parametrize("safety", [0.45, 1.0])
@@ -94,9 +163,10 @@ def test_velocity_heun_matches_two_stage_pair(rng, safety):
     k2 = reference_velocity_rhs(values + dt * k1, cp, cm, grid.dv)
     pair = values + 0.5 * dt * (k1 + k2)
     weights = kernels.velocity_heun_weights(cp, cm, dt, grid.dv)
-    got = kernels.velocity_rhs_kernel(
-        values, weights, np.empty_like(values), kernels.Workspace(values.shape)
-    )
+    state = to_state(values)
+    scratch = kernels.scratch_array(values.shape)
+    kernels.velocity_rhs_kernel(state, weights, state, scratch)
+    got = kernels.interior(state)
     assert np.abs(got - pair).max() <= 1e-14 * np.abs(pair).max()
     col0, col1 = values.sum(axis=1), got.sum(axis=1)
     assert np.abs(col1 - col0).max() <= 1e-14 * col0.max()
@@ -116,10 +186,11 @@ def test_transport_heun_positive_and_conservative_at_half_courant(rng):
     courant = 0.5 * grid.v_centers / np.abs(grid.v_centers).max()
     assert np.abs(courant).max() == 0.5
     stepper = Stepper(grid, DESK_PARAMS)
-    stepper._coefficients(grid.dx / grid.v_max)  # the first dt allocates the workspace
+    stepper._coefficients(grid.dx / grid.v_max)  # the first dt allocates the state
+    np.copyto(kernels.interior(stepper._state), values)
+    vals = kernels.interior(stepper._state)
     mass0 = values.sum()
-    vals = values.copy()
     for _ in range(50):
-        vals = stepper._transport_heun(vals, courant, vals)
+        stepper._transport_heun(courant)
         assert vals.min() >= 0.0
     assert abs(vals.sum() - mass0) <= 1e-14 * mass0

@@ -40,14 +40,21 @@ def desk():
     return params, grid
 
 
+def to_state(values):
+    state = kernels.state_array(values.shape)
+    np.copyto(kernels.interior(state), values)
+    return state
+
+
 def transport_increment(values, grid, dt):
-    """One forward-Euler transport stage's increment F[:-1] - F[1:] over dt."""
-    nx, nv = values.shape
+    """One forward-Euler transport stage's increment dF over dt."""
+    courant = grid.v_centers * (dt / grid.dx)
     faces = kernels.transport_rhs_kernel(
-        values, grid.v_centers * (dt / grid.dx), np.empty((nx + 1, nv)),
-        kernels.Workspace(values.shape),
+        to_state(values), courant, kernels.state_array(values.shape),
+        kernels.scratch_array(values.shape),
     )
-    return faces[:-1] - faces[1:]
+    increment = kernels.transport_increment(faces, courant, kernels.state_array(values.shape))
+    return kernels.interior(increment).copy()
 
 
 def velocity_steps(values, grid, params, dt, n=1):
@@ -56,10 +63,10 @@ def velocity_steps(values, grid, params, dt, n=1):
     weights = kernels.velocity_heun_weights(
         *velocity_face_coefficients(grid, params), dt, grid.dv
     )
-    out, work = values.copy(), kernels.Workspace(values.shape)
+    state, scratch = to_state(values), kernels.scratch_array(values.shape)
     for _ in range(n):
-        kernels.velocity_rhs_kernel(out, weights, out, work)
-    return out
+        kernels.velocity_rhs_kernel(state, weights, state, scratch)
+    return kernels.interior(state).copy()
 
 
 # ---------------------------------------------------------------- grid
@@ -174,11 +181,11 @@ def test_transport_smooth_advection_order():
         n = int(np.ceil(T / dt))
         dt = T / n
         stepper = Stepper(grid, ModelParams(alpha=2.0, kind="exp", beta=2.0))
-        vals = exact(0.0)
         _, courant, _ = stepper._coefficients(dt)
+        np.copyto(kernels.interior(stepper._state), exact(0.0))
         for _ in range(n):
-            vals = stepper._transport_heun(vals, courant, np.empty_like(vals))
-        return np.abs(vals - exact(T)).sum() * dx
+            stepper._transport_heun(courant)
+        return np.abs(kernels.interior(stepper._state) - exact(T)).sum() * dx
 
     e1, e2 = l1_error(128), l1_error(256)
     assert e1 / e2 >= 3.6
@@ -339,27 +346,68 @@ def test_shared_stepper_matches_separate_steppers(desk, rng):
     np.testing.assert_array_equal(a2.view(np.uint64), b2.view(np.uint64))
 
 
+def _warm_stepper_256():
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    grid = build_grid(50.0, 50.0, 256, 256)
+    stepper = Stepper(grid, params)
+    values = default_initial_condition(grid).values.copy()
+    dt = cfl_timestep(grid, params, 0.45)
+    stepper.advance(values, dt, 2, fuse=True)
+    return stepper, values, dt
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while ``fn`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_inplace_step_allocates_under_two_fields():
     """A warmed-up in-place step allocates no field-sized temporary.
 
     The bound is not zero: numpy's ufunc iterator may buffer up to 64 KiB
     per operand on strided views.  One 256^2 field is 512 KiB.
     """
-    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 256, 256)
-    stepper = Stepper(grid, params)
-    values = default_initial_condition(grid).values.copy()
-    dt = cfl_timestep(grid, params, 0.45)
-    stepper.step(values, dt, out=values)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        stepper.step(values, dt, out=values)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    stepper, values, dt = _warm_stepper_256()
+    peak = _traced_peak(lambda: stepper.step(values, dt, out=values))
     assert peak < 2 * values.nbytes
+
+
+def test_segment_allocates_under_one_field():
+    """A warmed-up segment of 5 fused steps, with the load of ``values``
+    into the stepper's state and the store back, allocates less than one
+    256^2 field."""
+    stepper, values, dt = _warm_stepper_256()
+    peak = _traced_peak(lambda: stepper.advance(values, dt, 5, fuse=True))
+    assert peak < values.nbytes
+
+
+@pytest.mark.parametrize("fuse", [True, False])
+def test_advance_calls_step_through_the_attribute_once_per_step(monkeypatch, fuse):
+    """``advance`` takes each step through ``Stepper.step`` as looked up on
+    the class, so a wrapper there (a tracer's step span) sees every step."""
+    calls = []
+    step = Stepper.step
+
+    def counting(self, *args, **kwargs):
+        calls.append((kwargs["opens"], kwargs["closes"]))
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stepper, "step", counting)
+    cfg = _desk_config()
+    dt, _ = cfg.resolve_dt()
+    values = default_initial_condition(cfg.grid).values.copy()
+    Stepper(cfg.grid, cfg.model).advance(values, dt, 4, fuse)
+    if fuse:
+        assert calls == [(True, False), (False, False), (False, False), (False, True)]
+    else:
+        assert calls == [(True, True)] * 4
 
 
 # ---------------------------------------------------------------- run loop
