@@ -31,12 +31,13 @@ T(dt/2) [V(dt) T(dt)]^(n-1) V(dt) T(dt/2), n + 1 transport Heun pairs
 instead of 2n.  With exact substeps T(dt/2) T(dt/2) = T(dt);
 with Heun substeps the two schemes differ by O(dt^2) at a fixed time, the
 order of the scheme itself.  The merged T(dt) runs at Courant number
-v_max dt / dx, so segments are fused only when that is at most 1/2, the
-SSP bound under which each forward-Euler stage of the minmod transport
-keeps positivity; above it every step is the symmetric one.
+v_max dt / dx, so a segment is fused exactly when that is at most 1/2
+(``fuses_transport``), the SSP bound under which each forward-Euler
+stage of the minmod transport keeps positivity; above it every step is
+the symmetric one.
 
-``steady_state_reference`` marches windows of steps to a steady state and
-starts each window from a type-II Anderson mixture of the last window
+``steady_state_reference`` marches windows of steps to a steady state
+and starts each window from a type-II Anderson mixture of the last window
 ends, which removes the slow mode that a plain march leaves to decay at
 the truncated operator's spectral gap; it still accepts only the end of
 a marched window.
@@ -236,12 +237,12 @@ class Stepper:
     It steps the model's one operator: specular x-walls, the force V'(x) of
     each column, transport on.  One step is transport(dt/2) . velocity(dt)
     . transport(dt/2), each substep a Heun pair; ``advance`` takes a segment
-    of steps, fused as the module docstring describes.  A transport Heun
-    pair is stage = f + dF(F1), out = f + dF(F1 + F2)/2 on the
-    Courant-scaled face fluxes F1 = F(f), F2 = F(stage), where dF(F) is
-    each cell's left-face flux minus its right-face flux; the velocity Heun
-    step is one kernel call on weights folded from the face coefficients
-    and dt (see ``kernels``).
+    of steps, fused when ``fuses_transport`` allows it (see the module
+    docstring).  A transport Heun pair is stage = f + dF(F1),
+    out = f + dF(F1 + F2)/2 on the Courant-scaled face fluxes F1 = F(f),
+    F2 = F(stage), where dF(F) is each cell's left-face flux minus its
+    right-face flux; the velocity Heun step is one kernel call on weights
+    folded from the face coefficients and dt (see ``kernels``).
 
     The stepper steps its own state, a ``kernels.state_array``: the field
     transposed to one row per velocity and padded with two ghost columns
@@ -254,16 +255,17 @@ class Stepper:
     segment the state between two steps is not a solution value at any
     time; only the segment's result may be observed.
 
-    The Courant numbers for dt and dt/2 and the velocity weights depend on
-    dt: they are built when a step first sees a dt and rebuilt only when dt
-    changes.  The first build also allocates, once the build's temporaries
-    are freed so that it reuses their memory, the state, the stage state,
-    the two transport face fluxes F1 and F2 and a two-row kernel scratch
-    array (about six fields).  After that neither a step nor a segment
-    allocates an array.  The kernels are looked up on the ``kernels``
-    module at each call, so a wrapper installed there (a profiler, a
-    tracer) sees them all.  The state holds nothing between calls of
-    ``step`` or ``advance``, so fields on the same grid may share a stepper.
+    The Courant numbers for dt and dt/2, the velocity weights and whether
+    a segment fuses depend on dt: they are worked out when a step first
+    sees a dt and again only when dt changes.  The first build also
+    allocates, once the build's temporaries are freed so that it reuses
+    their memory, the state, the stage state, the two transport face
+    fluxes F1 and F2 and a two-row kernel scratch array (about six
+    fields).  After that neither a step nor a segment allocates an array.
+    The kernels are looked up on the ``kernels`` module at each call, so a
+    wrapper installed there (a profiler, a tracer) sees them all.  The
+    state holds nothing between calls of ``step`` or ``advance``, so fields
+    on the same grid may share a stepper.
     """
 
     def __init__(self, grid: PhaseGrid, params: ModelParams):
@@ -277,6 +279,7 @@ class Stepper:
             g = self.grid
             ratio = dt / g.dx
             self._courant = (g.v_centers * (0.5 * ratio), g.v_centers * ratio)
+            self._fuse = fuses_transport(g, dt)
             cp, cm = velocity_face_coefficients(g, self.params)
             self._weights = kernels.velocity_heun_weights(cp, cm, dt, g.dv)
             del cp, cm
@@ -335,14 +338,15 @@ class Stepper:
         np.copyto(out, kernels.interior(state))
         return out
 
-    def advance(self, values: np.ndarray, dt: float, n: int, fuse: bool) -> np.ndarray:
+    def advance(self, values: np.ndarray, dt: float, n: int) -> np.ndarray:
         """Advance ``values`` in place by one segment of n steps and return it.
 
-        With ``fuse`` the segment's transport half-steps merge (see the
-        module docstring); without it every step is the symmetric one.
+        The segment's transport half-steps merge when ``fuses_transport``
+        holds for (grid, dt) (see the module docstring); otherwise every
+        step is the symmetric one.
         """
         self._coefficients(dt)
-        state = self._state
+        state, fuse = self._state, self._fuse
         np.copyto(kernels.interior(state), values)
         for i in range(n):
             self.step(
@@ -442,7 +446,7 @@ def run(
     step = start_step
     while step < n_steps:
         end = min(min((step // c + 1) * c for c in cadences), n_steps)
-        stepper.advance(values, dt, end - step, fuse)
+        stepper.advance(values, dt, end - step)
         step = end
         if not np.all(np.isfinite(values)):
             raise NumericalAbort(step)
@@ -508,14 +512,14 @@ def steady_state_reference(
 ) -> Field:
     """March windows of steps until one's L1 change rate drops below tol_rate.
 
-    A window is ``config.diagnostics_cadence`` steps, one ``Stepper.advance``
-    segment, and its rate is ||end - start||_1 / (window length).  Each
-    window is fused when ``fuses_transport`` allows it (see the module
-    docstring) until a fused window meets tol_rate.  The fused and
-    symmetric steps have fixed points O(dt^2) apart, so the march then goes
-    on with symmetric windows and returns the end of the first one that
-    meets tol_rate: a steady state of the symmetric step, the one
-    ``Stepper.step`` takes by default.
+    A window is ``config.diagnostics_cadence`` steps, and its rate is
+    ||end - start||_1 / (window length).  Each window is one
+    ``Stepper.advance`` segment, fused when ``fuses_transport`` allows it
+    (see the module docstring), until a fused window meets tol_rate.  The
+    fused and symmetric steps have fixed points O(dt^2) apart, so the march
+    then goes on with windows of ``Stepper.step`` calls and returns the end
+    of the first one that meets tol_rate: a steady state of the symmetric
+    step.
 
     The window is a contraction whose slowest mode decays at the truncated
     operator's small spectral gap, so each window starts from an Anderson
@@ -546,13 +550,13 @@ def steady_state_reference(
     window = config.diagnostics_cadence
     grid = config.grid
     stepper = Stepper(grid, config.model)
-    fuse = fuses_transport(grid, dt)
     slots = ANDERSON_DEPTH + 1
     ends = np.empty((slots,) + field0.values.shape)
     residuals = np.empty_like(ends)
     total0 = field0.values.sum()
     values = field0.values.copy()
     step = windows = used = 0
+    symmetric = False  # the last phase, taken only when the windows fuse
     k = slots - 1  # the ring slot of the last window
     rate = prev_rate = np.inf
     while step < n_steps:
@@ -560,7 +564,11 @@ def steady_state_reference(
         k = (k + 1) % slots
         res = residuals[k]
         np.copyto(res, values)
-        stepper.advance(values, dt, todo, fuse)
+        if symmetric:
+            for _ in range(todo):
+                stepper.step(values, dt, out=values)
+        else:
+            stepper.advance(values, dt, todo)
         step += todo
         windows += 1
         if not np.all(np.isfinite(values)):
@@ -568,9 +576,9 @@ def steady_state_reference(
         rate = l1_distance(Field(values, grid), Field(res, grid)) / (todo * dt)
         np.subtract(values, res, out=res)
         if rate < tol_rate:
-            if not fuse:
+            if symmetric or not fuses_transport(grid, dt):
                 return Field(values, grid, field0.time_stamp + step * dt)
-            fuse = False
+            symmetric = True
             used = 0
         else:
             if rate > prev_rate:

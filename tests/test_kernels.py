@@ -7,7 +7,7 @@ import pytest
 
 from kinfp import ModelParams, build_grid
 from kinfp import kernels
-from kinfp.solver import Stepper, cfl_timestep, velocity_face_coefficients
+from kinfp.solver import Stepper, cfl_timestep, fuses_transport, velocity_face_coefficients
 
 DESK_PARAMS = ModelParams(alpha=1.5, kind="exp", beta=0.5)
 
@@ -56,8 +56,8 @@ def reference_transport_heun(values, courant):
 
 
 def reference_advance(values, grid, params, dt, n, fuse):
-    """A segment of n steps in the natural (Nx, Nv) layout, fused as
-    ``Stepper.advance`` fuses it."""
+    """A segment of n steps in the natural (Nx, Nv) layout, fused when
+    ``fuse`` is set."""
     half = grid.v_centers * (0.5 * (dt / grid.dx))
     full = grid.v_centers * (dt / grid.dx)
     cp, cm = velocity_face_coefficients(grid, params)
@@ -132,18 +132,21 @@ def test_kernels_bitwise_match_reference(rng, L, v_max, nx, nv):
 
 
 @pytest.mark.parametrize("nx, nv", [(2, 2), (4, 2), (64, 96), (128, 128)])
-@pytest.mark.parametrize("fuse", [True, False])
-def test_advance_bitwise_matches_natural_layout_reference(rng, nx, nv, fuse):
+@pytest.mark.parametrize("safety", [0.45, 0.9])
+def test_advance_bitwise_matches_natural_layout_reference(rng, nx, nv, safety):
     """Segments of 1, 2 and 7 steps in the stepper's transposed, padded
-    state give the bits of the natural-layout formulas, one after another
-    on the same stepper and array, and ``step`` gives the symmetric step."""
+    state give the bits of the natural-layout formulas, fused below
+    Courant 1/2 and symmetric above, one after another on the same stepper
+    and array, and ``step`` gives the symmetric step."""
     grid = build_grid(50.0, 50.0, nx, nv)
-    dt = cfl_timestep(grid, DESK_PARAMS, 0.45)
+    dt = cfl_timestep(grid, DESK_PARAMS, safety)
+    fuse = fuses_transport(grid, dt)
+    assert fuse == (safety < 0.5)
     stepper = Stepper(grid, DESK_PARAMS)
     values = rng.random((nx, nv))
     ref = values.copy()
     for n in (1, 2, 7):
-        assert stepper.advance(values, dt, n, fuse) is values
+        assert stepper.advance(values, dt, n) is values
         ref = reference_advance(ref, grid, DESK_PARAMS, dt, n, fuse)
         assert np.array_equal(bits(values), bits(ref))
     stepped = stepper.step(values, dt)

@@ -352,7 +352,7 @@ def _warm_stepper_256():
     stepper = Stepper(grid, params)
     values = default_initial_condition(grid).values.copy()
     dt = cfl_timestep(grid, params, 0.45)
-    stepper.advance(values, dt, 2, fuse=True)
+    stepper.advance(values, dt, 2)
     return stepper, values, dt
 
 
@@ -384,14 +384,15 @@ def test_segment_allocates_under_one_field():
     into the stepper's state and the store back, allocates less than one
     256^2 field."""
     stepper, values, dt = _warm_stepper_256()
-    peak = _traced_peak(lambda: stepper.advance(values, dt, 5, fuse=True))
+    peak = _traced_peak(lambda: stepper.advance(values, dt, 5))
     assert peak < values.nbytes
 
 
-@pytest.mark.parametrize("fuse", [True, False])
-def test_advance_calls_step_through_the_attribute_once_per_step(monkeypatch, fuse):
+@pytest.mark.parametrize("cfl_safety", [0.45, 0.9])
+def test_advance_calls_step_through_the_attribute_once_per_step(monkeypatch, cfl_safety):
     """``advance`` takes each step through ``Stepper.step`` as looked up on
-    the class, so a wrapper there (a tracer's step span) sees every step."""
+    the class, so a wrapper there (a tracer's step span) sees every step;
+    the segment is fused below Courant 1/2 and symmetric above."""
     calls = []
     step = Stepper.step
 
@@ -400,10 +401,12 @@ def test_advance_calls_step_through_the_attribute_once_per_step(monkeypatch, fus
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(Stepper, "step", counting)
-    cfg = _desk_config()
+    cfg = _desk_config(cfl_safety=cfl_safety)
     dt, _ = cfg.resolve_dt()
+    fuse = fuses_transport(cfg.grid, dt)
+    assert fuse == (cfl_safety < 0.5)
     values = default_initial_condition(cfg.grid).values.copy()
-    Stepper(cfg.grid, cfg.model).advance(values, dt, 4, fuse)
+    Stepper(cfg.grid, cfg.model).advance(values, dt, 4)
     if fuse:
         assert calls == [(True, False), (False, False), (False, False), (False, True)]
     else:
@@ -726,7 +729,7 @@ def test_accelerated_steady_march(kernel_calls):
     assert abs(mass(f) / mass(f0) - 1.0) <= 1e-12
     assert f.values.min() >= 0.0
     assert np.abs(f.values - f.values[::-1, ::-1]).max() <= 1e-12 * f.values.max()
-    after = Stepper(cfg.grid, cfg.model).advance(f.values.copy(), dt, window, fuse=False)
+    after = _unfused(cfg, f.values, window, dt)
     assert l1_distance(Field(after, cfg.grid), Field(f.values, cfg.grid)) / (window * dt) < 1e-5
 
 
