@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, PhaseGrid
-from .model import ModelParams, asymptotic_density, energy
+from .model import ModelParams, _tail_power, asymptotic_density, energy
 
 __all__ = [
     "DiagnosticsRecord",
@@ -209,7 +209,7 @@ def tail_comparison(
         raise ValueError("window contains nonpositive density values")
     ref = asymptotic_density(xs, params.alpha, params.beta, delta)
     dev = float(np.max(np.abs(rs / ref - 1.0)))
-    u = (np.sqrt(1.0 + xs * xs) ** params.alpha / params.alpha) ** (params.beta / 2.0)
+    u = _tail_power(xs, params.alpha, params.beta)
     pref_exp = (params.alpha / 2.0) * (1.0 - params.beta / 2.0)
     y = np.log(rs) - pref_exp * np.log(np.abs(xs))
     slope, _ = np.polyfit(u, y, 1)

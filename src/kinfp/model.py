@@ -460,6 +460,11 @@ def _check_tail_params(alpha: float, beta: float, delta: float) -> None:
         raise ValueError("need alpha > 0, beta > 0, delta > 0")
 
 
+def _tail_power(x, alpha: float, beta: float):
+    # V(x)^(beta/2) with V = <x>^alpha/alpha: the tail exponent lam over delta
+    return (_bracket(x * x) ** alpha / alpha) ** (beta / 2.0)
+
+
 def asymptotic_prefactor(alpha: float, beta: float, delta: float) -> float:
     """Constant C = 2 sqrt(pi) alpha^(beta/4) / sqrt(beta delta alpha).
 
@@ -484,11 +489,10 @@ def asymptotic_density(x, alpha: float, beta: float, delta: float):
     if np.any(xa == 0.0):
         raise ValueError("the asymptotic needs |x| > 0")
     c = asymptotic_prefactor(alpha, beta, delta)
-    vpot = np.sqrt(1.0 + xa * xa) ** alpha / alpha
     out = (
         c
         * np.abs(xa) ** ((alpha / 2.0) * (1.0 - beta / 2.0))
-        * np.exp(-delta * vpot ** (beta / 2.0))
+        * np.exp(-delta * _tail_power(xa, alpha, beta))
     )
     return out if out.ndim else float(out)
 
@@ -513,7 +517,6 @@ def asymptotic_correction(x, alpha: float, beta: float, delta: float):
     """
     _check_tail_params(alpha, beta, delta)
     xa = np.asarray(x, dtype=np.float64)
-    vpot = np.sqrt(1.0 + xa * xa) ** alpha / alpha
     c1 = 3.0 * (2.0 - beta) / (8.0 * beta)
-    out = 1.0 + c1 / (delta * vpot ** (beta / 2.0))
+    out = 1.0 + c1 / (delta * _tail_power(xa, alpha, beta))
     return out if out.ndim else float(out)

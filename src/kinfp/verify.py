@@ -9,14 +9,15 @@ the observed constant C inside the ball, and the worst margin outside.
 
 The scan is a numerical check at sampled points, not a proof: "<=" is
 certified literally, with the scanned C absorbing all constants.  The
-scan points are a tensor-product grid plus both coordinate axes, and the
-scan keeps only the two axes: it evaluates s = L* m + phi(m) with
-:func:`kinfp.model.drift_excess` on blocks of whole grid rows, an x
-column broadcast against the v row, so terms of one coordinate are
-computed once per axis value.  Its memory grows with the sample count
-only through s, r^2 and the radius masks.  The search shares the axes
-and r^2 across its candidates and stops scanning a failing candidate at
-its first violating block.
+scan points are one tensor-product grid whose two axes each hold 0, so
+it covers both coordinate axes and the origin (the tightest points of
+the inequality sit near the axes).  The scan keeps only the two axes: it
+evaluates s = L* m + phi(m) with :func:`kinfp.model.drift_excess` on
+blocks of whole grid rows, an x column broadcast against the v row, so
+terms of one coordinate are computed once per axis value.  Its memory
+grows with the sample count only through s, r^2 and the radius masks.
+The search shares the axes and r^2 across its candidates and stops
+scanning a failing candidate at its first violating block.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ class ScanConfig:
     """Sampling plan for the drift-inequality scan.
 
     The scan covers the box [-x_half, x_half] x [-v_half, v_half] with a
-    tensor-product grid of ``samples_per_axis`` points per axis plus both
-    coordinate axes sampled explicitly (the tightest points of the
-    inequality sit near the axes).
+    tensor-product grid of ``samples_per_axis`` equispaced points per axis
+    plus 0 (an odd count's middle point is 0), so the grid takes in both
+    coordinate axes and the origin (the tightest points of the inequality
+    sit near the axes).
     """
 
     x_half: float = 50.0
@@ -101,27 +103,25 @@ class CertificateReport:
         )
 
 
+def _axis(half: float, n: int) -> np.ndarray:
+    """n equispaced samples across [-half, half] and an exact 0: one more
+    sample for an even n, the middle sample for an odd n."""
+    axis = np.linspace(-half, half, n)
+    if n % 2:
+        axis[n // 2] = 0.0  # linspace leaves it within rounding of 0
+    return np.union1d(axis, 0.0)
+
+
 def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan's axes xs, vs (n samples across each side of the box) and
-    r^2 at its points.
+    """The scan's axes xs, vs and r^2 on their grid.
 
-    The points are the grid (xs[i], vs[j]) in x-major order, then the
-    x-axis (xs[i], 0), then the v-axis (0, vs[j]): n^2 + 2n of them.
+    Each axis holds ``samples_per_axis`` samples across its side of the
+    box and 0 (see :func:`_axis`).  The points are the grid (xs[i], vs[j]),
+    and r^2 is the (xs.size, vs.size) array of their squared radii.
     """
-    n = cfg.samples_per_axis
-    xs = np.linspace(-cfg.x_half, cfg.x_half, n)
-    vs = np.linspace(-cfg.v_half, cfg.v_half, n)
-    grid = (xs * xs)[:, None] + (vs * vs)[None, :]
-    return xs, vs, np.concatenate([grid.reshape(-1), xs * xs, vs * vs])
-
-
-def _point(i: int, xs, vs) -> tuple[float, float]:
-    """The scan point with index i in the order of :func:`_scan_points`."""
-    n = xs.size
-    if i < n * n:
-        return float(xs[i // n]), float(vs[i % n])
-    i -= n * n
-    return (float(xs[i]), 0.0) if i < n else (0.0, float(vs[i - n]))
+    xs = _axis(cfg.x_half, cfg.samples_per_axis)
+    vs = _axis(cfg.v_half, cfg.samples_per_axis)
+    return xs, vs, (xs * xs)[:, None] + (vs * vs)[None, :]
 
 
 def check_weight_mode(params: ModelParams, spec: LyapunovSpec) -> None:
@@ -150,36 +150,29 @@ def check_weight_mode(params: ModelParams, spec: LyapunovSpec) -> None:
 def _drift_excess_chunks(
     params: ModelParams, spec: LyapunovSpec, xs, vs, r2, stop_radius: float | None = None
 ) -> np.ndarray | None:
-    """s = L* m + phi(m) at the scan points, filled in blocks of grid rows.
+    """s = L* m + phi(m) on the scan grid, filled in blocks of grid rows.
 
-    Each block is max(1, _SCAN_CHUNK // n) x-rows of the grid, evaluated
-    by broadcasting an x column against the v row, so terms of one
-    coordinate are computed once per axis value.  The 2n axis points are
-    filled with the last block.  With ``stop_radius`` it returns None
-    after the first block, short of the last, holding a point with
-    r > stop_radius where not s <= 0 (s > 0 or NaN): every candidate
-    radius up to stop_radius then fails.
+    Each block is max(1, _SCAN_CHUNK // vs.size) x-rows of the grid,
+    evaluated by broadcasting an x column against the v row, so terms of
+    one coordinate are computed once per axis value.  With
+    ``stop_radius`` it returns None after the first block, short of the
+    last, holding a point with r > stop_radius where not s <= 0 (s > 0 or
+    NaN): every candidate radius up to stop_radius then fails.
     """
-    n = xs.size
-    rows = max(1, _SCAN_CHUNK // n)
+    rows = max(1, _SCAN_CHUNK // vs.size)
     s = np.empty_like(r2)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        block = s[r0 * n : r1 * n]
-        block[:] = drift_excess(xs[r0:r1, None], vs, params, spec).reshape(-1)
-        if stop_radius is not None and r1 < n:
-            outside = r2[r0 * n : r1 * n] > stop_radius * stop_radius
-            if not np.max(block, where=outside, initial=-np.inf) <= 0.0:
+    for r0 in range(0, xs.size, rows):
+        r1 = r0 + rows
+        s[r0:r1] = drift_excess(xs[r0:r1, None], vs, params, spec)
+        if stop_radius is not None and r1 < xs.size:
+            outside = r2[r0:r1] > stop_radius * stop_radius
+            if not np.max(s[r0:r1], where=outside, initial=-np.inf) <= 0.0:
                 return None
-    zeros = np.zeros(n)
-    s[n * n :] = drift_excess(
-        np.concatenate([xs, zeros]), np.concatenate([zeros, vs]), params, spec
-    )
     return s
 
 
 def _report(s, xs, vs, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateReport:
-    """The report of s over the points; overwrites s inside the chosen ball."""
+    """The report of s over the grid; overwrites s inside the chosen ball."""
     for radius in sorted(cfg.exclusion_radii):  # ends on the largest if none passes
         inside = r2 <= radius * radius
         worst = float(np.max(s, where=~inside, initial=-np.inf))
@@ -187,13 +180,13 @@ def _report(s, xs, vs, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateRe
             break
     c_obs = float(np.max(s, where=inside, initial=-np.inf))
     np.copyto(s, -np.inf, where=inside)  # the worst point lies outside the ball
-    i = int(np.argmax(s))
+    i, j = np.unravel_index(np.argmax(s), s.shape)
     return CertificateReport(
         passed=worst <= 0.0,
         chosen_R=float(radius),
         chosen_C=max(c_obs, 0.0),
         min_margin_outside=-worst,
-        worst_point=_point(i, xs, vs),
+        worst_point=(float(xs[i]), float(vs[j])),
         spec_echo=spec,
     )
 
@@ -222,9 +215,10 @@ def scan_drift_inequality(
     sampled point outside the Euclidean ball B_R.  The report is built for
     the smallest passing candidate, or for the largest candidate when none
     passes: its margin is -max(s) outside the ball, its worst point the
-    first point attaining that maximum, and C the largest s inside the
-    ball, floored at zero.  A NaN of s outside the ball fails every
-    candidate and gives a NaN margin at the first NaN point.
+    first grid point in x-major order attaining that maximum, and C the
+    largest s inside the ball (the origin included), floored at zero.  A
+    NaN of s outside the ball fails every candidate and gives a NaN margin
+    at the first NaN point.
     """
     return _scan(params, spec, cfg, _scan_points(cfg))
 

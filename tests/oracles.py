@@ -4,11 +4,14 @@
 callable F, and ``apply_Lstar_fd_richardson`` its extrapolation to fourth
 order; they check the closed forms of :mod:`kinfp.model` (criterion 4 and
 ``test_verify.py``).  ``lstar_term_scale`` is the magnitude against which
-their relative errors are measured.
+their relative errors are measured.  ``to_state`` loads a field into the
+kernels' padded state, for the kernel tests of ``test_kernels.py`` and
+``test_solver.py``.
 """
 
 import numpy as np
 
+from kinfp import kernels
 from kinfp.model import (
     LyapunovSpec,
     ModelParams,
@@ -83,3 +86,9 @@ def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str)
     _, p1, p2 = _weight_derivatives(h, spec)
     g = grad_v_H(x, v, params, spec)
     return np.abs(p1) * (ep + ct) + np.abs(p2) * (g * g)
+
+
+def to_state(values):
+    state = kernels.state_array(values.shape)
+    np.copyto(kernels.interior(state), values)
+    return state

@@ -244,8 +244,9 @@ def test_c04_exact_vs_fd_dual_operator():
 
 def test_c05_lyapunov_certification():
     """Criterion 5: drift certificates for all four parameter regimes via the
-    documented coarse search grids (box 50x50, 256^2 samples + axes), each
-    the (eps, A, B, delta, R) of the README table (delta None for poly)."""
+    documented coarse search grids (box 50x50, a 257^2 grid: 256 samples
+    per axis and 0), each the (eps, A, B, delta, R) of the README table
+    (delta None for poly)."""
     cfg = ScanConfig()
     cases = [
         (ModelParams(alpha=1.5, kind="exp", beta=0.5), dict(theta=0.25),

@@ -8,6 +8,7 @@ import pytest
 from kinfp import ModelParams, build_grid
 from kinfp import kernels
 from kinfp.solver import Stepper, cfl_timestep, fuses_transport, velocity_face_coefficients
+from oracles import to_state
 
 DESK_PARAMS = ModelParams(alpha=1.5, kind="exp", beta=0.5)
 
@@ -67,12 +68,6 @@ def reference_advance(values, grid, params, dt, n, fuse):
         values = reference_velocity_heun(values, cp, cm, dt, grid.dv)
         values = reference_transport_heun(values, half if i == n - 1 or not fuse else full)
     return values
-
-
-def to_state(values):
-    state = kernels.state_array(values.shape)
-    np.copyto(kernels.interior(state), values)
-    return state
 
 
 def upwind_faces(out, courant):

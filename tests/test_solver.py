@@ -31,6 +31,7 @@ from kinfp.solver import (
     velocity_face_coefficients,
     write_checkpoint,
 )
+from oracles import to_state
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +39,6 @@ def desk():
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
     grid = build_grid(50.0, 50.0, 64, 64)
     return params, grid
-
-
-def to_state(values):
-    state = kernels.state_array(values.shape)
-    np.copyto(kernels.interior(state), values)
-    return state
 
 
 def transport_increment(values, grid, dt):

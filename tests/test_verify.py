@@ -123,10 +123,11 @@ def test_scan_passing_case():
 
 def test_scan_report_independent_of_chunk_size(monkeypatch):
     """The scan fills s in blocks of whole grid rows; blocks of one row
-    (a chunk of 7 points) and of three rows (the last block holds one)
-    give the report of one block over all points."""
+    (a chunk of 7 points) and of two rows (the last block holds one)
+    give the report of one block over all points.  100 samples per axis
+    and 0 make a 101 x 101 grid."""
     cfg = ScanConfig(samples_per_axis=100, exclusion_radii=(20.0, 30.0, 40.0))
-    n_points = 100 * 100 + 2 * 100
+    n_points = 101 * 101
     passing = (
         ModelParams(alpha=2.0, kind="exp", beta=1.0),
         LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0)),
@@ -149,12 +150,10 @@ def test_scan_report_independent_of_chunk_size(monkeypatch):
 
 def _flat_scan(params, spec, cfg):
     """Reference scan over materialised points: s from one drift_excess call
-    and the report from masked copies of it."""
-    n = cfg.samples_per_axis
-    xs = np.linspace(-cfg.x_half, cfg.x_half, n)
-    vs = np.linspace(-cfg.v_half, cfg.v_half, n)
-    x = np.concatenate([np.repeat(xs, n), xs, np.zeros(n)])
-    v = np.concatenate([np.tile(vs, n), np.zeros(n), vs])
+    over the meshgrid of the scan's axes and the report from masked copies
+    of it."""
+    xs, vs, _ = verify._scan_points(cfg)
+    x, v = np.meshgrid(xs, vs, indexing="ij")
     s = drift_excess(x, v, params, spec)
     r2 = x * x + v * v
     for radius in sorted(cfg.exclusion_radii):
@@ -163,6 +162,7 @@ def _flat_scan(params, spec, cfg):
         if worst <= 0.0:
             break
     i = np.flatnonzero(outside)[np.argmax(s[outside])]
+    x, v = x.reshape(-1), v.reshape(-1)
     report = CertificateReport(
         passed=worst <= 0.0,
         chosen_R=float(radius),
@@ -181,12 +181,13 @@ def test_tensor_scan_matches_flat_reference(monkeypatch, samples, chunk):
     field for field of one drift_excess call over the materialised points,
     with one block, blocks of one row, and blocks of three rows that do not
     divide the row count."""
+    cfg = ScanConfig(v_half=45.0, samples_per_axis=samples, exclusion_radii=(20.0, 30.0, 40.0))
+    xs, vs, _ = verify._scan_points(cfg)
     if chunk == "uneven":
-        chunk = 3 * samples + 1
-        assert samples % 3 != 0
+        chunk = 3 * vs.size
+        assert xs.size % 3 != 0
     if chunk != "default":
         monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
-    cfg = ScanConfig(v_half=45.0, samples_per_axis=samples, exclusion_radii=(20.0, 30.0, 40.0))
     cases = [
         (ModelParams(alpha=2.0, kind="exp", beta=1.0),
          LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))),
@@ -203,6 +204,40 @@ def test_tensor_scan_matches_flat_reference(monkeypatch, samples, chunk):
         _assert_reports_equal(scan_drift_inequality(params, spec, cfg), want)
 
 
+@pytest.mark.parametrize("half", [50.0, 45.0, 10.0])
+@pytest.mark.parametrize("samples", [16, 17, 23, 256, 257])
+def test_scan_axes_hold_their_samples_and_zero_once(half, samples):
+    """Each axis is the linspace of its side, sorted, with 0 added for an
+    even count; an odd count's middle sample becomes exactly 0 (linspace
+    gives 7.1e-15 for 23 samples across 100), so the grid is (n, n) with
+    no duplicate row."""
+    cfg = ScanConfig(
+        x_half=half, v_half=half, samples_per_axis=samples, exclusion_radii=(1.0,)
+    )
+    xs, vs, r2 = verify._scan_points(cfg)
+    spaced = np.linspace(-half, half, samples)
+    size = samples + (samples % 2 == 0)
+    assert xs.shape == vs.shape == (size,)
+    assert r2.shape == (size, size)
+    assert np.array_equal(xs, vs)
+    assert np.all(np.diff(xs) > 0.0)
+    assert np.count_nonzero(xs == 0.0) == 1
+    assert set(xs[xs != 0.0]) == set(spaced[np.abs(spaced) > 1e-12])
+    assert np.array_equal(r2, xs[:, None] ** 2 + vs[None, :] ** 2)
+
+
+def test_certified_constant_covers_the_origin():
+    """C is at least s at the origin, which a 256-sample linspace misses:
+    on the desk regime s(0, 0) = 5.16 exceeds every other sample inside
+    B_20 (the largest, 5.09, sits beside it at (-0.196, 0))."""
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    spec = LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.25, delta=2.0))
+    report = scan_drift_inequality(params, spec, ScanConfig())
+    origin = float(drift_excess(np.zeros(1), np.zeros(1), params, spec)[0])
+    assert report.passed and report.chosen_R == 20.0
+    assert report.chosen_C >= origin > 5.0
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize(
     "peaks, want",
@@ -210,16 +245,20 @@ def test_tensor_scan_matches_flat_reference(monkeypatch, samples, chunk):
         ([(3, 12)], (3, 12)),
         ([(14, None)], (14, None)),
         ([(None, 1)], (None, 1)),
-        ([(2, None), (5, 9)], (5, 9)),  # a grid point comes before the x-axis
-        ([(None, 0), (15, None)], (15, None)),  # the x-axis before the v-axis
+        ([(5, 9), (2, None)], (2, None)),  # an x-axis point in an earlier row
+        ([(5, None), (2, 9)], (2, 9)),  # a grid point in an earlier row
+        ([(15, None), (None, 0)], (None, 0)),  # the v-axis is the row x = 0
+        ([(None, 12), (None, 3)], (None, 3)),  # within a row, v ascends
         ([(7, 1), (6, 13)], (6, 13)),  # the grid is x-major
     ],
-    ids=["grid", "x-axis", "v-axis", "tie-grid-x-axis", "tie-axes", "tie-grid"],
+    ids=["grid", "x-axis", "v-axis", "tie-x-axis-grid", "tie-grid-x-axis", "tie-axes",
+         "tie-v-axis", "tie-grid"],
 )
 def test_worst_point_maps_back_to_its_coordinates(monkeypatch, chunk, peaks, want):
-    """With s = 1 exactly at the given points (indices into the axes, None
-    for the zero coordinate of an axis point) and below 1 elsewhere, the
-    worst point is the first of them in the scan's point order."""
+    """With s = 1 exactly at the given points (indices into the 16-sample
+    linspace of each side, None for the 0 that the scan adds to each axis)
+    and below 1 elsewhere, the worst point is the first of them in the
+    grid's x-major order."""
     cfg = ScanConfig(x_half=10.0, v_half=12.0, samples_per_axis=16, exclusion_radii=(1.0,))
     xs = np.linspace(-10.0, 10.0, 16)
     vs = np.linspace(-12.0, 12.0, 16)
@@ -392,11 +431,11 @@ def _assert_reports_equal(got, want):
 def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
     """The search's fail-fast scan fails exactly the specs that the full scan
     fails and stops at the block of the first violation outside the largest
-    radius.  A scan that reaches its last block gives the full scan's
-    report; its axis points are one more drift_excess call after that
-    block.  The 64-sample NaN case is one block at the default size, so it
-    cannot stop early there.  The full scans run at the default chunk size
-    (the report does not depend on it)."""
+    radius.  A scan that reaches its last block, its last drift_excess
+    call, gives the full scan's report.  The 64-sample NaN case (a 65 x 65
+    grid) is one block at the default size, so it cannot stop early there.
+    The full scans run at the default chunk size (the report does not
+    depend on it)."""
     chunks = []
     full_excess = verify.drift_excess
 
@@ -427,11 +466,10 @@ def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
             )
         assert full.passed == (name == "passing"), name
         assert (fast is not None and fast.passed) == full.passed, name
-        samples = scan_cfg.samples_per_axis
-        blocks = -(-samples // max(1, verify._SCAN_CHUNK // samples))
-        n, last = len(chunks), blocks + 1  # the grid blocks, then the axis points
-        first = 1 if blocks > 1 else last
-        assert {"first": n == first, "later": 1 < n < last, "last": n == last}[ends], (name, n)
+        xs, vs, _ = verify._scan_points(scan_cfg)
+        last = -(-xs.size // max(1, verify._SCAN_CHUNK // vs.size))  # the block count
+        n = len(chunks)
+        assert {"first": n == 1, "later": 1 < n < last, "last": n == last}[ends], (name, n)
         if n == last:  # a scan that reaches its last block keeps its report
             _assert_reports_equal(fast, full)
         else:
