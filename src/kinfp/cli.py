@@ -7,15 +7,18 @@ its message), 2 verification failure, 3 numerical abort.
 
 All real numbers in CSV output are written in scientific notation with 17
 significant digits so 64-bit values round-trip bit-faithfully.  Each
-``cmd_*`` appends every file it writes to the list it is given, as soon
-as the file is written, and returns its exit code with a one-line reason.
-Once the output directory exists, ``main`` times the command and writes
-the one ``manifest.json`` naming those files, with the exit code and
-reason, the config echo, the package version and the wall time (the data
-files are deterministic for a fixed config); a command that fails with
-an OSError or ValueError after writing a file gets its manifest too.
-Inputs are checked by the config parser and the library functions that
-read them.
+subparser names its ``cmd_*`` function, which ``main`` calls with the
+config, the parsed arguments, the output directory and a ``save(name,
+write)`` callback.  A command writes every file through ``save``: it
+makes the directory, writes the file whole or not at all (``_replace``)
+and lists its name.  The command returns its exit code with a one-line
+reason.  Once the output directory exists, ``main`` times the command and
+writes the one ``manifest.json`` naming the listed files, with the exit
+code and reason, the config echo, the package version and the wall time
+(the data files are deterministic for a fixed config); a command that
+fails with an OSError or ValueError after writing a file gets its
+manifest too.  Inputs are checked by the config parser and the library
+functions that read them.
 """
 
 from __future__ import annotations
@@ -120,9 +123,7 @@ def _reference_field(cfg: RunConfig, grid, params) -> Field | None:
     return read_checkpoint(cfg["diagnostics.reference_file"])[0]
 
 
-def cmd_simulate(
-    cfg: RunConfig, outdir: Path, outputs: list, resume: str | None = None
-) -> tuple[int, str]:
+def cmd_simulate(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
     """Run the solver; ``run`` refuses a field, a reference or a resume
     state it would not continue exactly."""
     params = cfg.model_params()
@@ -133,24 +134,20 @@ def cmd_simulate(
     density_rows: list[tuple] = []
     distance_rows: list[tuple] = []
     reference = _reference_field(cfg, grid, params)
-    field0, start_step = read_checkpoint(resume) if resume else (_initial_field(cfg, grid), 0)
+    if args.resume:
+        field0, start_step = read_checkpoint(args.resume)
+    else:
+        field0, start_step = _initial_field(cfg, grid), 0
 
     # the output directory is made only once run has accepted the state:
     # its first sink call or its return comes after its input checks
     def on_snapshot(field: Field, step: int):
-        outdir.mkdir(parents=True, exist_ok=True)
         stem = f"snapshot_{step:08d}"
         if snap_fmt == "csv":
-            name = stem + ".csv"
-            _write_field_csv(outdir / name, field)
+            save(stem + ".csv", lambda tmp: _write_field_csv(tmp, field))
         else:
-            name = stem + ".ckpt"
-            write_checkpoint(field, step, outdir / name)
-        outputs.append(name)
-        # a process killed mid-write must not destroy the last good checkpoint
-        _replace(outdir / "last_checkpoint.ckpt", lambda tmp: write_checkpoint(field, step, tmp))
-        if "last_checkpoint.ckpt" not in outputs:
-            outputs.append("last_checkpoint.ckpt")
+            save(stem + ".ckpt", lambda tmp: write_checkpoint(field, step, tmp))
+        save("last_checkpoint.ckpt", lambda tmp: write_checkpoint(field, step, tmp))
         rho = density(field)
         density_rows.extend(
             (field.time_stamp, x, r) for x, r in zip(grid.x_centers, rho)
@@ -171,7 +168,8 @@ def cmd_simulate(
         abort = f"numerical abort: {exc}"
         print(abort, file=sys.stderr)
 
-    # an aborted run keeps every row it collected before the abort
+    # an aborted run keeps every row it collected before the abort, and a
+    # manifest even when it collected none
     outdir.mkdir(parents=True, exist_ok=True)
     for name, header, rows in (
         ("diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows),
@@ -179,20 +177,17 @@ def cmd_simulate(
         ("distance_series.csv", "t,distance", distance_rows),
     ):
         if rows:
-            _write_csv(outdir / name, header, rows)
-            outputs.append(name)
+            save(name, lambda tmp: _write_csv(tmp, header, rows))
     if final is None:
         return 3, abort
     print(f"simulate: t={final.time_stamp:g} mass={mass(final):.12g} -> {outdir}")
     return 0, "completed"
 
 
-def cmd_verify_lyapunov(
-    cfg: RunConfig, outdir: Path, outputs: list, search: bool = False
-) -> tuple[int, str]:
+def cmd_verify_lyapunov(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
     params = cfg.model_params()
     scan_cfg = cfg.scan_config()
-    if search:
+    if args.search:
         # the search reads theta or k, and ell, as the configured weight mode does
         check_weight_mode(params, cfg.lyapunov_spec())
         exp = cfg["lyapunov.mode"] == "exp"
@@ -206,9 +201,7 @@ def cmd_verify_lyapunov(
         _, report = find_certified_spec(params, scan_cfg, ell=cfg["lyapunov.ell"], **weight)
     else:
         report = scan_drift_inequality(params, cfg.lyapunov_spec(), scan_cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_keys(
-        outdir / "certificate.txt",
+    keys = dict(
         passed=report.passed,
         chosen_R=report.chosen_R,
         chosen_C=report.chosen_C,
@@ -216,14 +209,14 @@ def cmd_verify_lyapunov(
         worst_point=report.worst_point,
         spec=report.spec_echo,
     )
-    outputs.append("certificate.txt")
+    save("certificate.txt", lambda tmp: _write_keys(tmp, **keys))
     print(report.summary())
     return 0 if report.passed else 2, report.summary()
 
 
-def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path, outputs: list) -> tuple[int, str]:
+def cmd_fit_rate(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
     rows = []
-    with open(series_path) as fh:
+    with open(args.series) as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#") or s.lower().startswith("t,"):
@@ -238,48 +231,36 @@ def cmd_fit_rate(cfg: RunConfig, series_path: str, outdir: Path, outputs: list) 
     if not rows:
         raise ValueError("empty series")
     mode = cfg["diagnostics.rate_mode"]
-    t = np.asarray(rows)[:, 0]
-    span = t.max() - t.min()
     fit = rate_fit(
         rows,
         mode,
         theta=cfg["diagnostics.rate_theta"] if mode == "exp" else None,
-        t_burn=t.min() + cfg["diagnostics.rate_burn_fraction"] * span,
+        burn_fraction=cfg["diagnostics.rate_burn_fraction"],
     )
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_keys(
-        outdir / "rate_fit.txt",
+    keys = dict(
         mode=fit.mode,
         theta=fit.theta,
         fitted=fit.fitted,
         window=fit.window,
         residual_rms=fit.residual_rms,
     )
-    outputs.append("rate_fit.txt")
+    save("rate_fit.txt", lambda tmp: _write_keys(tmp, **keys))
     label = "lambda" if mode == "exp" else "k"
     print(f"fit-rate: {label}={fit.fitted:.6g} residual_rms={fit.residual_rms:.3g}")
     return 0, "completed"
 
 
-def cmd_steady_state(
-    cfg: RunConfig, outdir: Path, outputs: list, tol_rate: float
-) -> tuple[int, str]:
+def cmd_steady_state(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
     solver_cfg = cfg.solver_config()
     field0 = _initial_field(cfg, solver_cfg.grid)
     try:
-        ref = steady_state_reference(solver_cfg, tol_rate=tol_rate, field0=field0)
+        ref = steady_state_reference(solver_cfg, tol_rate=args.tol_rate, field0=field0)
     except RuntimeError as exc:  # NumericalAbort is one
         print(f"error: {exc}", file=sys.stderr)
         return 3, str(exc)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_checkpoint(ref, 0, outdir / "steady_state.ckpt")
-    outputs.append("steady_state.ckpt")
-    _write_csv(
-        outdir / "steady_density.csv",
-        "x,rho",
-        zip(solver_cfg.grid.x_centers, density(ref)),
-    )
-    outputs.append("steady_density.csv")
+    save("steady_state.ckpt", lambda tmp: write_checkpoint(ref, 0, tmp))
+    rows = zip(solver_cfg.grid.x_centers, density(ref))
+    save("steady_density.csv", lambda tmp: _write_csv(tmp, "x,rho", rows))
     # field0 starts at t = 0, and every window but the last marches the full cadence
     dt = solver_cfg.resolve_dt()[0]
     steps = round(ref.time_stamp / dt)
@@ -291,15 +272,12 @@ def cmd_steady_state(
     return 0, "completed"
 
 
-def cmd_export_reference(cfg: RunConfig, outdir: Path, outputs: list) -> tuple[int, str]:
+def cmd_export_reference(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
     params = cfg.model_params()
     grid = cfg.phase_grid()
     ref = reference_profile(grid, params, cfg["diagnostics.delta"], normalize=True)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_checkpoint(ref, 0, outdir / "reference_profile.ckpt")
-    outputs.append("reference_profile.ckpt")
-    _write_field_csv(outdir / "reference_profile.csv", ref)
-    outputs.append("reference_profile.csv")
+    save("reference_profile.ckpt", lambda tmp: write_checkpoint(ref, 0, tmp))
+    save("reference_profile.csv", lambda tmp: _write_field_csv(tmp, ref))
     print(f"export-reference: delta={cfg['diagnostics.delta']:g} -> {outdir}")
     return 0, "completed"
 
@@ -312,32 +290,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, func, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", required=True, help="configuration file path")
         sp.add_argument("--output", default=None, help="output directory")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="run the finite-volume solver")
-    common(sp)
+    sp = command("simulate", cmd_simulate, "run the finite-volume solver")
     sp.add_argument("--resume", default=None, help="checkpoint to continue from")
 
-    sp = sub.add_parser("verify-lyapunov", help="scan the drift inequality")
-    common(sp)
+    sp = command("verify-lyapunov", cmd_verify_lyapunov, "scan the drift inequality")
     sp.add_argument(
         "--search",
         action="store_true",
         help="grid-search (eps, A, B, delta) instead of using the configured spec",
     )
 
-    sp = sub.add_parser("fit-rate", help="fit a decay law to a distance series")
-    common(sp)
+    sp = command("fit-rate", cmd_fit_rate, "fit a decay law to a distance series")
     sp.add_argument("--series", required=True, help="CSV file of t,distance rows")
 
-    sp = sub.add_parser("steady-state", help="integrate to a steady reference field")
-    common(sp)
+    sp = command("steady-state", cmd_steady_state, "integrate to a steady reference field")
     sp.add_argument("--tol-rate", type=float, default=1e-8, help="L1 rate tolerance")
 
-    sp = sub.add_parser("export-reference", help="write the energy-profile reference")
-    common(sp)
+    command("export-reference", cmd_export_reference, "write the energy-profile reference")
     return p
 
 
@@ -347,18 +323,15 @@ def main(argv=None) -> int:
         cfg = parse_config(Path(args.config).read_text())
         outdir = Path(args.output) if args.output else Path(cfg["output.dir"])
         t0 = time.time()
-        outputs: list[str] = []
+        outputs: set[str] = set()
+
+        def save(name: str, write) -> None:
+            outdir.mkdir(parents=True, exist_ok=True)
+            _replace(outdir / name, write)
+            outputs.add(name)
+
         try:
-            if args.command == "simulate":
-                code, reason = cmd_simulate(cfg, outdir, outputs, resume=args.resume)
-            elif args.command == "verify-lyapunov":
-                code, reason = cmd_verify_lyapunov(cfg, outdir, outputs, search=args.search)
-            elif args.command == "fit-rate":
-                code, reason = cmd_fit_rate(cfg, args.series, outdir, outputs)
-            elif args.command == "steady-state":
-                code, reason = cmd_steady_state(cfg, outdir, outputs, tol_rate=args.tol_rate)
-            else:
-                code, reason = cmd_export_reference(cfg, outdir, outputs)
+            code, reason = args.func(cfg, args, outdir, save)
         except (OSError, ValueError) as exc:
             if not outputs:
                 raise

@@ -19,7 +19,8 @@ that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
 ``LyapunovSpec`` (with its weight mode) and ``ScanConfig``, built through
 the typed views of ``RunConfig``, or by the check that the function
 reading it runs: ``reference_profile``'s on ``diagnostics.delta``,
-``rate_fit``'s on ``diagnostics.rate_theta`` (under ``rate_mode = exp``).
+``rate_fit``'s on ``diagnostics.rate_theta`` (under ``rate_mode = exp``)
+and on ``diagnostics.rate_burn_fraction``.
 So ``model.gamma`` needs only gamma > 0, the range where the equilibrium
 has finite mass and the solver is defined; the drift certifier itself
 refuses a poly model unless 3/2 < ell < 1 + gamma/2, which excludes
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import check_delta, check_rate_theta
+from .diagnostics import check_burn_fraction, check_delta, check_rate_theta
 from .grid import PhaseGrid
 from .model import ExpWeight, LyapunovSpec, ModelParams, PolyWeight
 from .solver import SolverConfig
@@ -53,7 +54,12 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-# key -> (python type, default or _REQUIRED)
+def _dt(text: str) -> str:
+    # "auto", or the float literal in its repr form
+    return "auto" if text == "auto" else repr(float(text))
+
+
+# key -> (parser of the value text, default or _REQUIRED)
 SCHEMA: dict[str, tuple] = {
     "model.alpha": (float, _REQUIRED),
     "model.kind": (str, _REQUIRED),  # "exp" | "poly"
@@ -64,7 +70,7 @@ SCHEMA: dict[str, tuple] = {
     "grid.Nx": (int, 128),
     "grid.Nv": (int, 128),
     "time.t_final": (float, 10.0),
-    "time.dt": (str, "auto"),  # "auto" or a float literal
+    "time.dt": (_dt, "auto"),  # "auto" or a float literal
     "time.cfl_safety": (float, 0.45),
     "initial.preset": (str, "paper-default"),  # or "file"
     "initial.file": (str, ""),  # checkpoint path when preset = file
@@ -197,18 +203,8 @@ def _parse_lines(text: str, violations: list[str]) -> dict[str, object]:
         if key in raw:
             violations.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        typ, _default = SCHEMA[key]
         try:
-            if key == "time.dt":
-                raw[key] = "auto" if value == "auto" else repr(float(value))
-            elif typ is int:
-                raw[key] = int(value)
-            elif typ is float:
-                raw[key] = float(value)
-            elif typ is _float_list:
-                raw[key] = _float_list(value)
-            else:
-                raw[key] = value
+            raw[key] = SCHEMA[key][0](value)
         except ValueError:
             violations.append(f"line {lineno}: {key}: cannot parse {value!r}")
     return raw
@@ -226,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
     violations: list[str] = []
     raw = _parse_lines(text, violations)
     values = {}
-    for key, (_typ, default) in SCHEMA.items():
+    for key, (_parse, default) in SCHEMA.items():
         if key in raw:
             values[key] = raw[key]
         elif default is _REQUIRED:
@@ -253,11 +249,6 @@ def parse_config(text: str) -> RunConfig:
         for key, allowed in _CHOICES.items()
         if values[key] not in allowed
     ]
-    # no object owns the burn-in share: fit-rate turns it into a time
-    frac = values["diagnostics.rate_burn_fraction"]
-    if not 0.0 <= frac < 1.0:
-        violations.append(f"diagnostics.rate_burn_fraction: must lie in [0, 1), got {frac}")
-
     cfg = RunConfig(entries=tuple((k, values[k]) for k in SCHEMA))
 
     def builds(label: str, view) -> bool:
@@ -280,6 +271,8 @@ def parse_config(text: str) -> RunConfig:
     if values["diagnostics.rate_mode"] == "exp":
         theta = values["diagnostics.rate_theta"]
         builds("diagnostics.rate_theta", lambda: check_rate_theta(theta))
+    frac = values["diagnostics.rate_burn_fraction"]
+    builds("diagnostics.rate_burn_fraction", lambda: check_burn_fraction(frac))
     if violations:
         raise ConfigError(violations)
     return cfg

@@ -25,6 +25,7 @@ __all__ = [
     "l1_distance",
     "check_delta",
     "check_rate_theta",
+    "check_burn_fraction",
     "reference_profile",
     "energy_scatter",
     "tail_comparison",
@@ -106,6 +107,12 @@ def check_rate_theta(theta: float | None) -> None:
     """Refuse an exp-mode decay exponent outside (0, 1]."""
     if theta is None or not 0.0 < theta <= 1.0:
         raise ValueError(f"exp mode needs theta in (0, 1], got {theta}")
+
+
+def check_burn_fraction(fraction: float) -> None:
+    """Refuse a burn-in share of the series time span outside [0, 1)."""
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"burn-in fraction must lie in [0, 1), got {fraction}")
 
 
 def reference_profile(
@@ -220,25 +227,24 @@ def rate_fit(
     series,
     mode: str,
     theta: float | None = None,
-    t_burn: float | None = None,
+    burn_fraction: float = 0.1,
 ) -> RateFit:
     """Fit a sub-geometric decay law to a (t, distance) series.
 
     ``mode="exp"`` fits log(dist) = a - lam t^theta (requires ``theta``);
-    ``mode="poly"`` fits log(dist) = a - k log(1 + t).  An initial transient
-    t < t_burn is dropped before fitting; the default burn-in is 10% of the
-    series time span.  Every time and distance must be finite, and at
-    least 8 samples must survive.
+    ``mode="poly"`` fits log(dist) = a - k log(1 + t).  The initial
+    transient, the first ``burn_fraction`` (in [0, 1)) of the series time
+    span, is dropped before fitting.  Every time and distance must be
+    finite, and at least 8 samples must survive.
     """
+    check_burn_fraction(burn_fraction)
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be an (N, 2) array of (t, distance) rows")
     if not np.all(np.isfinite(arr)):
         raise ValueError("times and distances must be finite")
     t, dist = arr[:, 0], arr[:, 1]
-    if t_burn is None:
-        t_burn = t.min() + 0.1 * (t.max() - t.min())
-    keep = t >= t_burn
+    keep = t >= t.min() + burn_fraction * (t.max() - t.min())
     t, dist = t[keep], dist[keep]
     if np.any(dist <= 0.0):
         raise ValueError("distances must be positive on the fit window")

@@ -406,9 +406,10 @@ def run(
     (at O(dt^2)), and a resumed run continues bit-identically when
     ``start_step`` ends a segment of the same config: the state, the step
     size and the step counter then fully determine every later operation.
-    A ``field0`` or ``sinks.reference`` on another grid, a ``field0`` whose
-    time is not ``start_step`` x dt, or a ``start_step`` inside a fused
-    segment, is refused with ValueError before the first emission.
+    A ``field0`` or ``sinks.reference`` on another grid, a ``start_step``
+    past the configured last step, a ``field0`` whose time is not
+    ``start_step`` x dt, or a ``start_step`` inside a fused segment, is
+    refused with ValueError before the first emission.
     Non-finite values abort with the offending step index.
     """
     sinks = sinks or Sinks()
@@ -418,6 +419,10 @@ def run(
     if sinks.reference is not None:
         _check_grid(sinks.reference, config, "reference field")
     dt, n_steps = config.resolve_dt()
+    if start_step > n_steps:
+        raise ValueError(
+            f"resume step {start_step} lies past step {n_steps}, the last of this config"
+        )
     expected = start_step * dt
     if not math.isclose(field0.time_stamp, expected, rel_tol=1e-12):
         raise ValueError(
@@ -438,7 +443,7 @@ def run(
         raise NumericalAbort(start_step, "non-finite initial data")
     if start_step == 0:
         _emit(sinks, field0, 0)
-    if n_steps == 0 or start_step >= n_steps:
+    if start_step == n_steps:
         return field0
 
     stepper = Stepper(config.grid, config.model)

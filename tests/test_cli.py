@@ -173,6 +173,24 @@ def test_simulate_resume_rejects_step_inside_a_segment(tmp_path, capsys):
     assert resume(2, 7) == 0  # step 10 is a diagnostics step
 
 
+def test_simulate_resume_past_the_configured_end_exits_one(tmp_path, capsys):
+    """A checkpoint at step 20 resumed under a horizon of 5 steps is
+    refused naming both steps: exit 1, and no directory is made."""
+    text = SMALL_RUN + "time.dt = 0.01\noutput.snapshot_format = checkpoint\n"
+    ck_dir = tmp_path / "ck"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--output", str(ck_dir)]) == 0
+    short = _write(tmp_path, text.replace("time.t_final = 0.2", "time.t_final = 0.05"), "s.cfg")
+    capsys.readouterr()
+    out = tmp_path / "r"
+    argv = ["simulate", "--config", short, "--output", str(out),
+            "--resume", str(ck_dir / "last_checkpoint.ckpt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: resume step 20 lies past step 5, the last of this config\n"
+    )
+    assert not out.exists()
+
+
 def test_seed_flag_removed(tmp_path):
     cfg = _write(tmp_path, SMALL_RUN)
     with pytest.raises(SystemExit) as exc:
@@ -505,6 +523,31 @@ def test_last_checkpoint_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
     # the manifest names exactly the files written, with the exit reason
     man = _manifest(out)
     assert man["outputs"] == names
+    assert man["exit_code"] == 1 and man["exit_reason"] == "error: interrupted"
+
+
+@pytest.mark.parametrize("name", ["snapshot_00000008.csv", "density_series.csv"])
+def test_csv_written_whole_or_not_at_all(tmp_path, monkeypatch, name):
+    """A snapshot or series CSV write that fails part way leaves no partial
+    file under any name; the command exits 1, and the manifest names
+    exactly the directory's other files."""
+    import kinfp.cli as cli
+
+    write = cli._write_csv
+
+    def interrupted(path, header, rows):
+        if Path(path).name.startswith(name):
+            Path(path).write_text(header + "\n1.0")
+            raise OSError("interrupted")
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", interrupted)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, SMALL_RUN), "--output", str(out)]) == 1
+    on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert not [p for p in on_disk if p.startswith(name)]
+    man = _manifest(out)
+    assert man["outputs"] == on_disk and "snapshot_00000000.csv" in on_disk
     assert man["exit_code"] == 1 and man["exit_reason"] == "error: interrupted"
 
 

@@ -225,6 +225,16 @@ def test_rate_fit_scale_invariance():
     assert a.fitted == pytest.approx(b.fitted, rel=1e-12)
 
 
+def test_rate_fit_burn_fraction_sets_the_window_start():
+    """The window starts at the first time at least burn_fraction of the
+    span past the first sample: 10 % by default, none at 0."""
+    t = np.linspace(2.0, 12.0, 21)  # spaced 0.5
+    series = np.c_[t, np.exp(-t**0.5)]
+    assert rate_fit(series, "exp", theta=0.5).window == (3.0, 12.0)
+    assert rate_fit(series, "exp", theta=0.5, burn_fraction=0.0).window == (2.0, 12.0)
+    assert rate_fit(series, "exp", theta=0.5, burn_fraction=0.52).window == (7.5, 12.0)
+
+
 def test_rate_fit_input_validation():
     t = np.linspace(0.0, 10.0, 20)
     with pytest.raises(ValueError):
@@ -235,6 +245,9 @@ def test_rate_fit_input_validation():
         rate_fit(np.c_[t, np.exp(-t)], "weird")
     with pytest.raises(ValueError):
         rate_fit(np.c_[t, np.exp(-t)], "exp", theta=2.0)
+    for fraction in (-0.1, 1.0, np.nan):
+        with pytest.raises(ValueError, match="burn-in fraction must lie in"):
+            rate_fit(np.c_[t, np.exp(-t)], "poly", burn_fraction=fraction)
     for bad in (np.nan, np.inf):
         for col in (0, 1):
             series = np.c_[t, np.exp(-t)]

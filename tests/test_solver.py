@@ -778,6 +778,23 @@ def test_run_refuses_a_state_it_would_not_continue_exactly():
     run(cfg, Field(values, cfg.grid, 5 * dt), start_step=5)  # a snapshot step
 
 
+def test_run_refuses_a_start_step_past_the_last_step():
+    """A resume past the configured end is refused before the first
+    emission, naming both steps; a resume at the last step returns its
+    field unchanged and emits nothing."""
+    cfg = _desk_config(t_final=0.3, snapshot_cadence=5, diagnostics_cadence=5)
+    dt, n = cfg.resolve_dt()
+    values = default_initial_condition(cfg.grid).values
+    emitted = []
+    sinks = Sinks(snapshot=lambda f, step: emitted.append(step), diagnostics=emitted.append)
+    late = 5 * (n // 5 + 1)
+    with pytest.raises(ValueError, match=f"resume step {late} lies past step {n}"):
+        run(cfg, Field(values, cfg.grid, late * dt), sinks, start_step=late)
+    out = run(cfg, Field(values, cfg.grid, n * dt), sinks, start_step=n)
+    np.testing.assert_array_equal(out.values, values)
+    assert emitted == []
+
+
 def test_run_refuses_a_field_or_reference_from_another_box():
     """A field of the configured shape from a box of another L is refused,
     as the initial field or as the reference, before the first emission."""
