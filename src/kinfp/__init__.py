@@ -32,7 +32,6 @@ from .solver import (
     steady_state_reference,
 )
 from .diagnostics import (
-    DiagnosticsRecord,
     RateFit,
     density,
     energy_scatter,

@@ -18,7 +18,9 @@ code and reason, the config echo, the package version and the wall time
 (the data files are deterministic for a fixed config); a command that
 fails with an OSError or ValueError after writing a file gets its
 manifest too.  Inputs are checked by the config parser and the library
-functions that read them.
+functions that read them.  ``simulate`` alone decides what a diagnostics
+row holds, from each field ``run`` emits: (t, mass, min, max, L1 to the
+reference or NaN).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .config import SCHEMA, RunConfig, parse_config
-from .diagnostics import density, mass, rate_fit, reference_profile
+from .diagnostics import density, l1_distance, mass, rate_fit, reference_profile
 from .grid import Field
 from .solver import (
     NumericalAbort,
@@ -78,7 +80,10 @@ def _write_keys(path: Path, **values) -> None:
 def _replace(path: Path, write) -> None:
     """Write ``path`` whole or not at all: ``write(tmp)`` fills a temporary
     file that then replaces ``path``, and a failed write leaves no temporary
-    file behind (no fsync: a power loss may still truncate ``path``)."""
+    file behind (no fsync: a power loss may still truncate ``path``).
+    ``write`` may hard-link ``tmp`` to a file already written: every kinfp
+    writer replaces a file and never edits one, so a linked name keeps its
+    bytes."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         write(tmp)
@@ -120,19 +125,21 @@ def _reference_field(cfg: RunConfig, grid, params) -> Field | None:
         return None
     if source == "profile":
         return reference_profile(grid, params, cfg["diagnostics.delta"], normalize=True)
-    return read_checkpoint(cfg["diagnostics.reference_file"])[0]
+    field = read_checkpoint(cfg["diagnostics.reference_file"])[0]
+    if field.grid != grid:
+        raise ValueError(f"reference field lives on {field.grid}, not on the configured {grid}")
+    return field
 
 
 def cmd_simulate(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
-    """Run the solver; ``run`` refuses a field, a reference or a resume
-    state it would not continue exactly."""
+    """Run the solver, building each diagnostics row from the emitted
+    field; ``run`` refuses a field or resume state it would not continue."""
     params = cfg.model_params()
     solver_cfg = cfg.solver_config()
     grid = solver_cfg.grid
     snap_fmt = cfg["output.snapshot_format"]
     diag_rows: list[tuple] = []
     density_rows: list[tuple] = []
-    distance_rows: list[tuple] = []
     reference = _reference_field(cfg, grid, params)
     if args.resume:
         field0, start_step = read_checkpoint(args.resume)
@@ -145,22 +152,21 @@ def cmd_simulate(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
         stem = f"snapshot_{step:08d}"
         if snap_fmt == "csv":
             save(stem + ".csv", lambda tmp: _write_field_csv(tmp, field))
+            save("last_checkpoint.ckpt", lambda tmp: write_checkpoint(field, step, tmp))
         else:
             save(stem + ".ckpt", lambda tmp: write_checkpoint(field, step, tmp))
-        save("last_checkpoint.ckpt", lambda tmp: write_checkpoint(field, step, tmp))
+            save("last_checkpoint.ckpt", lambda tmp: os.link(outdir / (stem + ".ckpt"), tmp))
         rho = density(field)
         density_rows.extend(
             (field.time_stamp, x, r) for x, r in zip(grid.x_centers, rho)
         )
 
-    def on_diagnostics(rec):
-        dist = rec.l1_distance_to_reference
-        row = (rec.time, rec.mass, rec.min_value, rec.max_value)
-        diag_rows.append(row + (np.nan if dist is None else dist,))
-        if dist is not None:
-            distance_rows.append((rec.time, dist))
+    def on_diagnostics(field: Field, step: int):
+        dist = np.nan if reference is None else l1_distance(field, reference)
+        values = field.values
+        diag_rows.append((field.time_stamp, mass(field), values.min(), values.max(), dist))
 
-    sinks = Sinks(snapshot=on_snapshot, diagnostics=on_diagnostics, reference=reference)
+    sinks = Sinks(snapshot=on_snapshot, diagnostics=on_diagnostics)
     final = None
     try:
         final = run(solver_cfg, field0, sinks, start_step=start_step)
@@ -171,6 +177,7 @@ def cmd_simulate(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
     # an aborted run keeps every row it collected before the abort, and a
     # manifest even when it collected none
     outdir.mkdir(parents=True, exist_ok=True)
+    distance_rows = [] if reference is None else [(row[0], row[4]) for row in diag_rows]
     for name, header, rows in (
         ("diagnostics.csv", "t,mass,min,max,l1_to_reference", diag_rows),
         ("density_series.csv", "t,x,rho", density_rows),

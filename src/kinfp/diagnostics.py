@@ -16,7 +16,6 @@ from .grid import Field, PhaseGrid
 from .model import ModelParams, _tail_power, asymptotic_density, energy
 
 __all__ = [
-    "DiagnosticsRecord",
     "RateFit",
     "EnergyScatter",
     "TailComparison",
@@ -31,17 +30,6 @@ __all__ = [
     "tail_comparison",
     "rate_fit",
 ]
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Scalar observables emitted on a cadence during a run."""
-
-    time: float
-    mass: float
-    min_value: float
-    max_value: float
-    l1_distance_to_reference: float | None = None
 
 
 @dataclass(frozen=True)

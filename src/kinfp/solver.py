@@ -135,11 +135,11 @@ class SolverConfig:
 
 @dataclass
 class Sinks:
-    """Callbacks receiving snapshots and diagnostics during a run."""
+    """Callbacks that ``run`` hands each due field and its step, on the
+    snapshot or diagnostics cadence; a sink computes what it records."""
 
     snapshot: Callable[[Field, int], None] | None = None
-    diagnostics: Callable[[object], None] | None = None
-    reference: Field | None = None  # enables the L1-distance observable
+    diagnostics: Callable[[Field, int], None] | None = None
 
 
 def _exp_cell_averages(centers: np.ndarray, width: float) -> np.ndarray:
@@ -372,23 +372,11 @@ def _check_grid(field: Field, config: SolverConfig, what: str) -> None:
 
 
 def _emit(sinks: Sinks, field: Field, step: int, snapshot=True, diagnostics=True):
-    """Hand ``field`` to the sinks that are set and due at this step."""
+    """Hand ``field`` and ``step`` to the sinks that are set and due."""
     if snapshot and sinks.snapshot is not None:
         sinks.snapshot(field, step)
-    if not diagnostics or sinks.diagnostics is None:
-        return
-    # bound per call, so a wrapper on kinfp.diagnostics (a tracer, a test's patch) sees it
-    from .diagnostics import DiagnosticsRecord, l1_distance, mass
-
-    ref = sinks.reference
-    rec = DiagnosticsRecord(
-        time=field.time_stamp,
-        mass=mass(field),
-        min_value=float(field.values.min()),
-        max_value=float(field.values.max()),
-        l1_distance_to_reference=None if ref is None else l1_distance(field, ref),
-    )
-    sinks.diagnostics(rec)
+    if diagnostics and sinks.diagnostics is not None:
+        sinks.diagnostics(field, step)
 
 
 def run(
@@ -406,8 +394,9 @@ def run(
     (at O(dt^2)), and a resumed run continues bit-identically when
     ``start_step`` ends a segment of the same config: the state, the step
     size and the step counter then fully determine every later operation.
-    A ``field0`` or ``sinks.reference`` on another grid, a ``start_step``
-    past the configured last step, a ``field0`` whose time is not
+    ``run`` computes no observable itself: each sink receives the field
+    and its step.  A ``field0`` on another grid, a ``start_step`` past
+    the configured last step, a ``field0`` whose time is not
     ``start_step`` x dt, or a ``start_step`` inside a fused segment, is
     refused with ValueError before the first emission.
     Non-finite values abort with the offending step index.
@@ -416,8 +405,6 @@ def run(
     if field0 is None:
         field0 = default_initial_condition(config.grid)
     _check_grid(field0, config, "initial field")
-    if sinks.reference is not None:
-        _check_grid(sinks.reference, config, "reference field")
     dt, n_steps = config.resolve_dt()
     if start_step > n_steps:
         raise ValueError(

@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, outputs, manifest, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,35 @@ def test_simulate_rerun_byte_identical_data(tmp_path):
     names = {p.name for p in out1.iterdir()} - {"manifest.json"}
     for name in sorted(names):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("reference", ["none", "profile"])
+def test_distance_series_is_the_l1_column_of_diagnostics(tmp_path, reference):
+    """distance_series.csv holds the (t, l1_to_reference) columns of
+    diagnostics.csv bit for bit, and exists only with a reference."""
+    text = SMALL_RUN + f"diagnostics.reference = {reference}\n"
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--output", str(out)]) == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "t,mass,min,max,l1_to_reference" and len(lines) > 2
+    columns = [",".join((row.split(",")[0], row.split(",")[4])) for row in lines[1:]]
+    if reference == "none":
+        assert not (out / "distance_series.csv").exists()
+        assert all(c.endswith(",nan") for c in columns)
+    else:
+        assert (out / "distance_series.csv").read_text().splitlines() == ["t,distance", *columns]
+
+
+def test_checkpoint_snapshots_link_last_checkpoint(tmp_path):
+    """With checkpoint snapshots, last_checkpoint.ckpt is the newest
+    snapshot's file under a second name, not a second copy."""
+    text = SMALL_RUN + "output.snapshot_format = checkpoint\n"
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--output", str(out)]) == 0
+    newest = sorted(out.glob("snapshot_*.ckpt"))[-1]
+    assert newest.name == "snapshot_00000008.ckpt"
+    assert os.path.samefile(out / "last_checkpoint.ckpt", newest)
+    assert "last_checkpoint.ckpt" in _manifest(out)["outputs"]
 
 
 def test_simulate_resume_matches_uninterrupted(tmp_path):

@@ -446,42 +446,44 @@ def test_run_zero_horizon_returns_initial():
 
 def test_run_deterministic_and_emits():
     cfg = _desk_config()
-    records = []
+    dt = cfg.resolve_dt()[0]
+    fields = []
     snaps = []
     sinks = Sinks(
         snapshot=lambda f, step: snaps.append(step),
-        diagnostics=lambda rec: records.append(rec),
+        diagnostics=lambda f, step: fields.append((f, step)),
     )
     out1 = run(cfg, None, sinks)
     out2 = run(cfg, None, Sinks())
     np.testing.assert_array_equal(out1.values, out2.values)
-    assert len(records) > 2
-    assert records[0].time == 0.0
-    assert all(r.mass > 0.0 for r in records)
-    drift = max(abs(r.mass - records[0].mass) for r in records)
-    assert drift <= 1e-12 * records[0].mass
+    assert len(fields) > 2
+    assert fields[0][0].time_stamp == 0.0
+    assert all(f.time_stamp == step * dt for f, step in fields)
+    masses = [mass(f) for f, _ in fields]
+    assert all(m > 0.0 for m in masses)
+    drift = max(abs(m - masses[0]) for m in masses)
+    assert drift <= 1e-12 * masses[0]
     assert snaps[0] == 0
 
 
-def test_run_reference_distance_records():
-    cfg = _desk_config(t_final=0.1)
-    ref = default_initial_condition(cfg.grid)
-    records = []
-    run(cfg, None, Sinks(diagnostics=records.append, reference=ref))
-    assert all(r.l1_distance_to_reference is not None for r in records)
-
-
-def test_run_without_diagnostics_sink_computes_no_diagnostics(monkeypatch):
+def test_run_computes_no_observables(monkeypatch):
+    """``run`` hands its sinks the field and computes no diagnostic itself:
+    with both sinks set it completes while mass and l1_distance raise."""
     import kinfp.diagnostics as diagnostics
 
-    masses = []
-    monkeypatch.setattr(diagnostics, "mass", lambda field: masses.append(field) or 1.0)
+    def refuse(*args, **kwargs):
+        raise AssertionError("run computed an observable")
+
+    monkeypatch.setattr(diagnostics, "mass", refuse)
+    monkeypatch.setattr(diagnostics, "l1_distance", refuse)
     cfg = _desk_config(t_final=0.1)
-    snaps = []
-    run(cfg, None, Sinks(snapshot=lambda f, step: snaps.append(step)))
-    assert snaps and not masses
-    run(cfg, None, Sinks(diagnostics=lambda rec: None))
-    assert masses
+    snaps, diags = [], []
+    sinks = Sinks(
+        snapshot=lambda f, step: snaps.append(step),
+        diagnostics=lambda f, step: diags.append(step),
+    )
+    run(cfg, None, sinks)
+    assert snaps and diags
 
 
 def test_run_checkpoint_resume_bit_identical(tmp_path):
@@ -786,7 +788,10 @@ def test_run_refuses_a_start_step_past_the_last_step():
     dt, n = cfg.resolve_dt()
     values = default_initial_condition(cfg.grid).values
     emitted = []
-    sinks = Sinks(snapshot=lambda f, step: emitted.append(step), diagnostics=emitted.append)
+    sinks = Sinks(
+        snapshot=lambda f, step: emitted.append(step),
+        diagnostics=lambda f, step: emitted.append(step),
+    )
     late = 5 * (n // 5 + 1)
     with pytest.raises(ValueError, match=f"resume step {late} lies past step {n}"):
         run(cfg, Field(values, cfg.grid, late * dt), sinks, start_step=late)
@@ -795,19 +800,19 @@ def test_run_refuses_a_start_step_past_the_last_step():
     assert emitted == []
 
 
-def test_run_refuses_a_field_or_reference_from_another_box():
-    """A field of the configured shape from a box of another L is refused,
-    as the initial field or as the reference, before the first emission."""
+def test_run_refuses_a_field_from_another_box():
+    """An initial field of the configured shape from a box of another L is
+    refused before the first emission."""
     cfg = _desk_config(t_final=0.1)
     g = cfg.grid
     other = default_initial_condition(build_grid(2.0 * g.L, g.v_max, g.Nx, g.Nv))
     emitted = []
-    sinks = Sinks(snapshot=lambda f, step: emitted.append(step), diagnostics=emitted.append)
+    sinks = Sinks(
+        snapshot=lambda f, step: emitted.append(step),
+        diagnostics=lambda f, step: emitted.append(step),
+    )
     with pytest.raises(ValueError, match="initial field lives on .*not on the configured"):
         run(cfg, other, sinks)
-    sinks.reference = other
-    with pytest.raises(ValueError, match="reference field lives on .*not on the configured"):
-        run(cfg, None, sinks)
     assert emitted == []
 
 
