@@ -9,15 +9,15 @@ the observed constant C inside the ball, and the worst margin outside.
 
 The scan is a numerical check at sampled points, not a proof: "<=" is
 certified literally, with the scanned C absorbing all constants.  The
-scan points are one tensor-product grid whose two axes each hold 0, so
-it covers both coordinate axes and the origin (the tightest points of
-the inequality sit near the axes).  The scan keeps only the two axes: it
-evaluates s = L* m + phi(m) with :func:`kinfp.model.drift_excess` on
-blocks of whole grid rows, an x column broadcast against the v row, so
-terms of one coordinate are computed once per axis value.  Its memory
-grows with the sample count only through s, r^2 and the radius masks.
-The search shares the axes and r^2 across its candidates and stops
-scanning a failing candidate at its first violating block.
+scan points are one tensor-product grid of two exactly antisymmetric
+axes that each hold 0, so it covers both coordinate axes and the origin
+(the tightest points of the inequality sit near the axes).  s = L* m +
+phi(m) is even under (x, v) -> (-x, -v) bit for bit, so the scan
+evaluates it with :func:`kinfp.model.drift_excess` only on the grid rows
+with x <= 0, in blocks of rows, an x column broadcast against the v row.
+Its memory grows with the sample count only through the half grid's s,
+r^2 and radius masks.  The search shares the points across its
+candidates and stops a failing candidate at its first violating block.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ __all__ = [
 
 # Grid points per block of the drift scan: a block is max(1, _SCAN_CHUNK // n)
 # grid rows of n points, so each mixed temporary of drift_excess is about
-# 128 KiB.  The eight benchmark searches (256 and 1024 samples per axis) took,
-# median of seven in-process runs on a 2-vCPU Xeon with AVX-512: 0.95 s at
-# 2^12, 0.76 s at 2^13, 0.68 s at 2^14, 0.68 s at 2^15 and 0.75 s at 2^16;
-# one block took 2.4 s.
+# 128 KiB.  The eight benchmark searches (256 and 1024 samples per axis, the
+# rows with x <= 0) took, median of seven in-process runs on a 2-vCPU Xeon
+# with AVX-512: 0.31 s at 2^12, 0.230 s at 2^13, 0.227 s at 2^14, 0.234 s at
+# 2^15 and 0.26 s at 2^16; one block took 0.75 s.
 _SCAN_CHUNK = 1 << 14
 
 
@@ -56,7 +56,8 @@ class ScanConfig:
     tensor-product grid of ``samples_per_axis`` equispaced points per axis
     plus 0 (an odd count's middle point is 0), so the grid takes in both
     coordinate axes and the origin (the tightest points of the inequality
-    sit near the axes).
+    sit near the axes).  The axes are exactly antisymmetric, and the scan
+    evaluates the grid's rows with x <= 0.
     """
 
     x_half: float = 50.0
@@ -104,22 +105,20 @@ class CertificateReport:
 
 
 def _axis(half: float, n: int) -> np.ndarray:
-    """n equispaced samples across [-half, half] and an exact 0: one more
-    sample for an even n, the middle sample for an odd n."""
-    axis = np.linspace(-half, half, n)
-    if n % 2:
-        axis[n // 2] = 0.0  # linspace leaves it within rounding of 0
-    return np.union1d(axis, 0.0)
+    """n equispaced samples across [-half, half] and an exact 0 (added for
+    an even n, the middle sample for an odd n), exactly antisymmetric: the
+    negative samples are linspace's and the positive ones their negation."""
+    neg = np.linspace(-half, half, n)[: n // 2]
+    return np.concatenate([neg, [0.0], -neg[::-1]])
 
 
 def _scan_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan's axes xs, vs and r^2 on their grid.
-
-    Each axis holds ``samples_per_axis`` samples across its side of the
-    box and 0 (see :func:`_axis`).  The points are the grid (xs[i], vs[j]),
-    and r^2 is the (xs.size, vs.size) array of their squared radii.
-    """
-    xs = _axis(cfg.x_half, cfg.samples_per_axis)
+    """The scan's rows xs (the x axis's part with x <= 0), its v axis vs
+    (see :func:`_axis`) and r^2, the squared radii of the points (xs[i],
+    vs[j]).  s(-x, -v) = s(x, v) bit for bit, so these rows, the whole
+    grid's first in x-major order, hold every value of s and its first
+    worst point."""
+    xs = _axis(cfg.x_half, cfg.samples_per_axis)[: cfg.samples_per_axis // 2 + 1]
     vs = _axis(cfg.v_half, cfg.samples_per_axis)
     return xs, vs, (xs * xs)[:, None] + (vs * vs)[None, :]
 
@@ -218,7 +217,8 @@ def scan_drift_inequality(
     first grid point in x-major order attaining that maximum, and C the
     largest s inside the ball (the origin included), floored at zero.  A
     NaN of s outside the ball fails every candidate and gives a NaN margin
-    at the first NaN point.
+    at the first NaN point.  s(-x, -v) = s(x, v), so the worst point has
+    x <= 0: a point with x > 0 ties with its mirror, which comes first.
     """
     return _scan(params, spec, cfg, _scan_points(cfg))
 

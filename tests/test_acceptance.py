@@ -6,6 +6,7 @@ seeds, fixed configurations).  Runtimes quoted in the printed lines are
 informational, not asserted.
 """
 
+import itertools
 import math
 import time
 
@@ -247,9 +248,8 @@ def test_c04_exact_vs_fd_dual_operator():
 def test_c05_lyapunov_certification():
     """Criterion 5: drift certificates for all four parameter regimes via the
     documented coarse search grids (box 50x50, a 257^2 grid: 256 samples
-    per axis and 0), each the (eps, A, B, delta, R) of the README table
-    (delta None for poly)."""
-    cfg = ScanConfig()
+    per axis and 0, and the 1025^2 grid of 1024 samples), each the
+    (eps, A, B, delta, R) of the README table (delta None for poly)."""
     cases = [
         (ModelParams(alpha=1.5, kind="exp", beta=0.5), dict(theta=0.25),
          (0.2, 1.0, 0.6, 2.0, 20.0)),
@@ -263,15 +263,15 @@ def test_c05_lyapunov_certification():
     t0 = time.time()
     details = []
     ok = True
-    for params, kw, expected in cases:
-        spec, report = find_certified_spec(params, cfg, **kw)
+    for (params, kw, expected), samples in itertools.product(cases, (256, 1024)):
+        spec, report = find_certified_spec(params, ScanConfig(samples_per_axis=samples), **kw)
         ok = ok and spec is not None and report.passed and report.min_margin_outside >= 0
         got = None if spec is None else (
             spec.eps, spec.a_exp, spec.b_exp, getattr(spec.mode, "delta", None),
             report.chosen_R,
         )
         ok = ok and got == expected
-        tag = f"{params.kind}:{params.beta or params.gamma}"
+        tag = f"{params.kind}:{params.beta or params.gamma}@{samples}"
         details.append(
             f"{tag} {got} R={report.chosen_R:g} margin={report.min_margin_outside:.3g}"
         )

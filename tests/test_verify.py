@@ -125,7 +125,7 @@ def test_scan_report_independent_of_chunk_size(monkeypatch):
     """The scan fills s in blocks of whole grid rows; blocks of one row
     (a chunk of 7 points) and of two rows (the last block holds one)
     give the report of one block over all points.  100 samples per axis
-    and 0 make a 101 x 101 grid."""
+    and 0 make a 101 x 101 grid, whose 51 rows with x <= 0 are scanned."""
     cfg = ScanConfig(samples_per_axis=100, exclusion_radii=(20.0, 30.0, 40.0))
     n_points = 101 * 101
     passing = (
@@ -150,11 +150,13 @@ def test_scan_report_independent_of_chunk_size(monkeypatch):
 
 def _flat_scan(params, spec, cfg):
     """Reference scan over materialised points: s from one drift_excess call
-    over the meshgrid of the scan's axes and the report from masked copies
-    of it."""
-    xs, vs, _ = verify._scan_points(cfg)
+    over the meshgrid of the scan's whole axes, both halves, and the report
+    from masked copies of it."""
+    xs = verify._axis(cfg.x_half, cfg.samples_per_axis)
+    vs = verify._axis(cfg.v_half, cfg.samples_per_axis)
     x, v = np.meshgrid(xs, vs, indexing="ij")
-    s = drift_excess(x, v, params, spec)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = drift_excess(x, v, params, spec)
     r2 = x * x + v * v
     for radius in sorted(cfg.exclusion_radii):
         outside = r2 > radius * radius
@@ -177,52 +179,70 @@ def _flat_scan(params, spec, cfg):
 @pytest.mark.parametrize("samples", [16, 37, 100, 256])
 @pytest.mark.parametrize("chunk", ["default", 7, "uneven"])
 def test_tensor_scan_matches_flat_reference(monkeypatch, samples, chunk):
-    """The row-block scan over the axes gives s bit for bit and the report
-    field for field of one drift_excess call over the materialised points,
-    with one block, blocks of one row, and blocks of three rows that do not
-    divide the row count."""
+    """The row-block scan of the rows with x <= 0 gives s bit for bit on
+    those rows, and the report field for field, of one drift_excess call
+    over the whole materialised grid: with one block, blocks of one row,
+    and blocks of four rows that do not divide the half's row count.  The
+    whole grid's s is even under (x, v) -> (-x, -v) bit for bit, NaN
+    included (beta = 3 on the 100 box)."""
     cfg = ScanConfig(v_half=45.0, samples_per_axis=samples, exclusion_radii=(20.0, 30.0, 40.0))
+    nan_cfg = ScanConfig(x_half=100.0, v_half=100.0, samples_per_axis=samples)
     xs, vs, _ = verify._scan_points(cfg)
+    assert xs.size == samples // 2 + 1 and vs.size == samples + (samples % 2 == 0)
     if chunk == "uneven":
-        chunk = 3 * vs.size
-        assert xs.size % 3 != 0
+        chunk = 4 * vs.size
+        assert xs.size % 4 != 0
     if chunk != "default":
         monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
     cases = [
         (ModelParams(alpha=2.0, kind="exp", beta=1.0),
-         LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))),
+         LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0)), cfg),
         (ModelParams(alpha=1.5, kind="exp", beta=0.5),
-         LyapunovSpec(2.0, 0.0, 0.5, 0.6, ExpWeight(theta=0.25, delta=2.0))),
+         LyapunovSpec(2.0, 0.0, 0.5, 0.6, ExpWeight(theta=0.25, delta=2.0)), cfg),
         (ModelParams(alpha=2.0, kind="poly", gamma=2.0),
-         LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5))),
+         LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5)), cfg),
+        (ModelParams(alpha=2.0, kind="exp", beta=3.0),
+         LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1)), nan_cfg),
     ]
-    for params, spec in cases:
-        want_s, want = _flat_scan(params, spec, cfg)
-        s = verify._drift_excess_chunks(params, spec, *verify._scan_points(cfg))
-        assert s.shape == want_s.shape
-        assert np.array_equal(s.view(np.uint64), want_s.view(np.uint64))
-        _assert_reports_equal(scan_drift_inequality(params, spec, cfg), want)
+    for params, spec, scan_cfg in cases:
+        want_s, want = _flat_scan(params, spec, scan_cfg)
+        assert np.array_equal(want_s[::-1, ::-1].view(np.uint64), want_s.view(np.uint64))
+        points = verify._scan_points(scan_cfg)
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = verify._drift_excess_chunks(params, spec, *points)
+            got = scan_drift_inequality(params, spec, scan_cfg)
+        assert s.shape == (xs.size, vs.size)
+        assert np.array_equal(s.view(np.uint64), want_s[: xs.size].view(np.uint64))
+        _assert_reports_equal(got, want)
+    assert np.isnan(want.min_margin_outside)  # the beta = 3 case
 
 
 @pytest.mark.parametrize("half", [50.0, 45.0, 10.0])
 @pytest.mark.parametrize("samples", [16, 17, 23, 256, 257])
 def test_scan_axes_hold_their_samples_and_zero_once(half, samples):
-    """Each axis is the linspace of its side, sorted, with 0 added for an
-    even count; an odd count's middle sample becomes exactly 0 (linspace
-    gives 7.1e-15 for 23 samples across 100), so the grid is (n, n) with
-    no duplicate row."""
+    """Each axis is exactly antisymmetric: its negative samples are those of
+    the linspace of its side, bit for bit, and its positive ones their
+    negation, within 2 ulp of the half-width of linspace's, with one exact
+    0 between them (added for an even count; an odd count's middle sample,
+    7.1e-15 from linspace for 23 samples across 100, becomes 0).  The
+    scan's rows are the axis's part with x <= 0, against the whole v axis."""
     cfg = ScanConfig(
         x_half=half, v_half=half, samples_per_axis=samples, exclusion_radii=(1.0,)
     )
-    xs, vs, r2 = verify._scan_points(cfg)
+    axis = verify._axis(half, samples)
     spaced = np.linspace(-half, half, samples)
     size = samples + (samples % 2 == 0)
-    assert xs.shape == vs.shape == (size,)
-    assert r2.shape == (size, size)
-    assert np.array_equal(xs, vs)
-    assert np.all(np.diff(xs) > 0.0)
-    assert np.count_nonzero(xs == 0.0) == 1
-    assert set(xs[xs != 0.0]) == set(spaced[np.abs(spaced) > 1e-12])
+    assert axis.shape == (size,)
+    assert np.array_equal(axis, -axis[::-1])
+    assert np.all(np.diff(axis) > 0.0)
+    assert np.count_nonzero(axis == 0.0) == 1
+    neg, pos = axis[axis < 0.0], axis[axis > 0.0]
+    assert np.array_equal(neg, spaced[: samples // 2])
+    assert np.all(np.abs(pos - spaced[-(samples // 2):]) <= 2 * np.spacing(half))
+    xs, vs, r2 = verify._scan_points(cfg)
+    assert np.array_equal(xs, axis[axis <= 0.0])
+    assert np.array_equal(vs, axis)
+    assert r2.shape == (xs.size, size)
     assert np.array_equal(r2, xs[:, None] ** 2 + vs[None, :] ** 2)
 
 
@@ -243,32 +263,37 @@ def test_certified_constant_covers_the_origin():
     "peaks, want",
     [
         ([(3, 12)], (3, 12)),
-        ([(14, None)], (14, None)),
+        ([(1, None)], (1, None)),
         ([(None, 1)], (None, 1)),
         ([(5, 9), (2, None)], (2, None)),  # an x-axis point in an earlier row
         ([(5, None), (2, 9)], (2, 9)),  # a grid point in an earlier row
-        ([(15, None), (None, 0)], (None, 0)),  # the v-axis is the row x = 0
+        ([(None, 0), (6, None)], (6, None)),  # the v-axis is the row x = 0
         ([(None, 12), (None, 3)], (None, 3)),  # within a row, v ascends
         ([(7, 1), (6, 13)], (6, 13)),  # the grid is x-major
+        ([(12, 5), (10, None)], (3, 10)),  # x > 0: reported as its mirror
     ],
     ids=["grid", "x-axis", "v-axis", "tie-x-axis-grid", "tie-grid-x-axis", "tie-axes",
-         "tie-v-axis", "tie-grid"],
+         "tie-v-axis", "tie-grid", "mirror"],
 )
 def test_worst_point_maps_back_to_its_coordinates(monkeypatch, chunk, peaks, want):
-    """With s = 1 exactly at the given points (indices into the 16-sample
-    linspace of each side, None for the 0 that the scan adds to each axis)
-    and below 1 elsewhere, the worst point is the first of them in the
-    grid's x-major order."""
+    """With s = 1 exactly at the given points and their mirrors (-x, -v)
+    (indices into the 16 nonzero samples of each axis, None for the 0 that
+    the scan adds to each axis) and below 1 elsewhere, the worst point is
+    the first of them in the whole grid's x-major order.  The mirror of an
+    index i is 15 - i, so a peak with x > 0 is reported as its mirror."""
     cfg = ScanConfig(x_half=10.0, v_half=12.0, samples_per_axis=16, exclusion_radii=(1.0,))
-    xs = np.linspace(-10.0, 10.0, 16)
-    vs = np.linspace(-12.0, 12.0, 16)
+    xs, vs = verify._axis(10.0, 16), verify._axis(12.0, 16)
+    xs, vs = xs[xs != 0.0], vs[vs != 0.0]
 
     def coords(i, j):
         return (0.0 if i is None else xs[i], 0.0 if j is None else vs[j])
 
+    def mirror(i, j):
+        return (None if i is None else 15 - i, None if j is None else 15 - j)
+
     def peaked(x, v, params, spec):
-        d2 = np.min([(x - a) ** 2 + (v - b) ** 2 for a, b in (coords(*p) for p in peaks)], axis=0)
-        return 1.0 - d2
+        points = [coords(*p) for p in peaks] + [coords(*mirror(*p)) for p in peaks]
+        return 1.0 - np.min([(x - a) ** 2 + (v - b) ** 2 for a, b in points], axis=0)
 
     monkeypatch.setattr(verify, "drift_excess", peaked)
     if chunk is not None:
@@ -432,8 +457,8 @@ def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
     """The search's fail-fast scan fails exactly the specs that the full scan
     fails and stops at the block of the first violation outside the largest
     radius.  A scan that reaches its last block, its last drift_excess
-    call, gives the full scan's report.  The 64-sample NaN case (a 65 x 65
-    grid) is one block at the default size, so it cannot stop early there.
+    call, gives the full scan's report.  The 64-sample NaN case (33 rows
+    of 65) is one block at the default size, so it cannot stop early there.
     The full scans run at the default chunk size (the report does not
     depend on it)."""
     chunks = []
@@ -493,9 +518,10 @@ def _full_scan_search(params, cfg, theta, grid):
 
 @pytest.mark.parametrize("chunk", [None, 1024])
 def test_search_without_pass_matches_full_scan_reference(monkeypatch, chunk):
-    """At 64 samples a scan is one block at the default size, so every failed
-    candidate keeps the report of its complete scan; with blocks of 16 rows
-    (a chunk of 1024 points) every one stops early and is rescanned."""
+    """At 64 samples a scan (33 rows of 65) is one block at the default
+    size, so every failed candidate keeps the report of its complete scan;
+    with blocks of 15 rows (a chunk of 1024 points) every one stops early
+    and is rescanned."""
     cfg = ScanConfig(samples_per_axis=64)
     cases = [
         (ModelParams(alpha=2.0, kind="exp", beta=3.0), 1.0,
