@@ -18,10 +18,16 @@ operator applied analytically to E^ell, to the cross term, to H and to
 weights built from H, the concave comparison function used in the drift
 inequality and that inequality's left side L* m + phi(m), and the
 closed-form tail asymptotic of the spatial density of exp(-delta E^(beta/2))
-with its first Laplace correction.  Each closed form of E, H, d_v H and L*
-is written once, over a private holder of the spec-free terms at the given
-points (<x>, <v>, x v, E, the drift, ...), so an evaluation that needs
-several of them computes those terms once.
+with its first Laplace correction.
+
+Each closed form of E, H, d_v H and L* is written once, over one private
+holder of the axis factors at the given points: the x-only terms (<x>,
+<x>^A x, ...) and the v-only ones (<v>, the drift, <v>^(-B) v, ...), each
+computed once, and E, the one mixed term they share.  A mixed form is a
+short sum of rank-one products of those factors: the cross term
+<x>^A x <v>^(-B) v is one, its v-derivative one, and its L* three.  H and
+d_v H take one power of E (E^(ell-1) is E^ell / E), and the weight and its
+chain rule one power of H.
 
 Array convention: the model is one-dimensional, and every closed form is
 elementwise in x and v, which broadcast against each other.  Pass scalars
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -179,11 +185,6 @@ def _check_spec(params: ModelParams, spec: LyapunovSpec) -> None:
         )
 
 
-def _powers(base):
-    # base**y as a function of y, each exponent computed once
-    return cache(lambda y: base**y)
-
-
 def _bracket(sq):
     # <z> from z^2
     return np.sqrt(1.0 + sq)
@@ -229,21 +230,24 @@ def equilibrium_drift(v, params: ModelParams):
 
 
 class _Points:
-    """The spec-free terms at points (x, v), each computed once, on first use.
+    """The axis factors at points (x, v) and the energy E, each computed
+    once, on first use.
 
-    The closed forms below read them from here, so one evaluation of several
-    forms at the same points shares them: ``xsq`` = x^2, ``vsq`` = v^2,
-    ``xv`` = x v, ``jx`` = <x>, ``jv`` = <v>, the energy ``e``, the drift
-    ``dr`` = M'/M, ``xdr`` = x dr and ``vdr`` = v dr.  ``e_pow(y)`` is E^y,
-    computed once per exponent.
+    x-only: ``xsq`` = x^2 and ``jx`` = <x>.  v-only: ``vsq`` = v^2, ``jv``
+    = <v>, the drift ``dr`` = M'/M and ``vdr`` = v dr.  With a spec, the
+    cross term <x>^A x <v>^(-B) v is the outer product of ``ax`` = <x>^A x
+    and ``bv`` = <v>^(-B) v, with ``jxa`` = <x>^A, ``jvb`` = <v>^(-B) and
+    ``dbv`` = d_v bv = <v>^(-B) (1 - B v^2/<v>^2).  The one mixed term is
+    the energy ``e``.
 
     Every term broadcasts: x of shape (rows, 1) and v of shape (n,) give
-    the x-only terms on (rows, 1), the v-only ones on (n,) and only the
-    mixed ones (x v, E, x dr) on the (rows, n) grid.
+    the x factors on (rows, 1) and the v factors on (n,), once per axis
+    value, and only E on the (rows, n) grid.
     """
 
-    def __init__(self, x, v, params: ModelParams):
+    def __init__(self, x, v, params: ModelParams, spec: LyapunovSpec | None = None):
         self.params = params
+        self.spec = spec
         self.x = np.asarray(x, dtype=np.float64)
         self.v = np.asarray(v, dtype=np.float64)
 
@@ -256,10 +260,6 @@ class _Points:
         return self.v * self.v
 
     @cached_property
-    def xv(self):
-        return self.x * self.v
-
-    @cached_property
     def jx(self):
         return _bracket(self.xsq)
 
@@ -268,24 +268,36 @@ class _Points:
         return _bracket(self.vsq)
 
     @cached_property
-    def e(self):
-        return 0.5 * self.vsq + _potential(self.jx, self.params)
-
-    @cached_property
-    def e_pow(self):
-        return _powers(self.e)
-
-    @cached_property
     def dr(self):
         return _drift(self.v, self.jv, self.params)
 
     @cached_property
-    def xdr(self):
-        return self.x * self.dr
-
-    @cached_property
     def vdr(self):
         return self.v * self.dr
+
+    @cached_property
+    def jxa(self):
+        return self.jx**self.spec.a_exp
+
+    @cached_property
+    def ax(self):
+        return self.jxa * self.x
+
+    @cached_property
+    def jvb(self):
+        return self.jv ** (-self.spec.b_exp)
+
+    @cached_property
+    def bv(self):
+        return self.jvb * self.v
+
+    @cached_property
+    def dbv(self):
+        return self.jvb * (1.0 - self.spec.b_exp * self.vsq / (1.0 + self.vsq))
+
+    @cached_property
+    def e(self):
+        return 0.5 * self.vsq + _potential(self.jx, self.params)
 
 
 def energy(x, v, params: ModelParams):
@@ -293,93 +305,128 @@ def energy(x, v, params: ModelParams):
     return _Points(x, v, params).e
 
 
-def _h(p: _Points, spec: LyapunovSpec):
-    cross = p.jx**spec.a_exp * p.jv ** (-spec.b_exp) * p.xv
-    return p.e**spec.ell + spec.eps * cross
+def _h_de(p: _Points):
+    # H = E^ell + (eps <x>^A x) (<v>^(-B) v) and ell E^(ell-1), taken as
+    # ell E^ell / E: one power of E for both
+    e_ell = p.e**p.spec.ell
+    h = (p.spec.eps * p.ax) * p.bv
+    h += e_ell
+    e_ell *= p.spec.ell
+    e_ell /= p.e
+    return h, e_ell
 
 
 def lyapunov_H(x, v, params: ModelParams, spec: LyapunovSpec):
     """Candidate Lyapunov function H = E^ell + eps <x>^A <v>^(-B) x v."""
     _check_spec(params, spec)
-    return _h(_Points(x, v, params), spec)
+    return _h_de(_Points(x, v, params, spec))[0]
 
 
-def _grad_v_h(p: _Points, spec: LyapunovSpec):
-    jv = p.jv
-    cross = p.jx**spec.a_exp * (
-        jv ** (-spec.b_exp) * p.x - spec.b_exp * p.xv * jv ** (-spec.b_exp - 2.0) * p.v
-    )
-    return spec.ell * p.e_pow(spec.ell - 1.0) * p.v + spec.eps * cross
+def _grad_v_h(p: _Points, de):
+    # d_v H = ell E^(ell-1) v + (eps <x>^A x) d_v(<v>^(-B) v)
+    g = de * p.v
+    g += (p.spec.eps * p.ax) * p.dbv
+    return g
 
 
 def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
     """Velocity derivative of H, exact.
 
-    d_v H = ell E^(ell-1) v
-            + eps (<x>^A <v>^(-B) x - B <x>^A x v <v>^(-B-2) v).
+    d_v H = ell E^(ell-1) v + eps <x>^A x <v>^(-B) (1 - B v^2 / <v>^2).
     """
     _check_spec(params, spec)
-    return _grad_v_h(_Points(x, v, params), spec)
+    p = _Points(x, v, params, spec)
+    return _grad_v_h(p, _h_de(p)[1])
 
 
-def _dual_energy_power(p: _Points, ell: float):
+def _dual_energy_power(p: _Points, de):
     # L*(E^ell) = ell E^(ell-1) [ (ell-1) v^2/E + 1 + v M'/M ]
-    return ell * p.e_pow(ell - 1.0) * ((ell - 1.0) * p.vsq / p.e + 1.0 + p.vdr)
+    out = (p.spec.ell - 1.0) * p.vsq / p.e
+    out += 1.0 + p.vdr
+    out *= de
+    return out
 
 
-def _dual_cross_term(p: _Points, a_exp: float, b_exp: float):
-    # L* applied to <x>^A <v>^(-B) x v, gathered into one exact expression.
-    A, B = a_exp, b_exp
-    jx, jv, xv, vsq = p.jx, p.jv, p.xv, p.vsq
-    bracket = (
-        vsq
-        + A * xv * xv / (jx * jx)
-        - jx ** (p.params.alpha - 2.0) * (p.xsq - B * xv * xv / (jv * jv))
-        - B * xv * (3.0 / (jv * jv) - (B + 2.0) * vsq / jv**4)
-        + (p.xdr - B * xv * p.vdr / (jv * jv))
-    )
-    return jx**A / jv**B * bracket
+def _dual_cross_term(p: _Points):
+    # L* of a(x) b(v) = <x>^A x <v>^(-B) v is v a' b - V' a b' + a (b'' + dr b'),
+    # three outer products a1 b1 - a2 b' + a b3 of axis factors:
+    #   a1 = <x>^A (1 + A x^2/<x>^2),  b1 = <v>^(-B) v^2,
+    #   a2 = V' a = <x>^(A+alpha-2) x^2,
+    #   b3 = dr b' - B <v>^(-B) v (3/<v>^2 - (B+2) v^2/<v>^4).
+    A, B = p.spec.a_exp, p.spec.b_exp
+    a1 = p.jxa * (1.0 + A * p.xsq / (1.0 + p.xsq))
+    a2 = p.jx ** (A + p.params.alpha - 2.0) * p.xsq
+    b1 = p.jvb * p.vsq
+    jv2 = 1.0 + p.vsq
+    b3 = p.dr * p.dbv - B * p.bv * (3.0 - (B + 2.0) * p.vsq / jv2) / jv2
+    out = a1 * b1
+    out -= a2 * p.dbv
+    out += p.ax * b3
+    return out
 
 
-def _dual_full_h(p: _Points, spec: LyapunovSpec):
+def _dual_full_h(p: _Points, de):
     # L*(H) = L*(E^ell) + eps L*(cross)
-    return _dual_energy_power(p, spec.ell) + spec.eps * _dual_cross_term(
-        p, spec.a_exp, spec.b_exp
-    )
+    out = _dual_cross_term(p)
+    out *= p.spec.eps
+    out += _dual_energy_power(p, de)
+    return out
 
 
-def _weight(hp, spec: LyapunovSpec):
-    # m = Phi(H) from hp(y) = H^y
+def _weight_power(spec: LyapunovSpec) -> float:
+    # y in m = exp(delta H^y), y = theta/2, or in m = H^y, y = k/ell
     if isinstance(spec.mode, ExpWeight):
-        return np.exp(spec.mode.delta * hp(spec.mode.theta / 2.0))
-    return hp(spec.mode.k / spec.ell)
+        return spec.mode.theta / 2.0
+    return spec.mode.k / spec.ell
 
 
-def _weight_derivatives(h, spec: LyapunovSpec):
-    """(m, Phi'(H), Phi''(H)) for the weight m = Phi(H) of the given mode."""
-    hp = _powers(h)
-    m = _weight(hp, spec)
+def _weight(h, spec: LyapunovSpec):
+    # (H^y, m): the one power of H that the weight takes, and the weight,
+    # the same array as H^y for the poly weight
+    hy = h ** _weight_power(spec)
     if isinstance(spec.mode, ExpWeight):
-        th, de = spec.mode.theta, spec.mode.delta
-        c = de * th / 2.0
-        p1 = c * hp(th / 2.0 - 1.0) * m
-        p2 = c * hp(th / 2.0 - 2.0) * m * ((th / 2.0 - 1.0) + c * hp(th / 2.0))
+        return hy, np.exp(spec.mode.delta * hy)
+    return hy, hy
+
+
+def _dual_weight(p: _Points):
+    # (L*(Phi(H)), m), with L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2
+    # written through the one power H^y:
+    #   exp, c = delta y:  m (c H^y/H) [L*H + (y - 1 + c H^y) (d_v H)^2/H],
+    #   poly:              y (m/H) [L*H + (y - 1) (d_v H)^2/H].
+    # NaN wherever it overflows, so wherever m does: a point whose terms
+    # leave the float range fails a scan instead of passing as -inf.
+    h, de = _h_de(p)
+    lh = _dual_full_h(p, de)
+    g2h = _grad_v_h(p, de)
+    del de  # one mixed array fewer alive under the weight's temporaries
+    g2h *= g2h
+    g2h /= h
+    y = _weight_power(p.spec)
+    hy, m = _weight(h, p.spec)
+    if isinstance(p.spec.mode, ExpWeight):
+        out = hy
+        out *= p.spec.mode.delta * y
+        g2h *= (y - 1.0) + out
+        out /= h
+        out *= m
     else:
-        r = spec.mode.k / spec.ell
-        p1 = r * hp(r - 1.0)
-        p2 = r * (r - 1.0) * hp(r - 2.0)
-    return m, p1, p2
-
-
-def _dual_weight(p: _Points, spec: LyapunovSpec, p1, p2):
-    # L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2
-    g = _grad_v_h(p, spec)
-    return p1 * _dual_full_h(p, spec) + p2 * (g * g)
+        g2h *= y - 1.0
+        out = m / h
+        out *= y
+    g2h += lh
+    out *= g2h
+    overflow = np.isinf(out)
+    if overflow.any():
+        out = np.where(overflow, np.nan, out)
+    return out, m
 
 
 def lyapunov_weight(x, v, params: ModelParams, spec: LyapunovSpec):
     """Weight m(x, v) built from H: exp(delta H^(theta/2)) or H^(k/ell)."""
-    return _weight(_powers(lyapunov_H(x, v, params, spec)), spec)
+    _check_spec(params, spec)
+    p = _Points(x, v, params, spec)
+    return _weight(_h_de(p)[0], spec)[1]
 
 
 def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str):
@@ -391,20 +438,21 @@ def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str
       ``"energy_power"``  L*(E^ell)
       ``"cross_term"``    L*(<x>^A <v>^(-B) x v)  (eps not applied)
       ``"full_h"``        L*(H) = L*(E^ell) + eps L*(cross)
-      ``"weight_m"``      L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2
+      ``"weight_m"``      L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2,
+                          NaN where it overflows, so where m does
     """
     if target not in LSTAR_TARGETS:
         raise ValueError(f"unknown target {target!r}, expected one of {LSTAR_TARGETS}")
     _check_spec(params, spec)
-    p = _Points(x, v, params)
-    if target == "energy_power":
-        return _dual_energy_power(p, spec.ell)
+    p = _Points(x, v, params, spec)
     if target == "cross_term":
-        return _dual_cross_term(p, spec.a_exp, spec.b_exp)
-    if target == "full_h":
-        return _dual_full_h(p, spec)
-    _, p1, p2 = _weight_derivatives(_h(p, spec), spec)
-    return _dual_weight(p, spec, p1, p2)
+        return _dual_cross_term(p)
+    if target == "weight_m":
+        return _dual_weight(p)[0]
+    de = _h_de(p)[1]
+    if target == "energy_power":
+        return _dual_energy_power(p, de)
+    return _dual_full_h(p, de)
 
 
 def drift_excess(x, v, params: ModelParams, spec: LyapunovSpec):
@@ -413,19 +461,20 @@ def drift_excess(x, v, params: ModelParams, spec: LyapunovSpec):
     Equal bit for bit to ``apply_Lstar_exact(x, v, params, spec, "weight_m")
     + phi(lyapunov_weight(x, v, params, spec), spec)``, with the same checks
     (the spec's comparability condition, phi's domain), but each point's
-    terms are computed once: E, <x>, <v>, x v and the drift, then H, m,
-    Phi'(H), Phi''(H) and d_v H, with each power of E and H taken once.
-    x and v broadcast, so an x column of shape (rows, 1) against a v row of
-    shape (n,) gives s on the (rows, n) grid with the terms of one
-    coordinate computed once per axis value.
+    terms are computed once: the axis factors, then E, one power of E for
+    H and d_v H, one power of H for m and its chain rule, with the mixed
+    temporaries reused in place.  s is NaN wherever L* m overflows, so
+    wherever m does, and never -inf.  x and v broadcast, so an x column of
+    shape (rows, 1) against a v row of shape (n,) gives s on the (rows, n)
+    grid with the factors of one coordinate computed once per axis value.
     :func:`kinfp.verify.scan_drift_inequality` calls it that way on blocks
     of grid rows: the scan's memory then grows with ``lyapunov.samples``
     only through s, r^2 and the radius masks.
     """
     _check_spec(params, spec)
-    p = _Points(x, v, params)
-    m, p1, p2 = _weight_derivatives(_h(p, spec), spec)
-    return _dual_weight(p, spec, p1, p2) + phi(m, spec)
+    lm, m = _dual_weight(_Points(x, v, params, spec))
+    lm += phi(m, spec)
+    return lm
 
 
 def phi(mval, spec: LyapunovSpec):
@@ -444,10 +493,11 @@ def phi(mval, spec: LyapunovSpec):
         if th == 1.0:
             out = m.copy()
         else:
+            out = np.log(m, out=np.empty_like(m))
             with np.errstate(divide="ignore"):
-                out = np.where(
-                    m > 1.0, m * np.log(m) ** (-(1.0 - th) / th), 0.0
-                )
+                out **= -(1.0 - th) / th
+            out *= m
+            np.copyto(out, 0.0, where=m == 1.0)
     else:
         if np.any(m <= 0.0):
             raise ValueError("poly-mode phi is only defined for positive weights")

@@ -42,9 +42,11 @@ __all__ = [
 # Grid points per block of the drift scan: a block is max(1, _SCAN_CHUNK // n)
 # grid rows of n points, so each mixed temporary of drift_excess is about
 # 128 KiB.  The eight benchmark searches (256 and 1024 samples per axis, the
-# rows with x <= 0) took, median of seven in-process runs on a 2-vCPU Xeon
-# with AVX-512: 0.31 s at 2^12, 0.230 s at 2^13, 0.227 s at 2^14, 0.234 s at
-# 2^15 and 0.26 s at 2^16; one block took 0.75 s.
+# rows with x <= 0) took, median of seven in-process runs in each of two
+# rounds on a 2-vCPU Xeon with AVX-512: 0.18 s at 2^12, 0.135-0.144 s at
+# 2^13, 0.123-0.126 s at 2^14, 0.120-0.128 s at 2^15 and 0.130-0.142 s at
+# 2^16; one block took 0.34-0.37 s.  2^15 is no faster and doubles the
+# temporaries.
 _SCAN_CHUNK = 1 << 14
 
 

@@ -1,25 +1,31 @@
-"""Finite-difference oracles of the dual operator L*, for the tests alone.
+"""Reference forms and finite-difference oracles of L*, for the tests alone.
 
 ``apply_Lstar_fd`` is a centered second-order discretisation of L* F for a
 callable F, and ``apply_Lstar_fd_richardson`` its extrapolation to fourth
 order; they check the closed forms of :mod:`kinfp.model` (criterion 4 and
 ``test_verify.py``).  ``lstar_term_scale`` is the magnitude against which
-their relative errors are measured.  ``to_state`` loads a field into the
-kernels' padded state, for the kernel tests of ``test_kernels.py`` and
-``test_solver.py``.
+their relative errors are measured.  The ``*_reference`` functions are the
+closed forms written out term by term, each power of E and H taken
+directly: the model computes the same quantities as sums of rank-one
+products of axis factors, from one power of E and one of H
+(``test_model.py`` holds the two to each other).  ``to_state`` loads a
+field into the kernels' padded state, for the kernel tests of
+``test_kernels.py`` and ``test_solver.py``.
 """
 
 import numpy as np
 
 from kinfp import kernels
 from kinfp.model import (
+    ExpWeight,
     LyapunovSpec,
     ModelParams,
-    _weight_derivatives,
     apply_Lstar_exact,
+    energy,
     equilibrium_drift,
     grad_potential,
     grad_v_H,
+    jbracket,
     lyapunov_H,
 )
 
@@ -82,10 +88,76 @@ def lstar_term_scale(x, v, params: ModelParams, spec: LyapunovSpec, target: str)
         return ep + ct
     if target != "weight_m":
         raise ValueError(f"unknown target {target!r}")
-    h = lyapunov_H(x, v, params, spec)
-    _, p1, p2 = _weight_derivatives(h, spec)
+    p1, p2 = weight_derivatives(lyapunov_H(x, v, params, spec), spec)
     g = grad_v_H(x, v, params, spec)
     return np.abs(p1) * (ep + ct) + np.abs(p2) * (g * g)
+
+
+def weight_derivatives(h, spec: LyapunovSpec):
+    """(Phi'(H), Phi''(H)) for the weight m = Phi(H) of the spec's mode,
+    each power of H taken directly."""
+    if isinstance(spec.mode, ExpWeight):
+        th, de = spec.mode.theta, spec.mode.delta
+        c = de * th / 2.0
+        m = np.exp(de * h ** (th / 2.0))
+        p1 = c * h ** (th / 2.0 - 1.0) * m
+        p2 = c * h ** (th / 2.0 - 2.0) * m * ((th / 2.0 - 1.0) + c * h ** (th / 2.0))
+    else:
+        r = spec.mode.k / spec.ell
+        p1 = r * h ** (r - 1.0)
+        p2 = r * (r - 1.0) * h ** (r - 2.0)
+    return p1, p2
+
+
+def lyapunov_H_reference(x, v, params: ModelParams, spec: LyapunovSpec):
+    """H = E^ell + eps <x>^A <v>^(-B) x v."""
+    x, v = np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    cross = jbracket(x) ** spec.a_exp * jbracket(v) ** (-spec.b_exp) * x * v
+    return energy(x, v, params) ** spec.ell + spec.eps * cross
+
+
+def grad_v_H_reference(x, v, params: ModelParams, spec: LyapunovSpec):
+    """d_v H = ell E^(ell-1) v + eps (<x>^A <v>^(-B) x - B <x>^A x v <v>^(-B-2) v)."""
+    x, v = np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    A, B = spec.a_exp, spec.b_exp
+    jx, jv = jbracket(x), jbracket(v)
+    cross = jx**A * (jv ** (-B) * x - B * x * v * jv ** (-B - 2.0) * v)
+    return spec.ell * energy(x, v, params) ** (spec.ell - 1.0) * v + spec.eps * cross
+
+
+def lstar_energy_power_reference(x, v, params: ModelParams, spec: LyapunovSpec):
+    """L*(E^ell) = ell E^(ell-1) [(ell-1) v^2/E + 1 + v M'/M]."""
+    v = np.asarray(v, dtype=np.float64)
+    e, ell = energy(x, v, params), spec.ell
+    return ell * e ** (ell - 1.0) * (
+        (ell - 1.0) * v * v / e + 1.0 + v * equilibrium_drift(v, params)
+    )
+
+
+def lstar_cross_term_reference(x, v, params: ModelParams, spec: LyapunovSpec):
+    """L* of <x>^A <v>^(-B) x v, gathered into one expanded bracket."""
+    x, v = np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    A, B = spec.a_exp, spec.b_exp
+    jx, jv = jbracket(x), jbracket(v)
+    xv, vsq, dr = x * v, v * v, equilibrium_drift(v, params)
+    bracket = (
+        vsq
+        + A * xv * xv / (jx * jx)
+        - jx ** (params.alpha - 2.0) * (x * x - B * xv * xv / (jv * jv))
+        - B * xv * (3.0 / (jv * jv) - (B + 2.0) * vsq / jv**4)
+        + (x * dr - B * xv * v * dr / (jv * jv))
+    )
+    return jx**A / jv**B * bracket
+
+
+def lstar_weight_reference(x, v, params: ModelParams, spec: LyapunovSpec):
+    """L*(Phi(H)) = Phi'(H) L*(H) + Phi''(H) (d_v H)^2 from the references."""
+    lh = lstar_energy_power_reference(x, v, params, spec) + spec.eps * (
+        lstar_cross_term_reference(x, v, params, spec)
+    )
+    p1, p2 = weight_derivatives(lyapunov_H_reference(x, v, params, spec), spec)
+    g = grad_v_H_reference(x, v, params, spec)
+    return p1 * lh + p2 * (g * g)
 
 
 def to_state(values):

@@ -27,6 +27,14 @@ from kinfp import (
     potential,
 )
 from kinfp.model import LSTAR_TARGETS, asymptotic_prefactor
+from oracles import (
+    grad_v_H_reference,
+    lstar_cross_term_reference,
+    lstar_energy_power_reference,
+    lstar_term_scale,
+    lstar_weight_reference,
+    lyapunov_H_reference,
+)
 
 
 def test_jbracket_values():
@@ -290,6 +298,59 @@ README_CERTIFICATES = [
     (ModelParams(alpha=2.0, kind="poly", gamma=2.0),
      LyapunovSpec(1.75, 0.3, 0.0, 0.9, PolyWeight(k=1.5))),
 ]
+
+
+# the models of criterion 4 (test_acceptance.py)
+C04_MODELS = [
+    (ModelParams(alpha=1.5, kind="exp", beta=0.5),
+     LyapunovSpec(2.0, 0.05, 0.5, 0.6, ExpWeight(0.25, 0.05))),
+    (ModelParams(alpha=2.0, kind="exp", beta=1.0),
+     LyapunovSpec(2.0, 0.05, 0.5, 0.6, ExpWeight(0.5, 0.05))),
+    (ModelParams(alpha=2.0, kind="exp", beta=2.0),
+     LyapunovSpec(2.0, 0.05, 0.5, 0.6, ExpWeight(1.0, 0.02))),
+    (ModelParams(alpha=1.5, kind="exp", beta=3.0),
+     LyapunovSpec(2.0, 0.05, 0.5, 0.6, ExpWeight(1.0, 0.02))),
+    (ModelParams(alpha=2.0, kind="poly", gamma=1.5),
+     LyapunovSpec(1.7, 0.1, 0.0, 0.6, PolyWeight(1.4))),
+    (ModelParams(alpha=2.0, kind="poly", gamma=2.0),
+     LyapunovSpec(1.75, 0.1, 0.0, 0.6, PolyWeight(1.5))),
+    (ModelParams(alpha=1.5, kind="poly", gamma=3.0),
+     LyapunovSpec(2.0, 0.1, 0.0, 0.6, PolyWeight(1.5))),
+]
+
+
+@pytest.mark.parametrize(
+    "params, spec", README_CERTIFICATES + C04_MODELS,
+    ids=[f"readme{i}" for i in range(4)] + [f"c04-{i}" for i in range(7)],
+)
+def test_rank_one_forms_match_expanded_references(params, spec):
+    """The model's closed forms (the cross term's L* as three outer products
+    of axis factors, one power of E for H and d_v H, one power of H for the
+    weight's chain rule) agree with the expanded references of oracles.py,
+    which take each power directly: the L* targets within 1e-12 of the term
+    scale, H and d_v H within 1e-13 of theirs, on a grid holding both axes."""
+    half = np.linspace(0.0, 50.0, 19)
+    axis = np.concatenate([-half[:0:-1], half])
+    x, v = axis[:, None], axis
+    lstar = {
+        "energy_power": lstar_energy_power_reference(x, v, params, spec),
+        "cross_term": lstar_cross_term_reference(x, v, params, spec),
+        "weight_m": lstar_weight_reference(x, v, params, spec),
+    }
+    lstar["full_h"] = lstar["energy_power"] + spec.eps * lstar["cross_term"]
+    for target in LSTAR_TARGETS:
+        got = apply_Lstar_exact(x, v, params, spec, target)
+        scale = lstar_term_scale(x, v, params, spec, target)
+        weight = spec.eps if target == "cross_term" else 1.0  # its share of L* H
+        assert np.all(weight * np.abs(got - lstar[target]) <= 1e-12 * scale), target
+    e = energy(x, v, params)
+    cross = jbracket(x) ** spec.a_exp * np.abs(x) * jbracket(v) ** (-spec.b_exp)
+    h_scale = e**spec.ell + spec.eps * cross * np.abs(v)
+    g_scale = spec.ell * e ** (spec.ell - 1.0) * np.abs(v) + spec.eps * cross * (1.0 + spec.b_exp)
+    h_err = np.abs(lyapunov_H(x, v, params, spec) - lyapunov_H_reference(x, v, params, spec))
+    g_err = np.abs(grad_v_H(x, v, params, spec) - grad_v_H_reference(x, v, params, spec))
+    assert np.all(h_err <= 1e-13 * h_scale)
+    assert np.all(g_err <= 1e-13 * g_scale)
 
 
 def _assert_mirror_even(x, v, params, spec):

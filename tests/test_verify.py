@@ -17,6 +17,7 @@ from kinfp import (
     energy,
     find_certified_spec,
     lyapunov_H,
+    lyapunov_weight,
     scan_drift_inequality,
 )
 import kinfp.verify as verify
@@ -574,3 +575,27 @@ def test_scan_overflow_fails_with_nan_margin():
     assert report.worst_point == (-100.0, -100.0)
     assert report.summary().startswith("FAIL R=45 ")
 
+
+
+def test_drift_excess_is_nan_where_it_overflows():
+    """At beta = 3, delta = 0.1 on the 100 x 100 box the weight overflows at
+    the box's far corners, and L* m overflows where m is still finite near
+    them.  s is NaN at each such point, never -inf, which would count as
+    s <= 0: the scan fails with a NaN margin at the corner (-100, -100)."""
+    params = ModelParams(alpha=2.0, kind="exp", beta=3.0)
+    spec = LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1))
+    cfg = ScanConfig(x_half=100.0, v_half=100.0, samples_per_axis=256)
+    xs, vs, _ = verify._scan_points(cfg)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = drift_excess(xs[:, None], vs, params, spec)
+        m = lyapunov_weight(xs[:, None], vs, params, spec)
+        report = scan_drift_inequality(params, spec, cfg)
+    overflow = np.isinf(m)
+    assert overflow.any()
+    assert np.all(np.isnan(s[overflow]))
+    assert not np.isinf(s).any()
+    assert np.isnan(s).sum() > overflow.sum()  # L* m overflowed at some finite m
+    assert not report.passed
+    assert np.isnan(report.min_margin_outside)
+    assert report.worst_point == (-100.0, -100.0)
+    assert report.summary().startswith("FAIL ")
