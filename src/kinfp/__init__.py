@@ -3,7 +3,7 @@ confined kinetic Fokker-Planck equations with fat-tailed velocity equilibria."""
 
 __version__ = "0.1.0"
 
-from .grid import Field, PhaseGrid, build_grid
+from .grid import Field, PhaseGrid
 from .model import (
     ExpWeight,
     LyapunovSpec,
@@ -51,7 +51,7 @@ from .verify import (
 # the names the commands, perfbench and the README use; the rest stay
 # importable by name from here and from their modules
 __all__ = (
-    "Field", "PhaseGrid", "build_grid",
+    "Field", "PhaseGrid",
     "LyapunovSpec", "ModelParams",
     "SolverConfig", "Sinks", "default_initial_condition", "run", "steady_state_reference",
     "density", "l1_distance", "mass", "rate_fit", "reference_profile",

@@ -58,18 +58,16 @@ from .verify import (
 FMT = "%.16e"  # 17 significant digits
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(FMT % float(c) for c in row) + "\n")
+def _write_csv(path: Path, header: str, table) -> None:
+    """One header line, then one FMT-formatted line per row of ``table``."""
+    np.savetxt(path, table, fmt=FMT, delimiter=",", header=header, comments="")
 
 
 def _write_field_csv(path: Path, field: Field) -> None:
     g = field.grid
     xg = np.repeat(g.x_centers, g.Nv)
     vg = np.tile(g.v_centers, g.Nx)
-    _write_csv(path, "x,v,f", zip(xg, vg, field.values.ravel()))
+    _write_csv(path, "x,v,f", np.column_stack((xg, vg, field.values.ravel())))
 
 
 def _write_keys(path: Path, **values) -> None:
@@ -266,8 +264,8 @@ def cmd_steady_state(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str
         print(f"error: {exc}", file=sys.stderr)
         return 3, str(exc)
     save("steady_state.ckpt", lambda tmp: write_checkpoint(ref, 0, tmp))
-    rows = zip(solver_cfg.grid.x_centers, density(ref))
-    save("steady_density.csv", lambda tmp: _write_csv(tmp, "x,rho", rows))
+    table = np.column_stack((solver_cfg.grid.x_centers, density(ref)))
+    save("steady_density.csv", lambda tmp: _write_csv(tmp, "x,rho", table))
     # field0 starts at t = 0, and every window but the last marches the full cadence
     dt = solver_cfg.resolve_dt()[0]
     steps = round(ref.time_stamp / dt)

@@ -126,16 +126,19 @@ def reference_profile(
     return f
 
 
-def energy_scatter(
-    field: Field, params: ModelParams, bins: int = 64, mass_coverage: float = 0.999
-) -> EnergyScatter:
+# the share of the field's |f| whose energy range energy_scatter bins
+MASS_COVERAGE = 0.999
+
+
+def energy_scatter(field: Field, params: ModelParams, bins: int = 64) -> EnergyScatter:
     """One (E, f) pair per cell plus the vertical dispersion of the scatter.
 
     The scatter carries every cell.  The dispersion is the root-mean-square
     spread of log f around its bin mean, over ``bins`` uniform energy bins
-    spanning the occupied range (the energy interval carrying
-    ``mass_coverage`` of the field's |f|; higher cells fall into the last
-    bin).  The log scale matches the decades the density spans on the
+    spanning the occupied range: the energy interval carrying
+    ``MASS_COVERAGE`` of the field's |f|.  Cells above it are left out of
+    the dispersion, because one bin holding them would span tens of decades
+    of log f.  The log scale matches the decades the density spans on the
     scatter plot: it vanishes up to binning error exactly when f is a
     function of the energy alone, whereas a linear-f spread is dominated by
     how steeply the profile itself decays across the lowest bin and cannot
@@ -150,13 +153,13 @@ def energy_scatter(
     if total > 0.0:
         order = np.argsort(e, kind="stable")
         cum = np.cumsum(np.abs(f[order]))
-        cut = int(np.searchsorted(cum, mass_coverage * total))
+        cut = int(np.searchsorted(cum, MASS_COVERAGE * total))
         hi = float(e[order[min(cut, e.size - 1)]])
     else:
         hi = float(e.max())
     if hi <= lo:
         hi = float(e.max())
-    pos = f > 0.0
+    pos = (f > 0.0) & (e <= hi)
     if not np.any(pos):
         return EnergyScatter(energies=e, values=f, dispersion=0.0, bins=bins)
     ep, logf = e[pos], np.log(f[pos])

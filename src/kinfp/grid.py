@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PhaseGrid", "Field", "build_grid"]
+__all__ = ["PhaseGrid", "Field"]
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,8 @@ class PhaseGrid:
 
     Cell centers are x_n = -L + (n + 1/2) dx and v_m = -v_max + (m + 1/2) dv
     with dx = 2L/Nx, dv = 2 v_max/Nv; they are built in a form that is
-    exactly antisymmetric in floating point (x_n = -x_{Nx-1-n}).
+    exactly antisymmetric in floating point (x_n = -x_{Nx-1-n}).  Once
+    checked, L and v_max are stored as floats and Nx and Nv as ints.
     """
 
     L: float
@@ -36,6 +37,8 @@ class PhaseGrid:
         ]
         if problems:
             raise ValueError("; ".join(problems))
+        for name, cast in (("L", float), ("v_max", float), ("Nx", int), ("Nv", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     @property
     def dx(self) -> float:
@@ -61,11 +64,6 @@ class PhaseGrid:
     @property
     def cell_volume(self) -> float:
         return self.dx * self.dv
-
-
-def build_grid(L: float, v_max: float, Nx: int, Nv: int) -> PhaseGrid:
-    """Construct a PhaseGrid, rejecting odd cell counts."""
-    return PhaseGrid(L=float(L), v_max=float(v_max), Nx=int(Nx), Nv=int(Nv))
 
 
 @dataclass

@@ -54,14 +54,13 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .grid import Field, PhaseGrid, build_grid
+from .grid import Field, PhaseGrid
 from .model import ModelParams, equilibrium_drift, grad_potential
 
 __all__ = [
     "SolverConfig",
     "Sinks",
     "NumericalAbort",
-    "build_grid",
     "default_initial_condition",
     "cfl_timestep",
     "cc_delta",
@@ -247,11 +246,11 @@ class Stepper:
     The stepper steps its own state, a ``kernels.state_array``: the field
     transposed to one row per velocity and padded with two ghost columns
     at each x-wall, so that every kernel pass is one contiguous array
-    operation.  ``step(values, dt)`` takes a natural-layout (Nx, Nv) field:
-    it loads it into the state, steps and stores the cells back, leaving
-    ``values`` untouched and returning a new array, or advancing in place
-    with ``out=values``.  ``advance`` loads once, calls ``self.step`` on
-    the state once per step, and stores once at the segment end.  Inside a
+    operation.  ``advance`` loads a natural-layout (Nx, Nv) field into the
+    state once, calls ``self.step`` on the state once per step, and stores
+    once at the segment end.  ``step(values, dt)`` on a natural-layout
+    field is ``advance`` of a copy by one step, so ``values`` is left
+    untouched and a new array returned.  Inside a
     segment the state between two steps is not a solution value at any
     time; only the segment's result may be observed.
 
@@ -306,37 +305,26 @@ class Stepper:
         np.add(state, half, out=state)
 
     def step(
-        self,
-        values: np.ndarray,
-        dt: float,
-        out: np.ndarray | None = None,
-        *,
-        opens: bool = True,
-        closes: bool = True,
+        self, values: np.ndarray, dt: float, *, opens: bool = True, closes: bool = True
     ) -> np.ndarray:
-        """Advance one split step; the result goes to ``out`` (new array if None).
+        """Advance one split step.
 
-        ``values`` is a natural-layout field, or the stepper's own state,
-        which ``advance`` passes and which is then advanced in place
-        (``out`` is not used).  ``opens``/``closes`` say whether the step
-        starts/ends a fused segment, and only ``advance`` sets them; the
-        defaults give the symmetric step T(dt/2) V(dt) T(dt/2).
+        ``values`` is the stepper's own state, which ``advance`` passes and
+        which is advanced in place, or a natural-layout field, which is
+        left untouched: its step is the one-step segment of a copy.
+        ``opens``/``closes`` say whether the step starts/ends a fused
+        segment, and only ``advance`` sets them; the defaults give the
+        symmetric step T(dt/2) V(dt) T(dt/2).
         """
         half, full, weights = self._coefficients(dt)
         state = self._state
-        loaded = values is state
-        if not loaded:
-            np.copyto(kernels.interior(state), values)
+        if values is not state:
+            return self.advance(values.copy(), dt, 1)
         if opens:
             self._transport_heun(half)
         kernels.velocity_rhs_kernel(state, weights, state, self._scratch)
         self._transport_heun(half if closes else full)
-        if loaded:
-            return state
-        if out is None:
-            out = np.empty_like(values)
-        np.copyto(out, kernels.interior(state))
-        return out
+        return state
 
     def advance(self, values: np.ndarray, dt: float, n: int) -> np.ndarray:
         """Advance ``values`` in place by one segment of n steps and return it.
@@ -509,8 +497,8 @@ def steady_state_reference(
     ``Stepper.advance`` segment, fused when ``fuses_transport`` allows it
     (see the module docstring), until a fused window meets tol_rate.  The
     fused and symmetric steps have fixed points O(dt^2) apart, so the march
-    then goes on with windows of ``Stepper.step`` calls and returns the end
-    of the first one that meets tol_rate: a steady state of the symmetric
+    then goes on with windows of one-step segments and returns the end of
+    the first one that meets tol_rate: a steady state of the symmetric
     step.
 
     The window is a contraction whose slowest mode decays at the truncated
@@ -558,7 +546,7 @@ def steady_state_reference(
         np.copyto(res, values)
         if symmetric:
             for _ in range(todo):
-                stepper.step(values, dt, out=values)
+                stepper.advance(values, dt, 1)
         else:
             stepper.advance(values, dt, todo)
         step += todo
@@ -617,7 +605,7 @@ def read_checkpoint(path) -> tuple[Field, int]:
             raise ValueError(f"non-finite checkpoint time {time_stamp!r}: {path}")
         # the header is checked whole before the payload is read, so a
         # corrupt cell count cannot ask for more memory than the file holds
-        grid = PhaseGrid(L=L, v_max=v_max, Nx=int(nx), Nv=int(nv))
+        grid = PhaseGrid(L=L, v_max=v_max, Nx=nx, Nv=nv)
         size = nx * nv * 8
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < size:

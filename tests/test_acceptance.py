@@ -19,12 +19,12 @@ from kinfp import (
     Field,
     LyapunovSpec,
     ModelParams,
+    PhaseGrid,
     PolyWeight,
     ScanConfig,
     Sinks,
     SolverConfig,
     apply_Lstar_exact,
-    build_grid,
     cfl_timestep,
     default_initial_condition,
     energy,
@@ -71,7 +71,7 @@ def desk128_pair():
     of the first run and the L1 distance between the runs (distinct
     nonnegative equal-mass data).
     """
-    grid = build_grid(50.0, 50.0, 128, 128)
+    grid = PhaseGrid(50.0, 50.0, 128, 128)
     dt = cfl_timestep(grid, DESK_PARAMS, 0.45)
     assert fuses_transport(grid, dt)
     stepper = Stepper(grid, DESK_PARAMS)
@@ -109,7 +109,7 @@ def desk200_run():
     every 200 steps (used later for the decay-rate fit against the steady
     reference).
     """
-    grid = build_grid(50.0, 50.0, 200, 200)
+    grid = PhaseGrid(50.0, 50.0, 200, 200)
     cfg = SolverConfig(
         model=DESK_PARAMS, grid=grid, t_final=50.0, cfl_safety=0.45,
         snapshot_cadence=200, diagnostics_cadence=200,
@@ -177,7 +177,7 @@ def test_c02_positivity(desk128_pair):
 def test_c03_equilibrium_preservation():
     """Criterion 3: velocity-only flow leaves each column's discrete
     equilibrium fixed (the velocity Heun step of the production stepper)."""
-    grid = build_grid(50.0, 50.0, 128, 128)
+    grid = PhaseGrid(50.0, 50.0, 128, 128)
     f_eq = np.array(
         [discrete_velocity_equilibrium(grid, DESK_PARAMS, x_value=x) for x in grid.x_centers]
     )
@@ -401,7 +401,7 @@ def test_steady_state_converges_to_the_exact_gaussian_steady_state(alpha):
     params = ModelParams(alpha=alpha, kind="exp", beta=2.0)
     errors = []
     for n in (16, 32, 64):
-        grid = build_grid(8.0, 8.0, n, n)
+        grid = PhaseGrid(8.0, 8.0, n, n)
         cfg = SolverConfig(model=params, grid=grid, t_final=1e4, diagnostics_cadence=200)
         f = steady_state_reference(cfg, tol_rate=1e-10)
         exact = np.exp(-potential(grid.x_centers, params)[:, None] - grid.v_centers**2 / 2.0)
@@ -413,6 +413,57 @@ def test_steady_state_converges_to_the_exact_gaussian_steady_state(alpha):
         f"exact steady state (alpha={alpha}, beta=2)",
         order >= 1.8 and errors[2] < 2.5e-2,
         "relative L1 errors " + ", ".join(f"{e:.2e}" for e in errors) + f", order {order:.2f}",
+    )
+
+
+@pytest.fixture(scope="module")
+def gaussian_steady():
+    """The beta = 2, alpha = 2 steady state on L = v_max = 8 at 64^2
+    (200-step windows, tol_rate 1e-11) and its grid and model."""
+    params = ModelParams(alpha=2.0, kind="exp", beta=2.0)
+    grid = PhaseGrid(8.0, 8.0, 64, 64)
+    cfg = SolverConfig(model=params, grid=grid, t_final=1e4, diagnostics_cadence=200)
+    return params, grid, steady_state_reference(cfg, tol_rate=1e-11)
+
+
+@pytest.mark.parametrize(
+    "datum, gap", [("default", 1.0), ("shifted", 0.5)], ids=["even", "shifted"]
+)
+def test_decay_to_the_gaussian_steady_state_at_the_kramers_rate(gaussian_steady, datum, gap):
+    """Supporting check, the time-dependent twin of the exact steady state:
+    at alpha = beta = 2 the generator is the Kramers operator, whose
+    eigenvalues are -(n + m)/2 +- i (n - m) sqrt(3)/2 (Risken ch. 10), so
+    the L1 distance to the steady state decays at |Re lambda| of the
+    slowest mode the datum excites.  The shifted datum
+    exp(-|x - 1|/2 - |v|/2) excites the n + m = 1 modes (rate 1/2).  The
+    default datum is even under (x, v) -> (-x, -v), which the odd
+    n + m = 1 modes are not, so they are never excited, and its rate is 1.
+
+    Diagnostics every 10 steps to T = 14; the rate is the slope of log
+    distance on t in [4, 12].  It reads 0.984 (default) and 0.522
+    (shifted), with distances well above the ~1e-5 gap between the fixed
+    points of the fused and symmetric steps."""
+    params, grid, ref = gaussian_steady
+    if datum == "default":
+        f0 = default_initial_condition(grid)
+    else:
+        x, v = grid.x_centers[:, None], grid.v_centers
+        f0 = Field(np.exp(-np.abs(x - 1.0) / 2.0 - np.abs(v) / 2.0), grid)
+        f0.values *= mass(ref) / mass(f0)
+    cfg = SolverConfig(model=params, grid=grid, t_final=14.0, diagnostics_cadence=10)
+    series = []
+
+    def distance(field, step):
+        if field.time_stamp <= 12.0:
+            series.append((field.time_stamp, l1_distance(field, ref)))
+
+    run(cfg, f0, Sinks(diagnostics=distance))
+    fit = rate_fit(series, "exp", theta=1.0, burn_fraction=1.0 / 3.0)
+    _report(
+        f"Kramers decay rate ({datum} datum, alpha=beta=2)",
+        abs(fit.fitted / gap - 1.0) < 0.1,
+        f"rate {fit.fitted:.3f} on t in [{fit.window[0]:.2f}, {fit.window[1]:.2f}] "
+        f"against {gap}",
     )
 
 
@@ -432,7 +483,7 @@ def test_c10_energy_dispersion(desk200_run, steady_ref):
 
     # observational output (not gated): near-linear potential, beta = 1
     obs_params = ModelParams(alpha=1.001, kind="exp", beta=1.0)
-    grid = build_grid(50.0, 50.0, 128, 128)
+    grid = PhaseGrid(50.0, 50.0, 128, 128)
     cfg = SolverConfig(
         model=obs_params, grid=grid, t_final=40.0, cfl_safety=0.45,
         diagnostics_cadence=500,

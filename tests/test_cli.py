@@ -372,11 +372,11 @@ def test_fit_rate_exact_and_errors(tmp_path, capsys):
 
 
 def test_simulate_numerical_abort_exits_three(tmp_path):
-    from kinfp import build_grid
+    from kinfp import PhaseGrid
     from kinfp.grid import Field
     from kinfp.solver import default_initial_condition, write_checkpoint
 
-    grid = build_grid(20.0, 20.0, 32, 32)
+    grid = PhaseGrid(20.0, 20.0, 32, 32)
     bad = np.full((32, 32), np.nan)
     ck = tmp_path / "bad.ckpt"
     write_checkpoint(Field(bad, grid, 0.0), 0, ck)
@@ -508,11 +508,11 @@ def test_manifest_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
 def test_field_from_another_box_exits_one(tmp_path, capsys, source):
     """A checkpoint of the configured shape from a box of another L is
     refused by the solver before anything is written: exit 1, no directory."""
-    from kinfp import build_grid
+    from kinfp import PhaseGrid
     from kinfp.solver import default_initial_condition, write_checkpoint
 
     ck = tmp_path / "other.ckpt"
-    write_checkpoint(default_initial_condition(build_grid(40.0, 20.0, 32, 32)), 0, ck)
+    write_checkpoint(default_initial_condition(PhaseGrid(40.0, 20.0, 32, 32)), 0, ck)
     initial = f"initial.preset = file\ninitial.file = {ck}\n"
     command, extra, flags = {
         "simulate-initial": ("simulate", initial, []),
@@ -591,7 +591,7 @@ def test_csv_written_whole_or_not_at_all(tmp_path, monkeypatch, name):
 def test_manifest_lists_exactly_the_files_written(tmp_path, command, code):
     """main writes the one manifest after every exit that made a directory,
     and it names every other file there."""
-    from kinfp import build_grid
+    from kinfp import PhaseGrid
     from kinfp.grid import Field
     from kinfp.solver import write_checkpoint
 
@@ -599,7 +599,7 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, command, code):
     t = np.linspace(0.0, 40.0, 50)
     series.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, np.exp(-t**0.5))))
     bad = tmp_path / "bad.ckpt"
-    write_checkpoint(Field(np.full((32, 32), np.nan), build_grid(20.0, 20.0, 32, 32), 0.0), 0, bad)
+    write_checkpoint(Field(np.full((32, 32), np.nan), PhaseGrid(20.0, 20.0, 32, 32), 0.0), 0, bad)
     text, argv = {
         "simulate-abort": (
             SMALL_RUN + f"initial.preset = file\ninitial.file = {bad}\n", ["simulate"]

@@ -1,5 +1,8 @@
 """Strict flat-key configuration: parsing, defaults, violations, round-trip."""
 
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +110,38 @@ def test_schema_defaults_are_self_consistent():
     # every non-required default must parse through its own serializer
     cfg = parse_config(MINIMAL)
     assert [key for key, _ in cfg.entries] == list(SCHEMA)
+
+
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def test_schema_defaults_match_the_library_defaults():
+    """SCHEMA repeats the defaults of the library objects and functions
+    that read its keys, and ``--tol-rate`` repeats
+    ``steady_state_reference``'s; each pair must agree."""
+    from kinfp.cli import _build_parser
+    from kinfp.diagnostics import rate_fit
+    from kinfp.solver import SolverConfig, steady_state_reference
+    from kinfp.verify import ScanConfig, find_certified_spec
+
+    solver = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    scan = {f.name: f.default for f in dataclasses.fields(ScanConfig)}
+    pairs = [
+        ("time.dt", solver["dt"]),
+        ("time.cfl_safety", solver["cfl_safety"]),
+        ("diagnostics.snapshot_cadence", solver["snapshot_cadence"]),
+        ("diagnostics.cadence", solver["diagnostics_cadence"]),
+        ("lyapunov.scan_x", scan["x_half"]),
+        ("lyapunov.scan_v", scan["v_half"]),
+        ("lyapunov.samples", scan["samples_per_axis"]),
+        ("lyapunov.radii", scan["exclusion_radii"]),
+        ("lyapunov.ell", _defaults(find_certified_spec)["ell"]),
+        ("diagnostics.rate_burn_fraction", _defaults(rate_fit)["burn_fraction"]),
+    ]
+    assert [(key, SCHEMA[key][1]) for key, _ in pairs] == pairs
+    args = _build_parser().parse_args(["steady-state", "--config", "run.cfg"])
+    assert args.tol_rate == _defaults(steady_state_reference)["tol_rate"]
 
 
 @pytest.mark.parametrize(

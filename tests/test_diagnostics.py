@@ -11,7 +11,7 @@ from scipy import integrate
 from kinfp import (
     Field,
     ModelParams,
-    build_grid,
+    PhaseGrid,
     default_initial_condition,
     density,
     energy,
@@ -29,7 +29,7 @@ from kinfp.model import asymptotic_density
 @pytest.fixture(scope="module")
 def desk():
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 64, 64)
+    grid = PhaseGrid(50.0, 50.0, 64, 64)
     return params, grid
 
 
@@ -57,7 +57,7 @@ def test_density_sums_to_mass_exactly(desk, rng):
 def test_density_of_default_profile():
     # analytic v-marginal of the double-exponential is e^(-|x|/2)/4
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 512, 512)
+    grid = PhaseGrid(50.0, 50.0, 512, 512)
     rho = density(default_initial_condition(grid))
     expected = np.exp(-np.abs(grid.x_centers) / 2.0) / 4.0
     # cell averaging of the v-profile plus truncation keep it within 0.1%
@@ -82,7 +82,7 @@ def test_l1_distance_metric(desk, rng):
     assert l1_distance(f, f) == 0.0
     assert l1_distance(f, g) == l1_distance(g, f)
     assert l1_distance(f, h) <= l1_distance(f, g) + l1_distance(g, h) + 1e-12
-    other = Field(np.zeros((4, 4)), build_grid(1.0, 1.0, 4, 4))
+    other = Field(np.zeros((4, 4)), PhaseGrid(1.0, 1.0, 4, 4))
     with pytest.raises(ValueError):
         l1_distance(f, other)
 
@@ -142,6 +142,20 @@ def test_energy_scatter_pure_energy_function_has_tiny_dispersion(desk):
     assert sc_ref.energies.size == grid.Nx * grid.Nv
     assert sc_f0.dispersion > 0.0
     assert sc_ref.dispersion < 0.2 * sc_f0.dispersion  # binning error only
+
+
+def test_energy_scatter_of_a_function_of_the_energy_is_binning_error():
+    """exp(-E) at alpha = 1.5, beta = 2 on a 12 box at 128^2: the dispersion
+    is binning error alone, so it shrinks as 1/bins.  It reads 0.128,
+    0.064, 0.030 and 0.013 at 16, 32, 64 and 128 bins; with the cells
+    above the coverage cutoff lumped into the last bin it read 20.6."""
+    params = ModelParams(alpha=1.5, kind="exp", beta=2.0)
+    grid = PhaseGrid(12.0, 12.0, 128, 128)
+    f = Field(np.exp(-energy(grid.x_centers[:, None], grid.v_centers, params)), grid)
+    bins = (16, 32, 64, 128)
+    disp = [energy_scatter(f, params, n).dispersion for n in bins]
+    assert all(n * d < 2.5 for n, d in zip(bins, disp)), disp
+    assert all(d1 <= 0.6 * d0 for d0, d1 in zip(disp, disp[1:])), disp
 
 
 def test_tail_comparison_recovers_known_delta():

@@ -5,7 +5,7 @@ stepper's transposed state steps exactly as the natural-layout formulas."""
 import numpy as np
 import pytest
 
-from kinfp import ModelParams, build_grid
+from kinfp import ModelParams, PhaseGrid
 from kinfp import kernels
 from kinfp.solver import Stepper, cfl_timestep, fuses_transport, velocity_face_coefficients
 from oracles import to_state
@@ -97,7 +97,7 @@ def bits(a):
     [(50.0, 50.0, 64, 96), (50.0, 50.0, 128, 128), (1.0, 1.5, 128, 2)],
 )
 def test_kernels_bitwise_match_reference(rng, L, v_max, nx, nv):
-    grid = build_grid(L, v_max, nx, nv)
+    grid = PhaseGrid(L, v_max, nx, nv)
     dt = 0.3 * grid.dx / grid.v_max
     courant = grid.v_centers * (dt / grid.dx)
     cp, cm = velocity_face_coefficients(grid, DESK_PARAMS)
@@ -133,7 +133,7 @@ def test_advance_bitwise_matches_natural_layout_reference(rng, nx, nv, safety):
     state give the bits of the natural-layout formulas, fused below
     Courant 1/2 and symmetric above, one after another on the same stepper
     and array, and ``step`` gives the symmetric step."""
-    grid = build_grid(50.0, 50.0, nx, nv)
+    grid = PhaseGrid(50.0, 50.0, nx, nv)
     dt = cfl_timestep(grid, DESK_PARAMS, safety)
     fuse = fuses_transport(grid, dt)
     assert fuse == (safety < 0.5)
@@ -153,7 +153,7 @@ def test_advance_bitwise_matches_natural_layout_reference(rng, nx, nv, safety):
 def test_velocity_heun_matches_two_stage_pair(rng, safety):
     """The one-pass step equals f + dt/2 (k1 + k2), k1 = L f, k2 = L (f + dt k1),
     of the per-column flux formula, and keeps each column's mass."""
-    grid = build_grid(50.0, 50.0, 64, 96)
+    grid = PhaseGrid(50.0, 50.0, 64, 96)
     cp, cm = velocity_face_coefficients(grid, DESK_PARAMS)
     dt = safety * min(grid.dv**2 / 2.0, grid.dx / grid.v_max)
     values = rng.random((grid.Nx, grid.Nv))
@@ -176,7 +176,7 @@ def test_transport_heun_positive_and_conservative_at_half_courant(rng):
     field whose tails fall to 1e-170: there the products of two differences
     underflow, and the median form still limits the slope.  (At Courant
     number 1 this field turns negative.)"""
-    grid = build_grid(50.0, 50.0, 64, 64)
+    grid = PhaseGrid(50.0, 50.0, 64, 64)
     r = np.abs(grid.x_centers[:, None]) + np.abs(grid.v_centers[None, :])
     values = 10.0 ** (-170.0 * (r - r.min()) / (r.max() - r.min()))
     values *= 1.0 + 0.9 * rng.random(values.shape)

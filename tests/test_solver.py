@@ -9,9 +9,9 @@ import pytest
 from kinfp import (
     Field,
     ModelParams,
+    PhaseGrid,
     SolverConfig,
     Sinks,
-    build_grid,
     cfl_timestep,
     default_initial_condition,
     l1_distance,
@@ -37,7 +37,7 @@ from oracles import to_state
 @pytest.fixture(scope="module")
 def desk():
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 64, 64)
+    grid = PhaseGrid(50.0, 50.0, 64, 64)
     return params, grid
 
 
@@ -68,7 +68,7 @@ def velocity_steps(values, grid, params, dt, n=1):
 
 
 def test_grid_centers_match_formula():
-    g = build_grid(400.0, 400.0, 400, 400)
+    g = PhaseGrid(400.0, 400.0, 400, 400)
     assert g.dx == 2.0
     assert g.x_centers[0] == -399.0
     assert g.x_centers[-1] == 399.0
@@ -78,23 +78,29 @@ def test_grid_centers_match_formula():
 
 
 def test_grid_two_cell_symmetry():
-    g = build_grid(1.0, 1.0, 2, 2)
+    g = PhaseGrid(1.0, 1.0, 2, 2)
     np.testing.assert_array_equal(g.x_centers, [-0.5, 0.5])
 
 
+def test_grid_stores_float_box_and_int_counts():
+    g = PhaseGrid(np.int64(2), 1, 4.0, np.int64(2))
+    assert [type(w) for w in (g.L, g.v_max, g.Nx, g.Nv)] == [float, float, int, int]
+    assert g == PhaseGrid(2.0, 1.0, 4, 2)
+
+
 def test_grid_centers_exactly_antisymmetric():
-    g = build_grid(50.0, 37.0, 128, 96)
+    g = PhaseGrid(50.0, 37.0, 128, 96)
     assert np.all(g.x_centers == -g.x_centers[::-1])
     assert np.all(g.v_centers == -g.v_centers[::-1])
 
 
 def test_grid_rejects_odd_counts():
     with pytest.raises(ValueError):
-        build_grid(50.0, 50.0, 127, 128)
+        PhaseGrid(50.0, 50.0, 127, 128)
     with pytest.raises(ValueError):
-        build_grid(50.0, 50.0, 128, 0)
+        PhaseGrid(50.0, 50.0, 128, 0)
     with pytest.raises(ValueError):
-        build_grid(-1.0, 50.0, 128, 128)
+        PhaseGrid(-1.0, 50.0, 128, 128)
 
 
 # ---------------------------------------------------------------- initial condition
@@ -103,13 +109,13 @@ def test_grid_rejects_odd_counts():
 def test_initial_condition_mass_production_resolution():
     # continuum mass is exactly 1; cell averaging leaves only the
     # domain-truncation deficit at the production resolution
-    g = build_grid(400.0, 400.0, 400, 400)
+    g = PhaseGrid(400.0, 400.0, 400, 400)
     f = default_initial_condition(g)
     assert abs(mass(f) - 1.0) < 1e-3
     assert np.all(f.values >= 0.0)
     np.testing.assert_array_equal(f.values, f.values[::-1, ::-1])
     # cell averages agree with the pointwise datum to second order
-    fine = build_grid(50.0, 50.0, 1024, 1024)
+    fine = PhaseGrid(50.0, 50.0, 1024, 1024)
     ff = default_initial_condition(fine)
     x, v = fine.x_centers[:, None], fine.v_centers[None, :]
     pointwise = np.exp(-np.abs(x) / 2.0 - np.abs(v) / 2.0) / 16.0
@@ -121,13 +127,13 @@ def test_initial_condition_mass_production_resolution():
 
 def test_cfl_production_configuration():
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    g = build_grid(400.0, 400.0, 400, 400)
+    g = PhaseGrid(400.0, 400.0, 400, 400)
     bound = cfl_timestep(g, params, 1.0)
     # dx/v_max = 0.005 dominates; the production step 6.25e-4 fits under it
     assert bound == pytest.approx(0.005, rel=1e-12)
     assert 6.25e-4 <= bound
     # doubling v_max halves the advective bound
-    g2 = build_grid(400.0, 800.0, 400, 800)
+    g2 = PhaseGrid(400.0, 800.0, 400, 800)
     assert cfl_timestep(g2, params, 1.0) == pytest.approx(0.0025, rel=1e-12)
     # safety scales linearly
     assert cfl_timestep(g, params, 0.5) == pytest.approx(0.0025, rel=1e-12)
@@ -160,7 +166,7 @@ def test_transport_smooth_advection_order():
 
     def l1_error(nx):
         L = 1.0
-        grid = build_grid(L, 1.5, nx, 2)
+        grid = PhaseGrid(L, 1.5, nx, 2)
         dx = grid.dx
         x = grid.x_centers
         speed = grid.v_centers[1]  # +s; column 0 moves at -s
@@ -285,7 +291,7 @@ def test_strang_one_step_production_resolution():
     # one full step at the production configuration: mass to 1e-12 and the
     # max-norm grows at most O(dt)
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(400.0, 400.0, 400, 400)
+    grid = PhaseGrid(400.0, 400.0, 400, 400)
     f = default_initial_condition(grid)
     g = Field(Stepper(grid, params).step(f.values, 6.25e-4), grid)
     assert abs(mass(g) - mass(f)) <= 1e-12 * mass(f)
@@ -314,9 +320,9 @@ def test_step_default_leaves_input_untouched(desk):
     assert out is not values
     assert not np.shares_memory(out, values)
     np.testing.assert_array_equal(values.view(np.uint64), before.view(np.uint64))
-    # out=values advances in place to the same bits
+    # the one-step segment advances in place to the same bits
     inplace = values.copy()
-    assert stepper.step(inplace, dt, out=inplace) is inplace
+    assert stepper.advance(inplace, dt, 1) is inplace
     np.testing.assert_array_equal(inplace.view(np.uint64), out.view(np.uint64))
 
 
@@ -343,7 +349,7 @@ def test_shared_stepper_matches_separate_steppers(desk, rng):
 
 def _warm_stepper_256():
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 256, 256)
+    grid = PhaseGrid(50.0, 50.0, 256, 256)
     stepper = Stepper(grid, params)
     values = default_initial_condition(grid).values.copy()
     dt = cfl_timestep(grid, params, 0.45)
@@ -364,13 +370,14 @@ def _traced_peak(fn):
 
 
 def test_inplace_step_allocates_under_two_fields():
-    """A warmed-up in-place step allocates no field-sized temporary.
+    """A warmed-up in-place step, the one-step segment, allocates no
+    field-sized temporary.
 
     The bound is not zero: numpy's ufunc iterator may buffer up to 64 KiB
     per operand on strided views.  One 256^2 field is 512 KiB.
     """
     stepper, values, dt = _warm_stepper_256()
-    peak = _traced_peak(lambda: stepper.step(values, dt, out=values))
+    peak = _traced_peak(lambda: stepper.advance(values, dt, 1))
     assert peak < 2 * values.nbytes
 
 
@@ -413,7 +420,7 @@ def test_advance_calls_step_through_the_attribute_once_per_step(monkeypatch, cfl
 
 def _desk_config(t_final=0.5, **kw):
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 64, 64)
+    grid = PhaseGrid(50.0, 50.0, 64, 64)
     defaults = dict(
         model=params,
         grid=grid,
@@ -429,7 +436,7 @@ def _desk_config(t_final=0.5, **kw):
 
 def test_solver_config_validates_explicit_dt():
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(50.0, 50.0, 64, 64)
+    grid = PhaseGrid(50.0, 50.0, 64, 64)
     bound = cfl_timestep(grid, params, 0.45)
     with pytest.raises(ValueError):
         SolverConfig(model=params, grid=grid, t_final=1.0, dt=2.0 * bound)
@@ -560,7 +567,7 @@ def test_steady_state_is_steady_under_symmetric_steps():
     apart that a fused-only march would fail this (rate 7.5e-5 here)."""
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
     cfg = SolverConfig(
-        model=params, grid=build_grid(30.0, 30.0, 12, 12), t_final=500.0,
+        model=params, grid=PhaseGrid(30.0, 30.0, 12, 12), t_final=500.0,
         diagnostics_cadence=200,
     )
     dt, _ = cfg.resolve_dt()
@@ -582,7 +589,7 @@ def test_fused_minus_unfused_is_second_order():
     """Heun's T(dt) and two T(dt/2) differ by O(dt^3) per step, so the
     endpoint difference over a fixed horizon falls about 4x per halving of dt."""
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(20.0, 20.0, 32, 32)
+    grid = PhaseGrid(20.0, 20.0, 32, 32)
     f0 = default_initial_condition(grid)
     diffs = []
     for n in (32, 64, 128):
@@ -684,7 +691,7 @@ def test_velocity_only_converges_to_column_equilibrium():
     # reaches the discrete fixed point quickly (the sub-exponential cases
     # relax sub-geometrically and would need far longer horizons)
     params = ModelParams(alpha=2.0, kind="exp", beta=2.0)
-    grid = build_grid(50.0, 50.0, 64, 64)
+    grid = PhaseGrid(50.0, 50.0, 64, 64)
     f0 = default_initial_condition(grid)
     dt = cfl_timestep(grid, params, 0.45)
     vals = velocity_steps(f0.values, grid, params, dt, 4800)
@@ -705,7 +712,7 @@ def _small_steady_problem():
     """16^2 desk model on a 20 box, 100-step windows, from an even datum
     with an off-centre bump (and its mirror image)."""
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
-    grid = build_grid(20.0, 20.0, 16, 16)
+    grid = PhaseGrid(20.0, 20.0, 16, 16)
     cfg = SolverConfig(model=params, grid=grid, t_final=5000.0, diagnostics_cadence=100)
     x, v = grid.x_centers[:, None], grid.v_centers[None, :]
     f = default_initial_condition(grid).values + 0.02 * np.exp(-np.abs(x - 4.0) - np.abs(v + 2.0))
@@ -805,7 +812,7 @@ def test_run_refuses_a_field_from_another_box():
     refused before the first emission."""
     cfg = _desk_config(t_final=0.1)
     g = cfg.grid
-    other = default_initial_condition(build_grid(2.0 * g.L, g.v_max, g.Nx, g.Nv))
+    other = default_initial_condition(PhaseGrid(2.0 * g.L, g.v_max, g.Nx, g.Nv))
     emitted = []
     sinks = Sinks(
         snapshot=lambda f, step: emitted.append(step),
@@ -821,7 +828,7 @@ def test_steady_state_refuses_a_field_from_another_box():
     L = 10 box of the same shape (a tolerance that accepts any window
     would return it relabelled)."""
     cfg, f0 = _small_steady_problem()
-    smaller = dataclasses.replace(cfg, grid=build_grid(10.0, 20.0, 16, 16))
+    smaller = dataclasses.replace(cfg, grid=PhaseGrid(10.0, 20.0, 16, 16))
     with pytest.raises(ValueError, match="initial field lives on .*not on the configured"):
         steady_state_reference(smaller, tol_rate=1e300, field0=f0)
 
