@@ -81,5 +81,5 @@ class Field:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.Nx}, {self.grid.Nv})"
             )
-        if self.time_stamp < 0.0:
-            raise ValueError("time_stamp must be nonnegative")
+        if not 0.0 <= self.time_stamp < np.inf:
+            raise ValueError(f"time_stamp must be nonnegative and finite, got {self.time_stamp}")

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -446,32 +447,30 @@ def run(
 ANDERSON_DEPTH = 3
 
 
-def _anderson_mix(ends, res, order, out):
+def _anderson_mix(history, out):
     """Write the type-II Anderson mixture sum_i a_i G(x_i) into ``out``.
 
     Type-II Anderson mixing (Anderson 1965; Walker & Ni 2011) of a
-    fixed-point map G: ``ends[i]`` holds a window end G(x_i) and
-    ``res[i]`` its residual G(x_i) - x_i, for the slots i of ``order``,
-    oldest first.  The next start state is sum_i a_i G(x_i), with
-    sum_i a_i = 1 and a chosen to minimise the norm of the mixed residual
-    sum_i a_i (G(x_i) - x_i).  The norm is that of L2(1/f), with f the
-    newest window end, so each cell counts with its squared relative
-    error times its mass.  A Euclidean norm weighs the bulk of the field
-    alone and leaves the tails behind: on the 200^2 desk reference it left
-    3 times the L1 error against a reference marched to a rate of 1e-8.
-    Cells below the rounding level of the field's maximum are weighted as
-    if they were at it.  ``out`` first holds the weight 1/f, so the solve
-    needs one more field-sized temporary at a time.
+    fixed-point map G: ``history`` holds pairs (G(x_i), G(x_i) - x_i) of
+    a window end and its residual, oldest first.  The next start state is
+    sum_i a_i G(x_i), with sum_i a_i = 1 and a chosen to minimise the norm
+    of the mixed residual sum_i a_i (G(x_i) - x_i).  The norm is that of
+    L2(1/f), with f the newest window end, so each cell counts with its
+    squared relative error times its mass.  A Euclidean norm weighs the
+    bulk of the field alone and leaves the tails behind: on the 200^2 desk
+    reference it left 3 times the L1 error against a reference marched to
+    a rate of 1e-8.  Cells below the rounding level of the field's maximum
+    are weighted as if they were at it.
     """
-    newest = ends[order[-1]]
-    weight = np.maximum(newest, np.finfo(float).eps * newest.max(), out=out)
-    np.divide(1.0, weight, out=weight)
-    n = len(order)
+    ends, res = zip(*history)
+    newest = ends[-1]
+    weight = 1.0 / np.maximum(newest, np.finfo(float).eps * newest.max())
+    n = len(history)
     gram = np.empty((n, n))
-    for a, i in enumerate(order):
-        weighted = weight * res[i]
+    for a in range(n):
+        weighted = weight * res[a]
         for b in range(a, n):
-            gram[a, b] = gram[b, a] = np.vdot(weighted, res[order[b]])
+            gram[a, b] = gram[b, a] = np.vdot(weighted, res[b])
     # min |F_k - sum_j c_j (F_k - F_j)|^2 by its normal equations; a
     # ridge of 1e-12 of their mean diagonal keeps them solvable when the
     # residual differences are (nearly) collinear
@@ -480,8 +479,8 @@ def _anderson_mix(ends, res, order, out):
     lhs[np.diag_indices(n - 1)] += 1e-12 * np.trace(lhs) / (n - 1) + np.finfo(float).tiny
     coef = np.linalg.solve(lhs, rhs)
     np.multiply(1.0 - coef.sum(), newest, out=out)
-    for c, j in zip(coef, order[:-1]):
-        out += c * ends[j]
+    for c, end in zip(coef, ends[:-1]):
+        out += c * end
     return out
 
 
@@ -504,15 +503,13 @@ def steady_state_reference(
     The window is a contraction whose slowest mode decays at the truncated
     operator's small spectral gap, so each window starts from an Anderson
     mixture of the last ANDERSON_DEPTH + 1 window ends (``_anderson_mix``)
-    rather than from the last end alone.  The ends and their residuals
-    live in a ring of ANDERSON_DEPTH + 1 preallocated slots; each window
-    takes the next slot, which holds the oldest entry once the ring is
-    full.  The mixture is clipped at 0 and rescaled to field0's mass.  The
-    history restarts (``used`` = 0 stored ends) when the march turns to
-    symmetric windows (a different map) and when a window's rate exceeds
-    the one before it.  Acceptance does not depend on the mixing:
-    the result is a marched window's end, and its time stamp is field0's
-    plus the steps marched, so it counts steps and is not a solution time.
+    rather than from the last end alone.  The mixture is clipped at 0 and
+    rescaled to field0's mass.  The history of ends and residuals restarts
+    when the march turns to symmetric windows (a different map) and when a
+    window's rate exceeds the one before it.  Acceptance does not depend
+    on the mixing: the result is a marched window's end, and its time
+    stamp is field0's plus the steps marched, so it counts steps and is
+    not a solution time.
     config.t_final caps the steps marched, and exhausting it raises with
     the window count and the last rate.  A ``tol_rate`` that is not
     positive and finite, or a ``field0`` on another grid, is refused with
@@ -530,20 +527,15 @@ def steady_state_reference(
     window = config.diagnostics_cadence
     grid = config.grid
     stepper = Stepper(grid, config.model)
-    slots = ANDERSON_DEPTH + 1
-    ends = np.empty((slots,) + field0.values.shape)
-    residuals = np.empty_like(ends)
+    history = deque(maxlen=ANDERSON_DEPTH + 1)  # (window end, residual), oldest first
     total0 = field0.values.sum()
     values = field0.values.copy()
-    step = windows = used = 0
+    step = windows = 0
     symmetric = False  # the last phase, taken only when the windows fuse
-    k = slots - 1  # the ring slot of the last window
     rate = prev_rate = np.inf
     while step < n_steps:
         todo = min(window, n_steps - step)
-        k = (k + 1) % slots
-        res = residuals[k]
-        np.copyto(res, values)
+        start = values.copy()
         if symmetric:
             for _ in range(todo):
                 stepper.advance(values, dt, 1)
@@ -553,21 +545,19 @@ def steady_state_reference(
         windows += 1
         if not np.all(np.isfinite(values)):
             raise NumericalAbort(step)
-        rate = l1_distance(Field(values, grid), Field(res, grid)) / (todo * dt)
-        np.subtract(values, res, out=res)
+        rate = l1_distance(Field(values, grid), Field(start, grid)) / (todo * dt)
         if rate < tol_rate:
             if symmetric or not fuses_transport(grid, dt):
                 return Field(values, grid, field0.time_stamp + step * dt)
             symmetric = True
-            used = 0
+            history.clear()
         else:
             if rate > prev_rate:
-                used = 0
-            np.copyto(ends[k], values)
-            used = min(used + 1, slots)
-            if used > 1:
-                order = [(k - used + 1 + i) % slots for i in range(used)]  # oldest first
-                _anderson_mix(ends, residuals, order, values)
+                history.clear()
+            np.subtract(values, start, out=start)  # the window's residual
+            history.append((values.copy(), start))
+            if len(history) > 1:
+                _anderson_mix(history, values)
                 np.maximum(values, 0.0, out=values)
                 values *= total0 / values.sum()
         prev_rate = rate

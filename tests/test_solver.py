@@ -94,6 +94,13 @@ def test_grid_centers_exactly_antisymmetric():
     assert np.all(g.v_centers == -g.v_centers[::-1])
 
 
+@pytest.mark.parametrize("time_stamp", [-1.0, np.nan, np.inf])
+def test_field_refuses_a_negative_or_non_finite_time(time_stamp):
+    grid = PhaseGrid(10.0, 10.0, 4, 4)
+    with pytest.raises(ValueError, match="time_stamp must be nonnegative and finite"):
+        Field(np.zeros((4, 4)), grid, time_stamp)
+
+
 def test_grid_rejects_odd_counts():
     with pytest.raises(ValueError):
         PhaseGrid(50.0, 50.0, 127, 128)
@@ -737,20 +744,6 @@ def test_accelerated_steady_march(kernel_calls):
     assert l1_distance(Field(after, cfg.grid), Field(f.values, cfg.grid)) / (window * dt) < 1e-5
 
 
-def test_anderson_mix_reads_the_ring_in_the_given_order(rng):
-    """The mixture depends on the slots only through ``order``: a wrapped
-    ring gives the same bits as the same ends stacked oldest first."""
-    slots = ANDERSON_DEPTH + 1
-    ends = rng.uniform(0.5, 2.0, size=(slots, 6, 5))
-    res = rng.normal(size=(slots, 6, 5))
-    for used in range(2, slots + 1):
-        for k in range(slots):
-            order = [(k - used + 1 + i) % slots for i in range(used)]
-            ring = _anderson_mix(ends, res, order, np.empty((6, 5)))
-            flat = _anderson_mix(ends[order], res[order], list(range(used)), np.empty((6, 5)))
-            np.testing.assert_array_equal(ring, flat)
-
-
 def test_anderson_mix_solves_an_affine_map_from_two_ends(rng):
     """For G(x) = c x + b the residual is affine in x, so two ends on a
     line through the fixed point x* mix to G(x*) = x*, up to the ridge."""
@@ -760,9 +753,37 @@ def test_anderson_mix_solves_an_affine_map_from_two_ends(rng):
     starts = np.stack([fixed + d, fixed + 2.0 * d])
     ends = c * starts + b
     res = ends - starts
-    # oldest in slot 1, newest in slot 0
-    out = _anderson_mix(ends[::-1].copy(), res[::-1].copy(), [1, 0], np.empty(b.shape))
+    out = _anderson_mix(list(zip(ends, res)), np.empty(b.shape))
     np.testing.assert_allclose(out, fixed, rtol=1e-9)
+
+
+def test_anderson_history_is_capped_and_restarts(monkeypatch):
+    """The history holds the last ANDERSON_DEPTH + 1 window ends, and
+    restarts when a window's rate rises and when the march turns to
+    symmetric windows.  The window rates are scripted through the march's
+    L1 distance; the history length is read at each mix."""
+    params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
+    cfg = SolverConfig(
+        model=params, grid=PhaseGrid(10.0, 10.0, 8, 8), t_final=50.0, diagnostics_cadence=3,
+    )
+    dt, _ = cfg.resolve_dt()
+    assert fuses_transport(cfg.grid, dt)
+    # fused windows until the one at 0.5, then symmetric windows; the
+    # first symmetric window that goes on rises above that rate, so it
+    # restarts the history on both counts
+    rates = iter([9, 8, 7, 6, 5, 6, 4, 3, 0.5, 2, 1, 0.5])
+    monkeypatch.setattr("kinfp.diagnostics.l1_distance", lambda a, b: next(rates) * 3 * dt)
+    lengths = []
+
+    def mix(history, out):
+        lengths.append(len(history))
+        return _anderson_mix(history, out)
+
+    monkeypatch.setattr("kinfp.solver._anderson_mix", mix)
+    f = steady_state_reference(cfg, tol_rate=1.0)
+    assert f.time_stamp == 12 * 3 * dt
+    assert ANDERSON_DEPTH == 3  # the lengths below cap at 4
+    assert lengths == [2, 3, 4, 4, 2, 3, 2]
 
 
 def test_steady_state_exhaustion_names_the_windows():
