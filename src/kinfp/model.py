@@ -22,12 +22,14 @@ with its first Laplace correction.
 
 Each closed form of E, H, d_v H and L* is written once, over one private
 holder of the axis factors at the given points: the x-only terms (<x>,
-<x>^A x, ...) and the v-only ones (<v>, the drift, <v>^(-B) v, ...), each
-computed once, and E, the one mixed term they share.  A mixed form is a
-short sum of rank-one products of those factors: the cross term
-<x>^A x <v>^(-B) v is one, its v-derivative one, and its L* three.  H and
-d_v H take one power of E (E^(ell-1) is E^ell / E), and the weight and its
-chain rule one power of H.
+<x>^A x, ...) and the v-only ones (<v>, the drift, <v>^(-B) v, ...), and
+E, the one mixed term they share, all computed once by its
+constructor, which is also the one place that refuses a spec breaking
+the comparability condition of :meth:`LyapunovSpec.equivalence_ok`.  A
+mixed form is a short sum of rank-one products of those factors: the
+cross term <x>^A x <v>^(-B) v is one, its v-derivative one, and its L*
+three.  H and d_v H take one power of E (E^(ell-1) is E^ell / E), and
+the weight and its chain rule one power of H.
 
 Array convention: the model is one-dimensional, and every closed form is
 elementwise in x and v, which broadcast against each other.  Pass scalars
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -177,14 +178,6 @@ class LyapunovSpec:
         )
 
 
-def _check_spec(params: ModelParams, spec: LyapunovSpec) -> None:
-    if spec.eps > 0.0 and not spec.equivalence_ok(params.alpha):
-        raise ValueError(
-            "Lyapunov spec violates the comparability condition "
-            f"(A+1)_+/alpha + (1-B)/2 <= ell for alpha={params.alpha}: {spec}"
-        )
-
-
 def _bracket(sq):
     # <z> from z^2
     return np.sqrt(1.0 + sq)
@@ -231,7 +224,8 @@ def equilibrium_drift(v, params: ModelParams):
 
 class _Points:
     """The axis factors at points (x, v) and the energy E, each computed
-    once, on first use.
+    once by the constructor, after it refuses a spec with eps > 0 that
+    breaks the comparability condition (the one place that checks it).
 
     x-only: ``xsq`` = x^2 and ``jx`` = <x>.  v-only: ``vsq`` = v^2, ``jv``
     = <v>, the drift ``dr`` = M'/M and ``vdr`` = v dr.  With a spec, the
@@ -246,58 +240,28 @@ class _Points:
     """
 
     def __init__(self, x, v, params: ModelParams, spec: LyapunovSpec | None = None):
+        if spec is not None and spec.eps > 0.0 and not spec.equivalence_ok(params.alpha):
+            raise ValueError(
+                "Lyapunov spec violates the comparability condition "
+                f"(A+1)_+/alpha + (1-B)/2 <= ell for alpha={params.alpha}: {spec}"
+            )
         self.params = params
         self.spec = spec
         self.x = np.asarray(x, dtype=np.float64)
         self.v = np.asarray(v, dtype=np.float64)
-
-    @cached_property
-    def xsq(self):
-        return self.x * self.x
-
-    @cached_property
-    def vsq(self):
-        return self.v * self.v
-
-    @cached_property
-    def jx(self):
-        return _bracket(self.xsq)
-
-    @cached_property
-    def jv(self):
-        return _bracket(self.vsq)
-
-    @cached_property
-    def dr(self):
-        return _drift(self.v, self.jv, self.params)
-
-    @cached_property
-    def vdr(self):
-        return self.v * self.dr
-
-    @cached_property
-    def jxa(self):
-        return self.jx**self.spec.a_exp
-
-    @cached_property
-    def ax(self):
-        return self.jxa * self.x
-
-    @cached_property
-    def jvb(self):
-        return self.jv ** (-self.spec.b_exp)
-
-    @cached_property
-    def bv(self):
-        return self.jvb * self.v
-
-    @cached_property
-    def dbv(self):
-        return self.jvb * (1.0 - self.spec.b_exp * self.vsq / (1.0 + self.vsq))
-
-    @cached_property
-    def e(self):
-        return 0.5 * self.vsq + _potential(self.jx, self.params)
+        self.xsq = self.x * self.x
+        self.vsq = self.v * self.v
+        self.jx = _bracket(self.xsq)
+        self.jv = _bracket(self.vsq)
+        self.dr = _drift(self.v, self.jv, params)
+        self.vdr = self.v * self.dr
+        self.e = 0.5 * self.vsq + _potential(self.jx, params)
+        if spec is not None:
+            self.jxa = self.jx**spec.a_exp
+            self.ax = self.jxa * self.x
+            self.jvb = self.jv ** (-spec.b_exp)
+            self.bv = self.jvb * self.v
+            self.dbv = self.jvb * (1.0 - spec.b_exp * self.vsq / (1.0 + self.vsq))
 
 
 def energy(x, v, params: ModelParams):
@@ -318,7 +282,6 @@ def _h_de(p: _Points):
 
 def lyapunov_H(x, v, params: ModelParams, spec: LyapunovSpec):
     """Candidate Lyapunov function H = E^ell + eps <x>^A <v>^(-B) x v."""
-    _check_spec(params, spec)
     return _h_de(_Points(x, v, params, spec))[0]
 
 
@@ -334,7 +297,6 @@ def grad_v_H(x, v, params: ModelParams, spec: LyapunovSpec):
 
     d_v H = ell E^(ell-1) v + eps <x>^A x <v>^(-B) (1 - B v^2 / <v>^2).
     """
-    _check_spec(params, spec)
     p = _Points(x, v, params, spec)
     return _grad_v_h(p, _h_de(p)[1])
 
@@ -424,9 +386,7 @@ def _dual_weight(p: _Points):
 
 def lyapunov_weight(x, v, params: ModelParams, spec: LyapunovSpec):
     """Weight m(x, v) built from H: exp(delta H^(theta/2)) or H^(k/ell)."""
-    _check_spec(params, spec)
-    p = _Points(x, v, params, spec)
-    return _weight(_h_de(p)[0], spec)[1]
+    return _weight(_h_de(_Points(x, v, params, spec))[0], spec)[1]
 
 
 def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str):
@@ -443,7 +403,6 @@ def apply_Lstar_exact(x, v, params: ModelParams, spec: LyapunovSpec, target: str
     """
     if target not in LSTAR_TARGETS:
         raise ValueError(f"unknown target {target!r}, expected one of {LSTAR_TARGETS}")
-    _check_spec(params, spec)
     p = _Points(x, v, params, spec)
     if target == "cross_term":
         return _dual_cross_term(p)
@@ -471,7 +430,6 @@ def drift_excess(x, v, params: ModelParams, spec: LyapunovSpec):
     of grid rows: the scan's memory then grows with ``lyapunov.samples``
     only through s, r^2 and the radius masks.
     """
-    _check_spec(params, spec)
     lm, m = _dual_weight(_Points(x, v, params, spec))
     lm += phi(m, spec)
     return lm

@@ -505,15 +505,17 @@ def steady_state_reference(
     mixture of the last ANDERSON_DEPTH + 1 window ends (``_anderson_mix``)
     rather than from the last end alone.  The mixture is clipped at 0 and
     rescaled to field0's mass.  The history of ends and residuals restarts
-    when the march turns to symmetric windows (a different map) and when a
-    window's rate exceeds the one before it.  Acceptance does not depend
-    on the mixing: the result is a marched window's end, and its time
-    stamp is field0's plus the steps marched, so it counts steps and is
-    not a solution time.
+    when a window's rate exceeds the one before it.  The march turns to
+    symmetric windows (a different map) after a rate below tol_rate, so
+    the first symmetric window either returns or reads a higher rate and
+    restarts the history.  Acceptance does not depend on the mixing: the
+    result is a marched window's end, and its time stamp is field0's plus
+    the steps marched, so it counts steps and is not a solution time.
     config.t_final caps the steps marched, and exhausting it raises with
     the window count and the last rate.  A ``tol_rate`` that is not
     positive and finite, or a ``field0`` on another grid, is refused with
-    ValueError.
+    ValueError, and a ``field0`` holding a NaN or infinite value with
+    NumericalAbort at step 0.
     """
     # bound per call: perfbench counts a solve's windows by wrapped l1_distance calls
     from .diagnostics import l1_distance
@@ -523,6 +525,8 @@ def steady_state_reference(
     if field0 is None:
         field0 = default_initial_condition(config.grid)
     _check_grid(field0, config, "initial field")
+    if not np.all(np.isfinite(field0.values)):
+        raise NumericalAbort(0, "non-finite initial data")
     dt, n_steps = config.resolve_dt()
     window = config.diagnostics_cadence
     grid = config.grid
@@ -550,7 +554,6 @@ def steady_state_reference(
             if symmetric or not fuses_transport(grid, dt):
                 return Field(values, grid, field0.time_stamp + step * dt)
             symmetric = True
-            history.clear()
         else:
             if rate > prev_rate:
                 history.clear()

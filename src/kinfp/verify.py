@@ -59,7 +59,8 @@ class ScanConfig:
     plus 0 (an odd count's middle point is 0), so the grid takes in both
     coordinate axes and the origin (the tightest points of the inequality
     sit near the axes).  The axes are exactly antisymmetric, and the scan
-    evaluates the grid's rows with x <= 0.
+    evaluates the grid's rows with x <= 0.  Each candidate exclusion
+    radius must lie in (0, min(x_half, v_half)).
     """
 
     x_half: float = 50.0
@@ -77,10 +78,10 @@ class ScanConfig:
             problems.append("box half-widths must be positive and finite")
         if not self.exclusion_radii:
             problems.append("need at least one candidate radius")
-        elif not max(self.exclusion_radii) < min(self.x_half, self.v_half):
+        elif not all(0.0 < r < min(self.x_half, self.v_half) for r in self.exclusion_radii):
             problems.append(
-                f"candidate radii must be smaller than the box, got {self.exclusion_radii} "
-                f"for half-widths {self.x_half} and {self.v_half}"
+                "candidate radii must be smaller than the box and positive, got "
+                f"{self.exclusion_radii} for half-widths {self.x_half} and {self.v_half}"
             )
         if problems:
             raise ValueError("; ".join(problems))
@@ -162,13 +163,14 @@ def _drift_excess_chunks(
     """
     rows = max(1, _SCAN_CHUNK // vs.size)
     s = np.empty_like(r2)
-    for r0 in range(0, xs.size, rows):
-        r1 = r0 + rows
-        s[r0:r1] = drift_excess(xs[r0:r1, None], vs, params, spec)
-        if stop_radius is not None and r1 < xs.size:
-            outside = r2[r0:r1] > stop_radius * stop_radius
-            if not np.max(s[r0:r1], where=outside, initial=-np.inf) <= 0.0:
-                return None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is NaN by design
+        for r0 in range(0, xs.size, rows):
+            r1 = r0 + rows
+            s[r0:r1] = drift_excess(xs[r0:r1, None], vs, params, spec)
+            if stop_radius is not None and r1 < xs.size:
+                outside = r2[r0:r1] > stop_radius * stop_radius
+                if not np.max(s[r0:r1], where=outside, initial=-np.inf) <= 0.0:
+                    return None
     return s
 
 

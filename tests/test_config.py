@@ -175,6 +175,7 @@ def test_violations_from_every_object_reported_together():
         ("lyapunov.samples = 3", "samples_per_axis"),
         ("lyapunov.b_exp = 2", "b_exp"),
         ("lyapunov.radii = 60", "radii must be smaller than the box"),
+        ("lyapunov.radii = -20", "radii must be smaller than the box and positive"),
         ("lyapunov.eps = nan", "eps must be nonnegative"),
     ],
 )

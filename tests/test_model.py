@@ -1,5 +1,6 @@
 """Closed-form model quantities against hand values and independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -405,6 +406,11 @@ def test_drift_excess_is_even_under_the_phase_mirror():
 def test_apply_Lstar_unknown_target(exp_params, exp_spec):
     with pytest.raises(ValueError):
         apply_Lstar_exact(1.0, 1.0, exp_params, exp_spec, "nonsense")
+    # the target is checked first, before the spec's comparability
+    params = ModelParams(alpha=1.1, kind="exp", beta=0.5)
+    bad = LyapunovSpec(2.0, 0.1, 1.9, 0.9, ExpWeight(theta=0.25, delta=0.1))
+    with pytest.raises(ValueError, match="unknown target"):
+        apply_Lstar_exact(1.0, 1.0, params, bad, "nonsense")
 
 
 def test_phi_values_and_domain():
@@ -579,3 +585,18 @@ def test_closed_form_broadcasts_column_against_row(form, model):
     one = f(xs[2], vs[7], params, spec)
     assert np.ndim(one) == 0
     assert float(one) == pytest.approx(grid[2, 7], rel=1e-13)
+
+
+@pytest.mark.parametrize("form", sorted(set(CLOSED_FORMS) - {"energy"}))
+def test_every_spec_form_refuses_a_spec_that_breaks_comparability(form):
+    """(A+1)_+/alpha + (1-B)/2 <= ell fails for A = 1.9, B = 0.9 at
+    alpha = 1.1: every form that takes a spec refuses it while eps > 0,
+    and evaluates the pure-energy weight eps = 0 that it reduces to."""
+    params = ModelParams(alpha=1.1, kind="exp", beta=0.5)
+    bad = LyapunovSpec(2.0, 0.1, 1.9, 0.9, ExpWeight(theta=0.25, delta=0.1))
+    assert not bad.equivalence_ok(params.alpha)
+    x, v = np.linspace(-5.0, 5.0, 4)[:, None], np.linspace(-3.0, 3.0, 5)
+    with pytest.raises(ValueError, match="violates the comparability condition"):
+        CLOSED_FORMS[form](x, v, params, bad)
+    out = CLOSED_FORMS[form](x, v, params, dataclasses.replace(bad, eps=0.0))
+    assert out.shape == (4, 5) and np.all(np.isfinite(out))

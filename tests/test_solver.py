@@ -22,6 +22,7 @@ from kinfp import (
 from kinfp import kernels
 from kinfp.solver import (
     ANDERSON_DEPTH,
+    NumericalAbort,
     Stepper,
     _anderson_mix,
     cc_delta,
@@ -759,9 +760,10 @@ def test_anderson_mix_solves_an_affine_map_from_two_ends(rng):
 
 def test_anderson_history_is_capped_and_restarts(monkeypatch):
     """The history holds the last ANDERSON_DEPTH + 1 window ends, and
-    restarts when a window's rate rises and when the march turns to
-    symmetric windows.  The window rates are scripted through the march's
-    L1 distance; the history length is read at each mix."""
+    restarts when a window's rate rises, which the first symmetric window
+    that does not return always does.  The window rates are scripted
+    through the march's L1 distance; the history length is read at each
+    mix."""
     params = ModelParams(alpha=1.5, kind="exp", beta=0.5)
     cfg = SolverConfig(
         model=params, grid=PhaseGrid(10.0, 10.0, 8, 8), t_final=50.0, diagnostics_cadence=3,
@@ -770,7 +772,7 @@ def test_anderson_history_is_capped_and_restarts(monkeypatch):
     assert fuses_transport(cfg.grid, dt)
     # fused windows until the one at 0.5, then symmetric windows; the
     # first symmetric window that goes on rises above that rate, so it
-    # restarts the history on both counts
+    # restarts the history
     rates = iter([9, 8, 7, 6, 5, 6, 4, 3, 0.5, 2, 1, 0.5])
     monkeypatch.setattr("kinfp.diagnostics.l1_distance", lambda a, b: next(rates) * 3 * dt)
     lengths = []
@@ -852,6 +854,19 @@ def test_steady_state_refuses_a_field_from_another_box():
     smaller = dataclasses.replace(cfg, grid=PhaseGrid(10.0, 20.0, 16, 16))
     with pytest.raises(ValueError, match="initial field lives on .*not on the configured"):
         steady_state_reference(smaller, tol_rate=1e300, field0=f0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_steady_state_refuses_non_finite_initial_data_at_step_zero(kernel_calls, bad):
+    """As ``run`` does: a datum with one non-finite cell is refused before
+    the first window, not reported at the end of it."""
+    cfg, f0 = _small_steady_problem()
+    values = f0.values.copy()
+    values[3, 5] = bad
+    with pytest.raises(NumericalAbort, match="non-finite initial data") as err:
+        steady_state_reference(cfg, tol_rate=1e-5, field0=Field(values, cfg.grid))
+    assert err.value.step == 0
+    assert kernel_calls == {"transport_rhs_kernel": 0, "velocity_rhs_kernel": 0}
 
 
 @pytest.mark.parametrize("tol_rate", [0.0, -1.0, np.inf, np.nan])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ def test_scan_config_validation():
         ScanConfig(exclusion_radii=(60.0,))  # radius outside the box
     with pytest.raises(ValueError):
         ScanConfig(x_half=-1.0)
+
+
+@pytest.mark.parametrize(
+    "radii", [(-20.0,), (0.0,), (20.0, np.nan), (np.inf,)], ids=["negative", "zero", "nan", "inf"]
+)
+def test_scan_config_refuses_radii_outside_the_box_interior(radii):
+    """Each candidate radius must lie in (0, min(x_half, v_half)): a NaN
+    among valid radii is not dropped, and a radius <= 0 is not a ball."""
+    with pytest.raises(ValueError, match="radii must be smaller than the box and positive"):
+        ScanConfig(exclusion_radii=radii)
 
 
 def test_scan_degenerate_eps_fails_on_x_axis(exp_params):
@@ -599,3 +610,18 @@ def test_drift_excess_is_nan_where_it_overflows():
     assert np.isnan(report.min_margin_outside)
     assert report.worst_point == (-100.0, -100.0)
     assert report.summary().startswith("FAIL ")
+
+
+def test_scan_that_overflows_by_design_warns_nothing():
+    """The beta = 3, delta = 0.1 scan on the 100 x 100 box overflows at the
+    far corners, where s is NaN by design: the scan raises no numpy
+    warning, with no errstate around it."""
+    params = ModelParams(alpha=2.0, kind="exp", beta=3.0)
+    spec = LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1))
+    cfg = ScanConfig(x_half=100.0, v_half=100.0, samples_per_axis=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = scan_drift_inequality(params, spec, cfg)
+    assert not report.passed
+    assert np.isnan(report.min_margin_outside)
+    assert report.worst_point == (-100.0, -100.0)
