@@ -95,7 +95,7 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, code: i
     manifest = {
         "command": command,
         "version": __version__,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.entries},
+        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
         "outputs": sorted(outputs),
         "exit_code": code,
         "exit_reason": reason,

@@ -5,14 +5,14 @@ The on-disk format is one ``section.key = value`` assignment per line, with
 rejected and every violation is reported (not just the first).  Writing a
 parsed config and re-parsing it round-trips exactly.
 
-Required keys: ``model.alpha``, ``model.kind`` and the matching tail
-exponent (``model.beta`` for ``exp``, ``model.gamma`` for ``poly``).  Every
-other key has the documented default shown in ``SCHEMA``.  A key that only
-one variant of a choice reads (the tail exponents, the weight parameters
-``lyapunov.theta``, ``lyapunov.delta`` and ``lyapunov.k``,
-``diagnostics.rate_theta``, ``initial.file`` and
-``diagnostics.reference_file``) is refused under the other variants unless
-it keeps its default.
+Each key's rules sit on its own ``SCHEMA`` row.  ``model.alpha`` and
+``model.kind`` are required.  A key that one variant of a choice reads
+(``model.beta``, ``model.gamma``, ``lyapunov.theta``, ``lyapunov.delta``,
+``lyapunov.k``, ``diagnostics.rate_theta``, ``initial.file`` and
+``diagnostics.reference_file``) is required under that variant if its
+default is empty, and refused under the others unless it keeps its
+default.  A parsed config is a ``RunConfig``: a dict of every key in
+``SCHEMA`` order.
 
 Every key is validated at parse time, for every command, by the object
 that uses it: ``ModelParams``, ``PhaseGrid``, ``SolverConfig``,
@@ -28,8 +28,6 @@ gamma <= 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .diagnostics import check_burn_fraction, check_delta, check_rate_theta
 from .grid import PhaseGrid
@@ -59,82 +57,54 @@ def _dt(text: str) -> str:
     return "auto" if text == "auto" else repr(float(text))
 
 
-# key -> (parser of the value text, default or _REQUIRED)
+# key -> (parser of the value text, default or _REQUIRED, allowed values or
+# None, (choice key, value) or None).  The last column names the one variant
+# that reads the key: the key is required under it and must keep its
+# default under any other.  model.kind has no allowed values here because
+# ModelParams checks it.
 SCHEMA: dict[str, tuple] = {
-    "model.alpha": (float, _REQUIRED),
-    "model.kind": (str, _REQUIRED),  # "exp" | "poly"
-    "model.beta": (float, None),  # required when kind = exp
-    "model.gamma": (float, None),  # required when kind = poly
-    "grid.L": (float, 50.0),
-    "grid.v_max": (float, 50.0),
-    "grid.Nx": (int, 128),
-    "grid.Nv": (int, 128),
-    "time.t_final": (float, 10.0),
-    "time.dt": (_dt, "auto"),  # "auto" or a float literal
-    "time.cfl_safety": (float, 0.45),
-    "initial.preset": (str, "paper-default"),  # or "file"
-    "initial.file": (str, ""),  # checkpoint path when preset = file
-    "diagnostics.cadence": (int, 100),
-    "diagnostics.snapshot_cadence": (int, 1000),
-    "diagnostics.reference": (str, "none"),  # none | profile | file
-    "diagnostics.reference_file": (str, ""),
-    "diagnostics.delta": (float, 1.15),
-    "diagnostics.rate_mode": (str, "exp"),  # exp | poly
-    "diagnostics.rate_theta": (float, 0.25),
-    "diagnostics.rate_burn_fraction": (float, 0.1),
-    "lyapunov.ell": (float, 2.0),
-    "lyapunov.eps": (float, 0.2),
-    "lyapunov.a_exp": (float, 1.0),
-    "lyapunov.b_exp": (float, 0.6),
-    "lyapunov.mode": (str, "exp"),  # exp | poly
-    "lyapunov.theta": (float, 0.25),
-    "lyapunov.delta": (float, 2.0),
-    "lyapunov.k": (float, 1.5),
-    "lyapunov.scan_x": (float, 50.0),
-    "lyapunov.scan_v": (float, 50.0),
-    "lyapunov.samples": (int, 256),
-    "lyapunov.radii": (_float_list, (20.0, 25.0, 30.0, 35.0, 40.0, 45.0)),
-    "output.dir": (str, "out"),
-    "output.snapshot_format": (str, "csv"),  # csv | checkpoint
-}
-
-# choice keys read by this module or the CLI, with their allowed values
-# (model.kind is checked by ModelParams)
-_CHOICES: dict[str, tuple[str, ...]] = {
-    "initial.preset": ("paper-default", "file"),
-    "diagnostics.reference": ("none", "profile", "file"),
-    "diagnostics.rate_mode": ("exp", "poly"),
-    "lyapunov.mode": ("exp", "poly"),
-    "output.snapshot_format": ("csv", "checkpoint"),
-}
-
-# key -> (choice key, the value of it that requires the key; under any
-# other value the key must keep its default)
-_REQUIRED_BY: dict[str, tuple[str, str]] = {
-    "model.beta": ("model.kind", "exp"),
-    "model.gamma": ("model.kind", "poly"),
-    "lyapunov.theta": ("lyapunov.mode", "exp"),
-    "lyapunov.delta": ("lyapunov.mode", "exp"),
-    "lyapunov.k": ("lyapunov.mode", "poly"),
-    "diagnostics.rate_theta": ("diagnostics.rate_mode", "exp"),
-    "initial.file": ("initial.preset", "file"),
-    "diagnostics.reference_file": ("diagnostics.reference", "file"),
+    "model.alpha": (float, _REQUIRED, None, None),
+    "model.kind": (str, _REQUIRED, None, None),
+    "model.beta": (float, None, None, ("model.kind", "exp")),
+    "model.gamma": (float, None, None, ("model.kind", "poly")),
+    "grid.L": (float, 50.0, None, None),
+    "grid.v_max": (float, 50.0, None, None),
+    "grid.Nx": (int, 128, None, None),
+    "grid.Nv": (int, 128, None, None),
+    "time.t_final": (float, 10.0, None, None),
+    "time.dt": (_dt, "auto", None, None),  # "auto" or a float literal
+    "time.cfl_safety": (float, 0.45, None, None),
+    "initial.preset": (str, "paper-default", ("paper-default", "file"), None),
+    "initial.file": (str, "", None, ("initial.preset", "file")),  # checkpoint path
+    "diagnostics.cadence": (int, 100, None, None),
+    "diagnostics.snapshot_cadence": (int, 1000, None, None),
+    "diagnostics.reference": (str, "none", ("none", "profile", "file"), None),
+    "diagnostics.reference_file": (str, "", None, ("diagnostics.reference", "file")),
+    "diagnostics.delta": (float, 1.15, None, None),
+    "diagnostics.rate_mode": (str, "exp", ("exp", "poly"), None),
+    "diagnostics.rate_theta": (float, 0.25, None, ("diagnostics.rate_mode", "exp")),
+    "diagnostics.rate_burn_fraction": (float, 0.1, None, None),
+    "lyapunov.ell": (float, 2.0, None, None),
+    "lyapunov.eps": (float, 0.2, None, None),
+    "lyapunov.a_exp": (float, 1.0, None, None),
+    "lyapunov.b_exp": (float, 0.6, None, None),
+    "lyapunov.mode": (str, "exp", ("exp", "poly"), None),
+    "lyapunov.theta": (float, 0.25, None, ("lyapunov.mode", "exp")),
+    "lyapunov.delta": (float, 2.0, None, ("lyapunov.mode", "exp")),
+    "lyapunov.k": (float, 1.5, None, ("lyapunov.mode", "poly")),
+    "lyapunov.scan_x": (float, 50.0, None, None),
+    "lyapunov.scan_v": (float, 50.0, None, None),
+    "lyapunov.samples": (int, 256, None, None),
+    "lyapunov.radii": (_float_list, (20.0, 25.0, 30.0, 35.0, 40.0, 45.0), None, None),
+    "output.dir": (str, "out", None, None),
+    "output.snapshot_format": (str, "csv", ("csv", "checkpoint"), None),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated configuration (flat mapping of SCHEMA keys)."""
+class RunConfig(dict):
+    """A fully validated configuration: every SCHEMA key, in SCHEMA order,
+    mapped to its value, with the typed views of the objects that read them."""
 
-    entries: tuple[tuple[str, object], ...]
-
-    def __getitem__(self, key: str):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    # -- typed views ---------------------------------------------------
     def model_params(self) -> ModelParams:
         kind = self["model.kind"]
         return ModelParams(
@@ -186,70 +156,58 @@ class RunConfig:
         )
 
 
-def _parse_lines(text: str, violations: list[str]) -> dict[str, object]:
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a configuration; raises ConfigError with every violation.
+
+    This module checks only the file itself: syntax, known keys, and each
+    SCHEMA row's allowed values and reading variant.  Each numeric rule
+    lives where the value is used, so the typed views are built and the
+    diagnostics checks run here, their ValueErrors collected; the solver
+    config is built once its model and grid are valid.
+    """
+    violations: list[str] = []
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, eq, value = (part.strip() for part in stripped.partition("="))
+        if not eq:
             violations.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in SCHEMA:
+        elif key not in SCHEMA:
             violations.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in raw:
+        elif key in raw:
             violations.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        try:
-            raw[key] = SCHEMA[key][0](value)
-        except ValueError:
-            violations.append(f"line {lineno}: {key}: cannot parse {value!r}")
-    return raw
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration; raises ConfigError with every violation.
-
-    This module checks only the file itself: syntax, known keys, choice
-    values and keys that another key's value requires or ignores.  Each
-    numeric rule lives where the value is used, so the typed views are
-    built and the diagnostics checks run here, their ValueErrors collected;
-    the solver config is built once its model and grid are valid.
-    """
-    violations: list[str] = []
-    raw = _parse_lines(text, violations)
-    values = {}
-    for key, (_parse, default) in SCHEMA.items():
-        if key in raw:
-            values[key] = raw[key]
-        elif default is _REQUIRED:
-            violations.append(f"{key}: required key missing")
         else:
-            values[key] = default
+            try:
+                raw[key] = SCHEMA[key][0](value)
+            except ValueError:
+                violations.append(f"line {lineno}: {key}: cannot parse {value!r}")
+    for key, row in SCHEMA.items():
+        if key not in raw and row[1] is _REQUIRED:
+            violations.append(f"{key}: required key missing")
     if violations:
         raise ConfigError(violations)
 
-    missing = [
-        key
-        for key, (choice, value) in _REQUIRED_BY.items()
-        if values[choice] == value and values[key] in (None, "")
-    ]
-    violations = [f"{key}: required when {' = '.join(_REQUIRED_BY[key])}" for key in missing]
-    # a key that the selected variant ignores must keep its default
-    violations += [
-        f"{key}: only used when {choice} = {value}, got {choice} = {values[choice]}"
-        for key, (choice, value) in _REQUIRED_BY.items()
-        if values[choice] != value and values[key] != SCHEMA[key][1]
-    ]
-    violations += [
-        f"{key}: must be one of {', '.join(map(repr, allowed))}, got {values[key]!r}"
-        for key, allowed in _CHOICES.items()
-        if values[key] not in allowed
-    ]
-    cfg = RunConfig(entries=tuple((k, values[k]) for k in SCHEMA))
+    cfg = RunConfig((key, raw.get(key, row[1])) for key, row in SCHEMA.items())
+    missing = set()
+    for key, (_parse, default, allowed, variant) in SCHEMA.items():
+        value = cfg[key]
+        if allowed is not None and value not in allowed:
+            violations.append(
+                f"{key}: must be one of {', '.join(map(repr, allowed))}, got {value!r}"
+            )
+        if variant is None:
+            continue
+        choice, wanted = variant
+        if cfg[choice] == wanted and value in (None, ""):
+            missing.add(key)
+            violations.append(f"{key}: required when {choice} = {wanted}")
+        elif cfg[choice] != wanted and value != default:
+            # a key that the selected variant ignores must keep its default
+            violations.append(
+                f"{key}: only used when {choice} = {wanted}, got {choice} = {cfg[choice]}"
+            )
 
     def builds(label: str, view) -> bool:
         try:
@@ -260,18 +218,17 @@ def parse_config(text: str) -> RunConfig:
         return True
 
     # a missing tail exponent is reported above; ModelParams would repeat it
-    model_ok = not {"model.beta", "model.gamma"} & set(missing) and builds(
+    model_ok = not {"model.beta", "model.gamma"} & missing and builds(
         "model", cfg.model_params
     )
     if builds("grid", cfg.phase_grid) and model_ok:
         builds("time", cfg.solver_config)
     builds("lyapunov", cfg.lyapunov_spec)
     builds("lyapunov", cfg.scan_config)
-    builds("diagnostics.delta", lambda: check_delta(values["diagnostics.delta"]))
-    if values["diagnostics.rate_mode"] == "exp":
-        theta = values["diagnostics.rate_theta"]
-        builds("diagnostics.rate_theta", lambda: check_rate_theta(theta))
-    frac = values["diagnostics.rate_burn_fraction"]
+    builds("diagnostics.delta", lambda: check_delta(cfg["diagnostics.delta"]))
+    if cfg["diagnostics.rate_mode"] == "exp":
+        builds("diagnostics.rate_theta", lambda: check_rate_theta(cfg["diagnostics.rate_theta"]))
+    frac = cfg["diagnostics.rate_burn_fraction"]
     builds("diagnostics.rate_burn_fraction", lambda: check_burn_fraction(frac))
     if violations:
         raise ConfigError(violations)
@@ -294,7 +251,7 @@ def serialize_config(cfg: RunConfig) -> str:
     """
     lines = [
         f"{key} = {_format_value(value)}"
-        for key, value in cfg.entries
+        for key, value in cfg.items()
         if value is not None
     ]
     return "\n".join(lines) + "\n"

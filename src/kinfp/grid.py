@@ -33,7 +33,7 @@ class PhaseGrid:
         problems += [
             f"{name} must be an even positive integer, got {n}"
             for name, n in (("Nx", self.Nx), ("Nv", self.Nv))
-            if int(n) != n or n <= 0 or n % 2 != 0
+            if n % 1 != 0 or n <= 0 or n % 2 != 0
         ]
         if problems:
             raise ValueError("; ".join(problems))

@@ -266,7 +266,10 @@ class _Points:
 
 def energy(x, v, params: ModelParams):
     """Mechanical energy E(x, v) = v^2 / 2 + V(x)."""
-    return _Points(x, v, params).e
+    # the operations of _Points.e, without the factors E does not read
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return 0.5 * (v * v) + _potential(_bracket(x * x), params)
 
 
 def _h_de(p: _Points):

@@ -87,7 +87,8 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Everything needed to reproduce a run."""
+    """Everything needed to reproduce a run.  The cadences are positive
+    step counts; a whole float is stored as an int."""
 
     model: ModelParams
     grid: PhaseGrid
@@ -104,7 +105,8 @@ class SolverConfig:
         safety_ok = 0.0 < self.cfl_safety <= 1.0
         if not safety_ok:
             problems.append(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.snapshot_cadence < 1 or self.diagnostics_cadence < 1:
+        cadences = (self.snapshot_cadence, self.diagnostics_cadence)
+        if not all(n >= 1 and n % 1 == 0 for n in cadences):
             problems.append("cadences must be positive step counts")
         if self.dt != "auto":
             if not self.dt > 0.0:
@@ -118,6 +120,8 @@ class SolverConfig:
                     )
         if problems:
             raise ValueError("; ".join(problems))
+        for name in ("snapshot_cadence", "diagnostics_cadence"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def resolve_dt(self) -> tuple[float, int]:
         """(dt, n_steps) actually used; auto mode lands exactly on t_final."""

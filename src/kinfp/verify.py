@@ -59,8 +59,9 @@ class ScanConfig:
     plus 0 (an odd count's middle point is 0), so the grid takes in both
     coordinate axes and the origin (the tightest points of the inequality
     sit near the axes).  The axes are exactly antisymmetric, and the scan
-    evaluates the grid's rows with x <= 0.  Each candidate exclusion
-    radius must lie in (0, min(x_half, v_half)).
+    evaluates the grid's rows with x <= 0.  ``samples_per_axis`` must be
+    an integer of at least 16 (a whole float is stored as an int), and each
+    candidate exclusion radius must lie in (0, min(x_half, v_half)).
     """
 
     x_half: float = 50.0
@@ -70,7 +71,9 @@ class ScanConfig:
 
     def __post_init__(self):
         problems = []
-        if self.samples_per_axis < 16:
+        if self.samples_per_axis % 1 != 0:
+            problems.append(f"samples_per_axis must be an integer, got {self.samples_per_axis}")
+        elif self.samples_per_axis < 16:
             problems.append(
                 f"samples_per_axis must be at least 16, got {self.samples_per_axis}"
             )
@@ -85,6 +88,7 @@ class ScanConfig:
             )
         if problems:
             raise ValueError("; ".join(problems))
+        object.__setattr__(self, "samples_per_axis", int(self.samples_per_axis))
 
 
 @dataclass(frozen=True)

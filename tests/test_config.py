@@ -109,7 +109,21 @@ def test_round_trip_property(alpha, beta, nx, t_final):
 def test_schema_defaults_are_self_consistent():
     # every non-required default must parse through its own serializer
     cfg = parse_config(MINIMAL)
-    assert [key for key, _ in cfg.entries] == list(SCHEMA)
+    assert list(cfg) == list(SCHEMA)
+
+
+def test_schema_reading_variants_name_a_choice_and_a_value_it_accepts():
+    for key, (*_, variant) in SCHEMA.items():
+        if variant is not None:
+            choice, value = variant
+            # model.kind has no allowed values here: ModelParams checks it
+            allowed = ("exp", "poly") if choice == "model.kind" else SCHEMA[choice][2]
+            assert allowed is not None and value in allowed, key
+
+
+def test_schema_defaults_lie_in_their_allowed_values():
+    for key, (_parse, default, allowed, _variant) in SCHEMA.items():
+        assert allowed is None or default in allowed, key
 
 
 def _defaults(fn):

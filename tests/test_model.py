@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ def test_energy_values_and_symmetry(rng):
     assert float(energy(1.0, 2.0, p2)) == pytest.approx(3.0, rel=1e-15)
     x, v = rng.uniform(-10, 10, 2)
     assert float(energy(x, v, p2)) == float(energy(-x, -v, p2))
+
+
+def test_energy_reads_no_drift_and_warns_nothing():
+    # at beta = 10 the drift <v>^(beta-2) v overflows at v = 1e40, where
+    # E = v^2/2 + V(0) is still finite; E must not compute it
+    params = ModelParams(alpha=2.0, kind="exp", beta=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = energy(0.0, 1e40, params)
+    assert float(e) == 0.5 * 1e80 + 0.5
 
 
 def test_lyapunov_H_values(exp_params):

@@ -111,6 +111,12 @@ def test_grid_rejects_odd_counts():
         PhaseGrid(-1.0, 50.0, 128, 128)
 
 
+@pytest.mark.parametrize("count", [8.5, np.nan, np.inf])
+def test_grid_refuses_a_count_that_is_not_a_whole_number(count):
+    with pytest.raises(ValueError, match="Nx must be an even positive integer"):
+        PhaseGrid(50.0, 50.0, count, 8)
+
+
 # ---------------------------------------------------------------- initial condition
 
 
@@ -450,6 +456,27 @@ def test_solver_config_validates_explicit_dt():
         SolverConfig(model=params, grid=grid, t_final=1.0, dt=2.0 * bound)
     cfg = SolverConfig(model=params, grid=grid, t_final=1.0, dt=0.5 * bound)
     assert cfg.resolve_dt()[0] == 0.5 * bound
+
+
+@pytest.mark.parametrize("name", ["snapshot_cadence", "diagnostics_cadence"])
+def test_solver_config_refuses_a_fractional_cadence(name):
+    with pytest.raises(ValueError, match="cadences must be positive step counts"):
+        _desk_config(**{name: 2.5})
+
+
+def test_solver_config_stores_whole_float_cadences_as_ints():
+    """A cadence of 3.0 is 3 steps: run emits on it and the steady march
+    takes windows of it."""
+    cfg = _desk_config(t_final=0.05, snapshot_cadence=3.0, diagnostics_cadence=3.0)
+    assert type(cfg.snapshot_cadence) is int and type(cfg.diagnostics_cadence) is int
+    steps = []
+    run(cfg, sinks=Sinks(diagnostics=lambda f, step: steps.append(step)))
+    n = cfg.resolve_dt()[1]
+    assert steps == [*range(0, n, 3), n]
+    # one fused window meets the tolerance, then one symmetric window
+    cfg = _desk_config(t_final=1.0, diagnostics_cadence=3.0)
+    steady = steady_state_reference(cfg, tol_rate=1e3)
+    assert steady.time_stamp == pytest.approx(6 * cfg.resolve_dt()[0])
 
 
 def test_run_zero_horizon_returns_initial():

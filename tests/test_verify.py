@@ -104,6 +104,17 @@ def test_scan_config_validation():
         ScanConfig(x_half=-1.0)
 
 
+def test_scan_config_refuses_a_fractional_sample_count_and_casts_a_whole_one():
+    with pytest.raises(ValueError, match="samples_per_axis must be an integer, got 64.5"):
+        ScanConfig(samples_per_axis=64.5)
+    scan = ScanConfig(samples_per_axis=64.0)
+    assert type(scan.samples_per_axis) is int
+    params = ModelParams(alpha=2.0, kind="exp", beta=1.0)
+    spec = LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=0.5, delta=1.0))
+    report = scan_drift_inequality(params, spec, scan)
+    assert report == scan_drift_inequality(params, spec, ScanConfig(samples_per_axis=64))
+
+
 @pytest.mark.parametrize(
     "radii", [(-20.0,), (0.0,), (20.0, np.nan), (np.inf,)], ids=["negative", "zero", "nan", "inf"]
 )
