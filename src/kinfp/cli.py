@@ -26,6 +26,7 @@ reference or NaN).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -242,14 +243,7 @@ def cmd_fit_rate(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, str]:
         theta=cfg["diagnostics.rate_theta"] if mode == "exp" else None,
         burn_fraction=cfg["diagnostics.rate_burn_fraction"],
     )
-    keys = dict(
-        mode=fit.mode,
-        theta=fit.theta,
-        fitted=fit.fitted,
-        window=fit.window,
-        residual_rms=fit.residual_rms,
-    )
-    save("rate_fit.txt", lambda tmp: _write_keys(tmp, **keys))
+    save("rate_fit.txt", lambda tmp: _write_keys(tmp, **dataclasses.asdict(fit)))
     label = "lambda" if mode == "exp" else "k"
     print(f"fit-rate: {label}={fit.fitted:.6g} residual_rms={fit.residual_rms:.3g}")
     return 0, "completed"

@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(float(p) for p in text.split(","))
 
 
 def _dt(text: str) -> str:

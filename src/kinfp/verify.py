@@ -16,8 +16,9 @@ phi(m) is even under (x, v) -> (-x, -v) bit for bit, so the scan
 evaluates it with :func:`kinfp.model.drift_excess` only on the grid rows
 with x <= 0, in blocks of rows, an x column broadcast against the v row.
 Its memory grows with the sample count only through the half grid's s,
-r^2 and radius masks.  The search shares the points across its
-candidates and stops a failing candidate at its first violating block.
+r^2 and radius masks.  One function, :func:`_scan`, fills s and reports.
+The search scans one ordered stream of candidate specs over shared
+points and stops a failing candidate at its first violating block.
 """
 
 from __future__ import annotations
@@ -153,31 +154,6 @@ def check_weight_mode(params: ModelParams, spec: LyapunovSpec) -> None:
             )
 
 
-def _drift_excess_chunks(
-    params: ModelParams, spec: LyapunovSpec, xs, vs, r2, stop_radius: float | None = None
-) -> np.ndarray | None:
-    """s = L* m + phi(m) on the scan grid, filled in blocks of grid rows.
-
-    Each block is max(1, _SCAN_CHUNK // vs.size) x-rows of the grid,
-    evaluated by broadcasting an x column against the v row, so terms of
-    one coordinate are computed once per axis value.  With
-    ``stop_radius`` it returns None after the first block, short of the
-    last, holding a point with r > stop_radius where not s <= 0 (s > 0 or
-    NaN): every candidate radius up to stop_radius then fails.
-    """
-    rows = max(1, _SCAN_CHUNK // vs.size)
-    s = np.empty_like(r2)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is NaN by design
-        for r0 in range(0, xs.size, rows):
-            r1 = r0 + rows
-            s[r0:r1] = drift_excess(xs[r0:r1, None], vs, params, spec)
-            if stop_radius is not None and r1 < xs.size:
-                outside = r2[r0:r1] > stop_radius * stop_radius
-                if not np.max(s[r0:r1], where=outside, initial=-np.inf) <= 0.0:
-                    return None
-    return s
-
-
 def _report(s, xs, vs, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateReport:
     """The report of s over the grid; overwrites s inside the chosen ball."""
     for radius in sorted(cfg.exclusion_radii):  # ends on the largest if none passes
@@ -199,18 +175,31 @@ def _report(s, xs, vs, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateRe
 
 
 def _scan(
-    params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig, points, fail_fast: bool = False
+    params: ModelParams, spec: LyapunovSpec, cfg: ScanConfig, points, stop_radius=None
 ) -> CertificateReport | None:
     """The scan of ``spec`` over ``points`` from :func:`_scan_points`.
 
-    With ``fail_fast`` a spec with a violation outside the largest
-    candidate radius before its last block gives None there; a spec that
-    reaches its last block gives its report.
+    s = L* m + phi(m) is filled in blocks of max(1, _SCAN_CHUNK // vs.size)
+    x-rows of the grid, each an x column broadcast against the v row, so
+    terms of one coordinate are computed once per axis value.  With
+    ``stop_radius`` it returns None after the first block, short of the
+    last, holding a point with r > stop_radius where not s <= 0 (s > 0 or
+    NaN): every candidate radius up to stop_radius then fails.  A scan
+    that reaches its last block gives its report.
     """
     check_weight_mode(params, spec)
-    stop = max(cfg.exclusion_radii) if fail_fast else None
-    s = _drift_excess_chunks(params, spec, *points, stop_radius=stop)
-    return None if s is None else _report(s, *points, cfg, spec)
+    xs, vs, r2 = points
+    rows = max(1, _SCAN_CHUNK // vs.size)
+    s = np.empty_like(r2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is NaN by design
+        for r0 in range(0, xs.size, rows):
+            r1 = r0 + rows
+            s[r0:r1] = drift_excess(xs[r0:r1, None], vs, params, spec)
+            if stop_radius is not None and r1 < xs.size:
+                outside = r2[r0:r1] > stop_radius * stop_radius
+                if not np.max(s[r0:r1], where=outside, initial=-np.inf) <= 0.0:
+                    return None
+    return _report(s, xs, vs, r2, cfg, spec)
 
 
 def scan_drift_inequality(
@@ -231,10 +220,9 @@ def scan_drift_inequality(
     return _scan(params, spec, cfg, _scan_points(cfg))
 
 
-# Documented coarse search grids for certificate hunting.  Candidates are
-# tried in order and the first passing one is returned, so the result is
-# deterministic.  delta values whose log weight delta * H^(theta/2) at the
-# box corner exceeds _MAX_LOG_WEIGHT are skipped.
+# Documented coarse search grids for certificate hunting, read by
+# _candidates at each search.  The first passing candidate in their order
+# is returned, so the result is deterministic.
 EXP_SEARCH_GRID: dict[str, tuple[float, ...]] = {
     "eps": (0.2, 0.3, 0.45),
     "a_exp": (1.0, 0.75, 0.5),
@@ -254,6 +242,36 @@ POLY_SEARCH_GRID: dict[str, tuple[float, ...]] = {
 _MAX_LOG_WEIGHT = 600.0
 
 
+def _candidates(params: ModelParams, cfg: ScanConfig, theta, ell, k):
+    """The search's specs in order, from ``EXP_SEARCH_GRID`` or
+    ``POLY_SEARCH_GRID`` as they stand at the call: A outermost, then B,
+    eps and (exp) delta.  Probes failing ``LyapunovSpec.equivalence_ok``
+    are skipped, and so are exp specs whose log weight delta H^(theta/2)
+    at the box corner exceeds ``_MAX_LOG_WEIGHT``."""
+    if params.kind == "exp":
+        if theta is None:
+            raise ValueError("exp search needs theta")
+        grid, mode = EXP_SEARCH_GRID, ExpWeight(theta=theta, delta=1.0)
+        # one-element arrays: numpy's scalar pow rounds differently from
+        # the array loop that the scan uses
+        corner = np.array([cfg.x_half]), np.array([cfg.v_half])
+    elif k is None:
+        raise ValueError("poly search needs k")
+    else:
+        grid, mode = POLY_SEARCH_GRID, PolyWeight(k=k)
+    for a_exp, b_exp, eps in itertools.product(grid["a_exp"], grid["b_exp"], grid["eps"]):
+        probe = LyapunovSpec(ell=ell, eps=eps, a_exp=a_exp, b_exp=b_exp, mode=mode)
+        if not probe.equivalence_ok(params.alpha):
+            continue
+        if isinstance(mode, PolyWeight):
+            yield probe
+            continue
+        h_corner = lyapunov_H(*corner, params, probe).item()
+        for delta in grid["delta"]:
+            if not delta * h_corner ** (theta / 2.0) > _MAX_LOG_WEIGHT:
+                yield replace(probe, mode=ExpWeight(theta=theta, delta=delta))
+
+
 def find_certified_spec(
     params: ModelParams,
     cfg: ScanConfig,
@@ -261,7 +279,6 @@ def find_certified_spec(
     theta: float | None = None,
     ell: float = 2.0,
     k: float | None = None,
-    search_grid: dict[str, tuple[float, ...]] | None = None,
 ) -> tuple[LyapunovSpec | None, CertificateReport]:
     """Coarse grid search for a certified Lyapunov spec.
 
@@ -269,7 +286,8 @@ def find_certified_spec(
     built on the quadratic-energy H, ell = 2 by default); the grid ranges
     over (eps, A, B, delta) from ``EXP_SEARCH_GRID``.  Poly equilibria:
     pass ``ell`` and ``k``; the grid ranges over (eps, A, B) from
-    ``POLY_SEARCH_GRID``.  A is the outermost loop, then B, eps and delta;
+    ``POLY_SEARCH_GRID``.  The candidates come from one stream,
+    :func:`_candidates`: A is the outermost loop, then B, eps and delta;
     candidates failing ``LyapunovSpec.equivalence_ok`` are skipped.
 
     Returns the first passing spec with its report.  If nothing passes it
@@ -278,55 +296,20 @@ def find_certified_spec(
 
     The candidates share one set of scan points.  A candidate passes if and
     only if s <= 0 at every point outside the largest candidate radius, so
-    a failing candidate stops at its first block with s > 0 or NaN there,
-    and a candidate that reaches its last block is reported from the s it
-    holds.  Only a search that passes nothing rescans the failed
-    candidates that stopped early, in full, for their reports: at most one
-    extra full scan per candidate.
+    :func:`_scan`, given that radius, stops a failing candidate at its
+    first block with s > 0 or NaN there, and reports a candidate that
+    reaches its last block from the s it holds.  Only a search that passes
+    nothing rescans the failed candidates that stopped early, in full, for
+    their reports: at most one extra full scan per candidate.
     """
-    if params.kind == "exp":
-        if theta is None:
-            raise ValueError("exp search needs theta")
-        grid = search_grid or EXP_SEARCH_GRID
-        base = ExpWeight(theta=theta, delta=1.0)
-        # one-element arrays: numpy's scalar pow rounds differently from
-        # the array loop that the scan uses
-        corner = np.array([cfg.x_half]), np.array([cfg.v_half])
-
-        def modes(probe: LyapunovSpec) -> list:
-            h_corner = lyapunov_H(*corner, params, probe).item()
-            return [
-                ExpWeight(theta=theta, delta=delta)
-                for delta in grid["delta"]
-                if not delta * h_corner ** (theta / 2.0) > _MAX_LOG_WEIGHT
-            ]
-    else:
-        if k is None:
-            raise ValueError("poly search needs k")
-        grid = search_grid or POLY_SEARCH_GRID
-        base = PolyWeight(k=k)
-
-        def modes(probe: LyapunovSpec) -> list:
-            return [base]
-
     points = _scan_points(cfg)
     failed = []
-    for a_exp, b_exp, eps in itertools.product(grid["a_exp"], grid["b_exp"], grid["eps"]):
-        probe = LyapunovSpec(ell=ell, eps=eps, a_exp=a_exp, b_exp=b_exp, mode=base)
-        if not probe.equivalence_ok(params.alpha):
-            continue
-        for mode in modes(probe):
-            spec = replace(probe, mode=mode)
-            report = _scan(params, spec, cfg, points, fail_fast=True)
-            if report is not None and report.passed:
-                return spec, report
-            failed.append((spec, report))
+    for spec in _candidates(params, cfg, theta, ell, k):
+        report = _scan(params, spec, cfg, points, stop_radius=max(cfg.exclusion_radii))
+        if report is not None and report.passed:
+            return spec, report
+        failed.append((spec, report))
     if not failed:
         raise ValueError("the search grid holds no admissible candidate")
-    best = None
-    for spec, report in failed:
-        if report is None:
-            report = _scan(params, spec, cfg, points)
-        if best is None or report.min_margin_outside > best.min_margin_outside:
-            best = report
-    return None, best
+    reports = [report or _scan(params, spec, cfg, points) for spec, report in failed]
+    return None, max(reports, key=lambda r: r.min_margin_outside)

@@ -89,6 +89,15 @@ def test_radii_list_parsing():
     assert scan.exclusion_radii == (10.0, 20.0, 30.0)
 
 
+
+@pytest.mark.parametrize("value", ["20,,30", "20,,30,", "20,", ",20", "", "20, ,30"])
+def test_radii_list_with_an_empty_item_is_refused(value):
+    """An empty item in lyapunov.radii (a doubled, leading or trailing
+    comma, or no value at all) is unparsable, not dropped."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"lyapunov.radii = {value}\n")
+    assert f"lyapunov.radii: cannot parse {value!r}" in str(err.value)
+
 @given(
     alpha=st.floats(1.01, 4.0),
     beta=st.floats(0.1, 4.0),

@@ -227,13 +227,20 @@ def test_tensor_scan_matches_flat_reference(monkeypatch, samples, chunk):
         (ModelParams(alpha=2.0, kind="exp", beta=3.0),
          LyapunovSpec(2.0, 0.45, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.1)), nan_cfg),
     ]
+    report, seen = verify._report, []
+
+    def recorded(s, *args):
+        seen.append(s.copy())  # _report overwrites s inside the chosen ball
+        return report(s, *args)
+
+    monkeypatch.setattr(verify, "_report", recorded)
     for params, spec, scan_cfg in cases:
         want_s, want = _flat_scan(params, spec, scan_cfg)
         assert np.array_equal(want_s[::-1, ::-1].view(np.uint64), want_s.view(np.uint64))
-        points = verify._scan_points(scan_cfg)
+        del seen[:]
         with np.errstate(invalid="ignore", over="ignore"):
-            s = verify._drift_excess_chunks(params, spec, *points)
             got = scan_drift_inequality(params, spec, scan_cfg)
+        (s,) = seen
         assert s.shape == (xs.size, vs.size)
         assert np.array_equal(s.view(np.uint64), want_s[: xs.size].view(np.uint64))
         _assert_reports_equal(got, want)
@@ -395,8 +402,8 @@ def _recording_scan(monkeypatch, margins, passes_at=None):
     full-scan specs."""
     calls, rescans = [], []
 
-    def scan(params, spec, cfg, points, fail_fast=False):
-        if fail_fast:
+    def scan(params, spec, cfg, points, stop_radius=None):
+        if stop_radius is not None:
             calls.append(spec)
             if len(calls) - 1 != passes_at:
                 return None
@@ -430,10 +437,9 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
     }
     margins = [-5.0, -3.0, -1.0, -4.0, -1.0, -2.0, -6.0, -7.0]
     calls, rescans = _recording_scan(monkeypatch, margins)
+    monkeypatch.setattr(verify, "EXP_SEARCH_GRID", exp_grid)
     params = ModelParams(alpha=2.0, kind="exp", beta=3.0)
-    spec, report = find_certified_spec(
-        params, ScanConfig(), theta=1.0, search_grid=exp_grid
-    )
+    spec, report = find_certified_spec(params, ScanConfig(), theta=1.0)
     assert [(s.eps, s.a_exp, s.b_exp, s.mode.delta) for s in calls] == [
         (0.2, 1.0, 0.6, 0.1), (0.2, 1.0, 0.6, 0.05),
         (0.45, 1.0, 0.6, 0.1), (0.45, 1.0, 0.6, 0.05),
@@ -448,10 +454,9 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
 
     poly_grid = {"eps": (0.3, 0.2), "a_exp": (0.0, 3.0), "b_exp": (0.9, 0.5)}
     calls, rescans = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0])
+    monkeypatch.setattr(verify, "POLY_SEARCH_GRID", poly_grid)
     params = ModelParams(alpha=2.0, kind="poly", gamma=2.0)
-    spec, report = find_certified_spec(
-        params, ScanConfig(), ell=1.75, k=1.5, search_grid=poly_grid
-    )
+    spec, report = find_certified_spec(params, ScanConfig(), ell=1.75, k=1.5)
     assert [(s.eps, s.a_exp, s.b_exp) for s in calls] == [
         (0.3, 0.0, 0.9), (0.2, 0.0, 0.9), (0.3, 0.0, 0.5), (0.2, 0.0, 0.5),
     ]
@@ -461,12 +466,29 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
 
     # the first passing candidate ends the search
     calls, rescans = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0], passes_at=1)
-    spec, report = find_certified_spec(
-        params, ScanConfig(), ell=1.75, k=1.5, search_grid=poly_grid
-    )
+    spec, report = find_certified_spec(params, ScanConfig(), ell=1.75, k=1.5)
     assert len(calls) == 2
     assert spec is calls[1] and report.passed
     assert rescans == []
+
+
+def test_search_stream_on_the_real_exp_grid():
+    """The alpha = 2, beta = 3 search at theta = 1 on the default box tries
+    72 of the 252 specs of EXP_SEARCH_GRID, in order, and reaches the
+    README certificate (0.45, 1, 0.6, 0.1) fifth.  The corner's log-weight
+    cap drops (0.2, 1, 0.6, 0.25), whose corner exponent is 625.2 and which
+    passes with R = 40, so dropping the cap changes that certificate."""
+    params = ModelParams(2.0, "exp", beta=3.0)
+    specs = list(verify._candidates(params, ScanConfig(), 1.0, 2.0, None))
+    keys = [(s.eps, s.a_exp, s.b_exp, s.mode.delta) for s in specs]
+    assert len(specs) == 72
+    assert keys[:2] == [(0.2, 1.0, 0.6, 0.1), (0.2, 1.0, 0.6, 0.05)]
+    assert keys.index((0.45, 1.0, 0.6, 0.1)) == 4
+    assert all(s.ell == 2.0 and s.mode.theta == 1.0 for s in specs)
+    dropped = LyapunovSpec(2.0, 0.2, 1.0, 0.6, ExpWeight(theta=1.0, delta=0.25))
+    h_corner = lyapunov_H(np.array([50.0]), np.array([50.0]), params, dropped).item()
+    assert 625.0 < 0.25 * h_corner**0.5 < 625.5
+    assert (0.2, 1.0, 0.6, 0.25) not in keys
 
 
 def _assert_reports_equal(got, want):
@@ -510,7 +532,11 @@ def test_fail_fast_decision_matches_full_scan(monkeypatch, chunk):
         del chunks[:]
         with np.errstate(invalid="ignore", over="ignore"):
             fast = verify._scan(
-                params, spec, scan_cfg, verify._scan_points(scan_cfg), fail_fast=True
+                params,
+                spec,
+                scan_cfg,
+                verify._scan_points(scan_cfg),
+                stop_radius=max(scan_cfg.exclusion_radii),
             )
         assert full.passed == (name == "passing"), name
         assert (fast is not None and fast.passed) == full.passed, name
@@ -554,18 +580,19 @@ def test_search_without_pass_matches_full_scan_reference(monkeypatch, chunk):
     ]
     scan, rescans = verify._scan, []
 
-    def counted(*args, fail_fast=False):
-        if not fail_fast:
+    def counted(*args, stop_radius=None):
+        if stop_radius is None:
             rescans.append(args[1])
-        return scan(*args, fail_fast=fail_fast)
+        return scan(*args, stop_radius=stop_radius)
 
     for params, theta, grid in cases:
         want = _full_scan_search(params, cfg, theta, grid)
         monkeypatch.setattr(verify, "_scan", counted)
+        monkeypatch.setattr(verify, "EXP_SEARCH_GRID", grid)
         if chunk is not None:
             monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
         del rescans[:]
-        spec, report = find_certified_spec(params, cfg, theta=theta, search_grid=grid)
+        spec, report = find_certified_spec(params, cfg, theta=theta)
         monkeypatch.undo()
         assert spec is None and not report.passed
         _assert_reports_equal(report, want)
@@ -573,13 +600,14 @@ def test_search_without_pass_matches_full_scan_reference(monkeypatch, chunk):
         assert len(rescans) == (0 if chunk is None else n_candidates)
 
 
-def test_search_without_candidates_raises():
+def test_search_without_candidates_raises(monkeypatch):
     params = ModelParams(alpha=2.0, kind="poly", gamma=2.0)
     no_eps = {"eps": (), "a_exp": (0.0,), "b_exp": (0.9,)}
     not_equivalent = {"eps": (0.3,), "a_exp": (3.0,), "b_exp": (0.9,)}
     for grid in (no_eps, not_equivalent):
+        monkeypatch.setattr(verify, "POLY_SEARCH_GRID", grid)
         with pytest.raises(ValueError, match="no admissible candidate"):
-            find_certified_spec(params, FAST_SCAN, ell=1.75, k=1.5, search_grid=grid)
+            find_certified_spec(params, FAST_SCAN, ell=1.75, k=1.5)
 
 
 def test_scan_overflow_fails_with_nan_margin():
