@@ -37,10 +37,12 @@ stage of the minmod transport keeps positivity; above it every step is
 the symmetric one.
 
 ``steady_state_reference`` marches windows of steps to a steady state
-and starts each window from a type-II Anderson mixture of the last window
-ends, which removes the slow mode that a plain march leaves to decay at
-the truncated operator's spectral gap; it still accepts only the end of
-a marched window.
+and starts each window from a type-II Anderson mixture of up to sixteen
+window ends, which removes the slow modes that a plain march leaves to
+decay at the truncated operator's spectral gap.  It mixes on fused
+windows a fifth of the diagnostics cadence long until one meets the
+tolerance, then on full windows of symmetric steps, and accepts only the
+end of a marched full window.
 """
 
 from __future__ import annotations
@@ -446,9 +448,11 @@ def run(
 
 # Anderson depth m of the steady-state march: it mixes the last m + 1
 # window ends, m difference columns in the least-squares problem.  Each
-# unit of depth holds two more fields; at 96^2 depth 5 saved 2 of 13
-# windows for 2.5 % more peak memory of the whole process.
-ANDERSON_DEPTH = 3
+# unit of depth holds two more fields.  Depth pays with short windows: at
+# 96^2 (1000-step windows, 200-step mixing windows) depth 15 takes 7,000
+# steps where depth 3 on full windows took 13,000, for about 2 MB (5 %)
+# more peak memory of the whole process.
+ANDERSON_DEPTH = 15
 
 
 def _anderson_mix(history, out):
@@ -495,31 +499,36 @@ def steady_state_reference(
 ) -> Field:
     """March windows of steps until one's L1 change rate drops below tol_rate.
 
-    A window is ``config.diagnostics_cadence`` steps, and its rate is
-    ||end - start||_1 / (window length).  Each window is one
-    ``Stepper.advance`` segment, fused when ``fuses_transport`` allows it
-    (see the module docstring), until a fused window meets tol_rate.  The
-    fused and symmetric steps have fixed points O(dt^2) apart, so the march
-    then goes on with windows of one-step segments and returns the end of
-    the first one that meets tol_rate: a steady state of the symmetric
-    step.
+    A window's rate is ||end - start||_1 / (window length).  The march has
+    two phases.  First, mixing windows of max(1, diagnostics_cadence // 5)
+    steps, each one ``Stepper.advance`` segment, fused when
+    ``fuses_transport`` allows it (see the module docstring), until one
+    meets tol_rate.  Then full windows of ``config.diagnostics_cadence``
+    one-step segments, and the march returns the end of the first that
+    meets tol_rate: a steady state of the symmetric step over a whole
+    cadence.  The fused and symmetric steps have fixed points O(dt^2)
+    apart, and a short window's rate says less than a full one's, so only
+    a full window is accepted.
 
-    The window is a contraction whose slowest mode decays at the truncated
+    The window is a contraction whose slowest modes decay at the truncated
     operator's small spectral gap, so each window starts from an Anderson
     mixture of the last ANDERSON_DEPTH + 1 window ends (``_anderson_mix``)
-    rather than from the last end alone.  The mixture is clipped at 0 and
+    rather than from the last end alone.  Mixing every fifth of a cadence
+    lets a deep history build up early.  The mixture is clipped at 0 and
     rescaled to field0's mass.  The history of ends and residuals restarts
     when a window's rate exceeds the one before it.  The march turns to
-    symmetric windows (a different map) after a rate below tol_rate, so
-    the first symmetric window either returns or reads a higher rate and
-    restarts the history.  Acceptance does not depend on the mixing: the
-    result is a marched window's end, and its time stamp is field0's plus
-    the steps marched, so it counts steps and is not a solution time.
-    config.t_final caps the steps marched, and exhausting it raises with
-    the window count and the last rate.  A ``tol_rate`` that is not
-    positive and finite, or a ``field0`` on another grid, is refused with
-    ValueError, and a ``field0`` holding a NaN or infinite value with
-    NumericalAbort at step 0.
+    full windows (a different map) after a rate below tol_rate, so the
+    first full window either returns or reads a higher rate and restarts
+    the history: no mixture combines the two phases' residuals.
+    Acceptance does not depend on the mixing: the result is a marched
+    window's end, and its time stamp is field0's plus the steps marched,
+    so it counts steps and is not a solution time.
+    config.t_final caps the steps marched; a full window that the cap cuts
+    short is not accepted, and exhausting the cap raises with the window
+    count of both phases and the last rate.  A ``tol_rate``
+    that is not positive and finite, or a ``field0`` on another grid, is
+    refused with ValueError, and a ``field0`` holding a NaN or infinite
+    value with NumericalAbort at step 0.
     """
     # bound per call: perfbench counts a solve's windows by wrapped l1_distance calls
     from .diagnostics import l1_distance
@@ -532,19 +541,19 @@ def steady_state_reference(
     if not np.all(np.isfinite(field0.values)):
         raise NumericalAbort(0, "non-finite initial data")
     dt, n_steps = config.resolve_dt()
-    window = config.diagnostics_cadence
+    window = max(1, config.diagnostics_cadence // 5)  # a mixing window
     grid = config.grid
     stepper = Stepper(grid, config.model)
     history = deque(maxlen=ANDERSON_DEPTH + 1)  # (window end, residual), oldest first
     total0 = field0.values.sum()
     values = field0.values.copy()
     step = windows = 0
-    symmetric = False  # the last phase, taken only when the windows fuse
+    full = False  # the last phase: full windows of symmetric steps
     rate = prev_rate = np.inf
     while step < n_steps:
         todo = min(window, n_steps - step)
         start = values.copy()
-        if symmetric:
+        if full:
             for _ in range(todo):
                 stepper.advance(values, dt, 1)
         else:
@@ -555,9 +564,9 @@ def steady_state_reference(
             raise NumericalAbort(step)
         rate = l1_distance(Field(values, grid), Field(start, grid)) / (todo * dt)
         if rate < tol_rate:
-            if symmetric or not fuses_transport(grid, dt):
+            if full and todo == window:  # not a window cut short by the step cap
                 return Field(values, grid, field0.time_stamp + step * dt)
-            symmetric = True
+            full, window = True, config.diagnostics_cadence
         else:
             if rate > prev_rate:
                 history.clear()
