@@ -52,7 +52,7 @@ from .verify import (
 # importable by name from here and from their modules
 __all__ = (
     "Field", "PhaseGrid",
-    "LyapunovSpec", "ModelParams",
+    "ExpWeight", "LyapunovSpec", "ModelParams", "PolyWeight",
     "SolverConfig", "Sinks", "default_initial_condition", "run", "steady_state_reference",
     "density", "l1_distance", "mass", "rate_fit", "reference_profile",
     "ScanConfig", "find_certified_spec", "scan_drift_inequality",

@@ -14,7 +14,8 @@ makes the directory, writes the file whole or not at all (``_replace``)
 and lists its name.  The command returns its exit code with a one-line
 reason.  Once the output directory exists, ``main`` times the command and
 writes the one ``manifest.json`` naming the listed files, with the exit
-code and reason, the config echo, the package version and the wall time
+code and reason, the config echo, the command's options, the package
+version and the wall time
 (the data files are deterministic for a fixed config); a command that
 fails with an OSError or ValueError after writing a file gets its
 manifest too.  Inputs are checked by the config parser and the library
@@ -91,12 +92,14 @@ def _replace(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_manifest(outdir: Path, command: str, cfg: RunConfig, outputs, code: int,
+def _write_manifest(outdir: Path, args, cfg: RunConfig, outputs, code: int,
                     reason: str, wall_s: float):
     manifest = {
-        "command": command,
+        "command": args.command,
+        "options": {k: v for k, v in vars(args).items()
+                    if k not in ("command", "config", "output", "func")},
         "version": __version__,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
+        "config": dict(cfg),
         "outputs": sorted(outputs),
         "exit_code": code,
         "exit_reason": reason,
@@ -207,14 +210,7 @@ def cmd_verify_lyapunov(cfg: RunConfig, args, outdir: Path, save) -> tuple[int, 
         _, report = find_certified_spec(params, scan_cfg, ell=cfg["lyapunov.ell"], **weight)
     else:
         report = scan_drift_inequality(params, cfg.lyapunov_spec(), scan_cfg)
-    keys = dict(
-        passed=report.passed,
-        chosen_R=report.chosen_R,
-        chosen_C=report.chosen_C,
-        min_margin_outside=report.min_margin_outside,
-        worst_point=report.worst_point,
-        spec=report.spec_echo,
-    )
+    keys = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     save("certificate.txt", lambda tmp: _write_keys(tmp, **keys))
     print(report.summary())
     return 0 if report.passed else 2, report.summary()
@@ -335,7 +331,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             code, reason = 1, f"error: {exc}"
         if outdir.is_dir():
-            _write_manifest(outdir, args.command, cfg, outputs, code, reason, time.time() - t0)
+            _write_manifest(outdir, args, cfg, outputs, code, reason, time.time() - t0)
         return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ in columns 2..Nx+1 (``interior`` is their natural-layout view), and the
 columns 0, 1, Nx+2 and Nx+3 are the specular ghost cells x_{-2}, x_{-1},
 x_{Nx}, x_{Nx+1}: the mirrored cells with the velocity index flipped, so
 row m's ghosts are the boundary cells of row Nv-1-m in reverse column
-order.  The rows ascend in v, so the rows with v < 0 form one contiguous
-block of the raveled array and the rows with v >= 0 the next.
+order.  A ``PhaseGrid``'s velocities are antisymmetric with an even Nv, so
+the first Nv/2 rows (v < 0) are one contiguous block of the raveled array
+and the rest (v > 0) the next: the transport kernels split there.
 
 Transport kernel: the upwind face fluxes of the row-wise linear advection
 with speed v_m, already scaled by the Courant number c_m = v_m dt / dx of
@@ -39,7 +40,7 @@ H_k = w-_k f_{k-1} + w0_k f_k + w1_k f_{k+1} + w2_k f_{k+2}, whose weights
 transposed state the faces between velocity cells are the gaps between
 rows, so every pass is one contiguous block of rows; the zero fluxes of
 the v-walls are the first and last flux rows, and each column's mass
-telescopes exactly.  Nine passes per call.
+telescopes exactly.  Nine passes per call, and the step is taken in place.
 
 Both kernels perform the same floating-point operations, in the same order,
 as the plain vectorised formulas kept as the reference in the kernel tests,
@@ -120,13 +121,14 @@ def transport_rhs_kernel(state, courant, out, scratch):
     """Upwind face fluxes of d f/dt = -v df/dx over one step, into ``out``.
 
     ``state`` is a kernel state whose ghost columns the kernel refreshes;
-    ``courant`` holds c_m = v_m dt / dx per row and must be ascending.
-    ``out`` has the state's shape and receives each face flux in the
-    column of the face's upwind cell: cell j's right face where c >= 0 and
-    its left face where c < 0; its first and last flat entries are left
-    as they are.  ``scratch`` is the field's ``scratch_array``, overwritten.
+    ``courant`` holds c_m = v_m dt / dx per row, negative on exactly the
+    first Nv/2 rows, as on every ``PhaseGrid``.  ``out`` has the state's
+    shape and receives each face flux in the column of the face's upwind
+    cell: cell j's left face in the first Nv/2 rows and its right face in
+    the rest; its first and last flat entries are left as they are.
+    ``scratch`` is the field's ``scratch_array``, overwritten.
     """
-    w = state.shape[1]
+    nv, w = state.shape
     # row m's ghosts are row Nv-1-m's boundary cells in reverse order
     np.copyto(state[:, :2], state[::-1, 3:1:-1])
     np.copyto(state[:, -2:], state[::-1, -3:-5:-1])
@@ -143,36 +145,34 @@ def transport_rhs_kernel(state, courant, out, scratch):
     np.maximum(s, 0.0, out=s)
     np.minimum(s, top, out=s)
     np.multiply(s, 0.5, out=s)
-    # upwind state: x_j - s_j/2 (c < 0), x_j + s_j/2 (c >= 0)
-    k = min(max(int(courant.searchsorted(0.0)) * w, 1), n - 1)
+    # upwind state: x_j - s_j/2 (c < 0), x_j + s_j/2 (c > 0)
+    k = nv // 2 * w
     np.subtract(p[1:k], f[1:k], out=f[1:k])
     np.add(p[k:-1], f[k:-1], out=f[k:-1])
     np.multiply(out, courant[:, None], out=out)
     return out
 
 
-def transport_increment(faces, courant, out):
+def transport_increment(faces, out):
     """out = F(left face) - F(right face) per cell, from the face fluxes of
-    ``transport_rhs_kernel`` for the same ``courant``.
+    ``transport_rhs_kernel`` (c < 0 on the first Nv/2 rows).
 
     Every interior cell of ``out`` is written; of the ghost columns, the
-    last entry of the last row with c < 0 and the first entry of the first
-    row with c >= 0 are left as they are.
+    last entry of row Nv/2 - 1 and the first of row Nv/2 are left as they are.
     """
-    w = faces.shape[1]
+    nv, w = faces.shape
     f, o = faces.reshape(-1), out.reshape(-1)
-    k = int(courant.searchsorted(0.0)) * w
-    j = max(k - 1, 0)
-    np.subtract(f[:j], f[1 : j + 1], out=o[:j])
+    k = nv // 2 * w
+    np.subtract(f[: k - 1], f[1:k], out=o[: k - 1])
     np.subtract(f[k:-1], f[k + 1 :], out=o[k + 1 :])
     return out
 
 
-def velocity_rhs_kernel(state, weights, out, scratch):
-    """One Heun step of the velocity operator: out = state + H[k] - H[k-1].
+def velocity_rhs_kernel(state, weights, scratch):
+    """One Heun step of the velocity operator, in place: state += H[k] - H[k-1].
 
     ``weights`` are those of ``velocity_heun_weights`` for the step's dt;
-    ``out`` may be ``state``.  The face fluxes H go to the first row of
+    ``state`` is returned.  The face fluxes H go to the first row of
     ``scratch`` between its two zero wall rows, the faces below the first
     and above the last velocity cell; the weighted neighbours, then the
     flux differences, go to its second row.  ``scratch`` is the field's
@@ -194,4 +194,4 @@ def velocity_rhs_kernel(state, weights, out, scratch):
     np.add(inner[w:], t[:m2], out=inner[w:])
     dh = t[: nv * w]
     np.subtract(h[w:], h[:-w], out=dh)
-    return np.add(state, dh.reshape(state.shape), out=out)
+    return np.add(state, dh.reshape(state.shape), out=state)

@@ -228,7 +228,7 @@ class _Points:
     breaks the comparability condition (the one place that checks it).
 
     x-only: ``xsq`` = x^2 and ``jx`` = <x>.  v-only: ``vsq`` = v^2, ``jv``
-    = <v>, the drift ``dr`` = M'/M and ``vdr`` = v dr.  With a spec, the
+    = <v>, the drift ``dr`` = M'/M and ``vdr`` = v dr.  From the spec, the
     cross term <x>^A x <v>^(-B) v is the outer product of ``ax`` = <x>^A x
     and ``bv`` = <v>^(-B) v, with ``jxa`` = <x>^A, ``jvb`` = <v>^(-B) and
     ``dbv`` = d_v bv = <v>^(-B) (1 - B v^2/<v>^2).  The one mixed term is
@@ -239,8 +239,8 @@ class _Points:
     value, and only E on the (rows, n) grid.
     """
 
-    def __init__(self, x, v, params: ModelParams, spec: LyapunovSpec | None = None):
-        if spec is not None and spec.eps > 0.0 and not spec.equivalence_ok(params.alpha):
+    def __init__(self, x, v, params: ModelParams, spec: LyapunovSpec):
+        if spec.eps > 0.0 and not spec.equivalence_ok(params.alpha):
             raise ValueError(
                 "Lyapunov spec violates the comparability condition "
                 f"(A+1)_+/alpha + (1-B)/2 <= ell for alpha={params.alpha}: {spec}"
@@ -256,12 +256,11 @@ class _Points:
         self.dr = _drift(self.v, self.jv, params)
         self.vdr = self.v * self.dr
         self.e = 0.5 * self.vsq + _potential(self.jx, params)
-        if spec is not None:
-            self.jxa = self.jx**spec.a_exp
-            self.ax = self.jxa * self.x
-            self.jvb = self.jv ** (-spec.b_exp)
-            self.bv = self.jvb * self.v
-            self.dbv = self.jvb * (1.0 - spec.b_exp * self.vsq / (1.0 + self.vsq))
+        self.jxa = self.jx**spec.a_exp
+        self.ax = self.jxa * self.x
+        self.jvb = self.jv ** (-spec.b_exp)
+        self.bv = self.jvb * self.v
+        self.dbv = self.jvb * (1.0 - spec.b_exp * self.vsq / (1.0 + self.vsq))
 
 
 def energy(x, v, params: ModelParams):

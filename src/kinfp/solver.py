@@ -167,12 +167,13 @@ def default_initial_condition(grid: PhaseGrid) -> Field:
     return Field(fx[:, None] * fv[None, :] / 16.0, grid, 0.0)
 
 
-def cfl_timestep(grid: PhaseGrid, params: ModelParams, cfl_safety: float = 1.0) -> float:
+def cfl_timestep(grid: PhaseGrid, params: ModelParams, cfl_safety: float) -> float:
     """Explicit stability envelope for the split scheme.
 
     cfl_safety * min( dx / v_max,  dv^2 / 2,  dv / max|D| ),
     covering advection, velocity diffusion and velocity drift; max|D| is
-    taken over the grid's cell centers and velocity faces.
+    taken over the grid's cell centers and velocity faces.  max|D| > 0:
+    an even Nx puts no cell center at x = 0, the only zero of V'.
     """
     if not (0.0 < cfl_safety <= 1.0):
         raise ValueError("cfl_safety must lie in (0, 1]")
@@ -180,10 +181,7 @@ def cfl_timestep(grid: PhaseGrid, params: ModelParams, cfl_safety: float = 1.0) 
     faces = np.concatenate([[-grid.v_max], grid.v_faces_interior, [grid.v_max]])
     dr = np.abs(equilibrium_drift(faces, params)).max()
     max_d = float(gv + dr)
-    bounds = [grid.dx / grid.v_max, grid.dv**2 / 2.0]
-    if max_d > 0.0:
-        bounds.append(grid.dv / max_d)
-    return cfl_safety * min(bounds)
+    return cfl_safety * min(grid.dx / grid.v_max, grid.dv**2 / 2.0, grid.dv / max_d)
 
 
 def cc_delta(w):
@@ -205,6 +203,12 @@ def cc_delta(w):
     return out if out.ndim else float(out)
 
 
+def _face_drift(grid: PhaseGrid, params: ModelParams) -> np.ndarray:
+    """D(x_n, v_{m+1/2}) = V'(x_n) - (M'/M)(v_{m+1/2}), of shape (Nx, Nv - 1)."""
+    gv = grad_potential(grid.x_centers[:, None], params)
+    return gv - equilibrium_drift(grid.v_faces_interior, params)
+
+
 def velocity_face_coefficients(grid: PhaseGrid, params: ModelParams):
     """Per-face flux coefficients (cp, cm) of the velocity operator.
 
@@ -213,28 +217,25 @@ def velocity_face_coefficients(grid: PhaseGrid, params: ModelParams):
     cp = 1/dv + D (1 - delta(w)), cm = -1/dv + D delta(w), w = dv D, with
     D evaluated at (x_n, v_{m+1/2}).
     """
-    gv = grad_potential(grid.x_centers[:, None], params)
-    d_face = gv - equilibrium_drift(grid.v_faces_interior, params)
-    w = grid.dv * d_face
-    dl = cc_delta(w)
+    d_face = _face_drift(grid, params)
+    dl = cc_delta(grid.dv * d_face)
     cp = 1.0 / grid.dv + d_face * (1.0 - dl)
     cm = -1.0 / grid.dv + d_face * dl
-    return np.ascontiguousarray(cp), np.ascontiguousarray(cm)
+    return cp, cm
 
 
-def discrete_velocity_equilibrium(
-    grid: PhaseGrid, params: ModelParams, x_value: float = 0.0
-) -> np.ndarray:
-    """Zero-flux profile of one velocity column, normalised to unit mass.
+def discrete_velocity_equilibrium(grid: PhaseGrid, params: ModelParams) -> np.ndarray:
+    """Zero-flux profile of every velocity column, each normalised to unit
+    mass: an (Nx, Nv) array.
 
-    Successive ratios are g_{m+1}/g_m = exp(-dv * D(x_value, v_{m+1/2})),
+    Successive ratios in column n are g_{m+1}/g_m = exp(-dv * D(x_n, v_{m+1/2})),
     the exact stationary state of the discrete velocity operator.
     """
-    gv = grad_potential(np.array([x_value]), params).item()
-    w = grid.dv * (gv - equilibrium_drift(grid.v_faces_interior, params))
-    logg = np.concatenate([[0.0], np.cumsum(-w)])
-    g = np.exp(logg - logg.max())
-    return g / (g.sum() * grid.dv)
+    w = grid.dv * _face_drift(grid, params)
+    logg = np.zeros((grid.Nx, grid.Nv))
+    np.cumsum(-w, axis=1, out=logg[:, 1:])
+    g = np.exp(logg - logg.max(axis=1, keepdims=True))
+    return g / (g.sum(axis=1, keepdims=True) * grid.dv)
 
 
 class Stepper:
@@ -303,11 +304,11 @@ class Stepper:
         Courant numbers are ``courant``."""
         state, stage, f1, f2 = self._state, self._stage, self._f1, self._f2
         kernels.transport_rhs_kernel(state, courant, f1, self._scratch)
-        kernels.transport_increment(f1, courant, stage)
+        kernels.transport_increment(f1, stage)
         np.add(state, stage, out=stage)
         kernels.transport_rhs_kernel(stage, courant, f2, self._scratch)
         np.add(f1, f2, out=f2)
-        half = kernels.transport_increment(f2, courant, stage)
+        half = kernels.transport_increment(f2, stage)
         np.multiply(half, 0.5, out=half)
         np.add(state, half, out=state)
 
@@ -329,7 +330,7 @@ class Stepper:
             return self.advance(values.copy(), dt, 1)
         if opens:
             self._transport_heun(half)
-        kernels.velocity_rhs_kernel(state, weights, state, self._scratch)
+        kernels.velocity_rhs_kernel(state, weights, self._scratch)
         self._transport_heun(half if closes else full)
         return state
 
@@ -394,7 +395,8 @@ def run(
     the configured last step, a ``field0`` whose time is not
     ``start_step`` x dt, or a ``start_step`` inside a fused segment, is
     refused with ValueError before the first emission.
-    Non-finite values abort with the offending step index.
+    Non-finite values abort with NumericalAbort, which carries the step
+    that ends the segment in which they appear.
     """
     sinks = sinks or Sinks()
     if field0 is None:

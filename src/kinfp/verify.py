@@ -101,7 +101,7 @@ class CertificateReport:
     chosen_C: float
     min_margin_outside: float
     worst_point: tuple[float, float]
-    spec_echo: LyapunovSpec
+    spec: LyapunovSpec
 
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"
@@ -170,7 +170,7 @@ def _report(s, xs, vs, r2, cfg: ScanConfig, spec: LyapunovSpec) -> CertificateRe
         chosen_C=max(c_obs, 0.0),
         min_margin_outside=-worst,
         worst_point=(float(xs[i]), float(vs[j])),
-        spec_echo=spec,
+        spec=spec,
     )
 
 

@@ -78,11 +78,18 @@ def test_simulate_rerun_byte_identical_data(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("reference", ["none", "profile"])
+@pytest.mark.parametrize("reference", ["none", "profile", "file"])
 def test_distance_series_is_the_l1_column_of_diagnostics(tmp_path, reference):
     """distance_series.csv holds the (t, l1_to_reference) columns of
-    diagnostics.csv bit for bit, and exists only with a reference."""
+    diagnostics.csv bit for bit, and exists only with a reference.  A
+    reference file is the profile that export-reference wrote on the same
+    grid."""
     text = SMALL_RUN + f"diagnostics.reference = {reference}\n"
+    if reference == "file":
+        ref = tmp_path / "ref"
+        assert main(["export-reference", "--config", _write(tmp_path, SMALL_RUN),
+                     "--output", str(ref)]) == 0
+        text += f"diagnostics.reference_file = {ref / 'reference_profile.ckpt'}\n"
     out = tmp_path / "o"
     assert main(["simulate", "--config", _write(tmp_path, text), "--output", str(out)]) == 0
     lines = (out / "diagnostics.csv").read_text().splitlines()
@@ -130,6 +137,8 @@ def test_simulate_resume_matches_uninterrupted(tmp_path):
     f_full, _ = read_checkpoint(ck_dir / "last_checkpoint.ckpt")
     f_res, _ = read_checkpoint(res_dir / "last_checkpoint.ckpt")
     np.testing.assert_array_equal(f_full.values, f_res.values)
+    # the resumed directory names the checkpoint it continued
+    assert _manifest(res_dir)["options"] == {"resume": str(mid)}
 
 
 def test_simulate_resume_rejects_relabelled_time(tmp_path, capsys):
@@ -283,7 +292,7 @@ def test_verify_lyapunov_search_pass_and_least_bad(tmp_path):
     assert "passed = False" in text
     assert f"min_margin_outside = {best.min_margin_outside!r}" in text
     assert f"worst_point = {best.worst_point!r}" in text
-    assert f"spec = {best.spec_echo!r}" in text
+    assert f"spec = {best.spec!r}" in text
 
 
 @pytest.mark.parametrize(
@@ -360,7 +369,10 @@ def test_fit_rate_exact_and_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,distance\n1.0,2.0\nnot-a-number\n")
     assert main(["fit-rate", "--config", cfg, "--series", str(bad), "--output", str(out)]) == 1
-    assert "line 3" in capsys.readouterr().err
+    assert "line 3: expected 't,distance'" in capsys.readouterr().err
+    bad.write_text("t,distance\n1.0,2.0\n3.0,abc\n")
+    assert main(["fit-rate", "--config", cfg, "--series", str(bad), "--output", str(out)]) == 1
+    assert "line 3: cannot parse numbers" in capsys.readouterr().err
     # a non-finite distance is refused and writes no fit
     nonfinite = tmp_path / "nan.csv"
     nonfinite.write_text(series.read_text().replace(f"{float(d[20])!r}", "nan"))
@@ -596,7 +608,8 @@ def test_csv_written_whole_or_not_at_all(tmp_path, monkeypatch, name):
 )
 def test_manifest_lists_exactly_the_files_written(tmp_path, command, code):
     """main writes the one manifest after every exit that made a directory,
-    and it names every other file there."""
+    and it names every other file there and records the command's options
+    other than the config and output paths."""
     from kinfp import PhaseGrid
     from kinfp.grid import Field
     from kinfp.solver import write_checkpoint
@@ -606,22 +619,27 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, command, code):
     series.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, np.exp(-t**0.5))))
     bad = tmp_path / "bad.ckpt"
     write_checkpoint(Field(np.full((32, 32), np.nan), PhaseGrid(20.0, 20.0, 32, 32), 0.0), 0, bad)
-    text, argv = {
+    text, argv, options = {
         "simulate-abort": (
-            SMALL_RUN + f"initial.preset = file\ninitial.file = {bad}\n", ["simulate"]
+            SMALL_RUN + f"initial.preset = file\ninitial.file = {bad}\n", ["simulate"],
+            {"resume": None},
         ),
-        "verify-lyapunov": (VERIFY_PASS, ["verify-lyapunov"]),
+        "verify-lyapunov": (VERIFY_PASS, ["verify-lyapunov"], {"search": False}),
         "verify-fail": (
-            VERIFY_PASS.replace("lyapunov.eps = 0.2", "lyapunov.eps = 0.0"), ["verify-lyapunov"]
+            VERIFY_PASS.replace("lyapunov.eps = 0.2", "lyapunov.eps = 0.0"), ["verify-lyapunov"],
+            {"search": False},
         ),
-        "fit-rate": (MINIMAL, ["fit-rate", "--series", str(series)]),
-        "steady-state": (SMALL_RUN, ["steady-state", "--tol-rate", "1e300"]),
-        "export-reference": (SMALL_RUN, ["export-reference"]),
+        "fit-rate": (MINIMAL, ["fit-rate", "--series", str(series)], {"series": str(series)}),
+        "steady-state": (
+            SMALL_RUN, ["steady-state", "--tol-rate", "1e300"], {"tol_rate": 1e300}
+        ),
+        "export-reference": (SMALL_RUN, ["export-reference"], {}),
     }[command]
     out = tmp_path / "o"
     assert main([*argv, "--config", _write(tmp_path, text), "--output", str(out)]) == code
     man = _manifest(out)
     assert man["command"] == argv[0] and man["exit_code"] == code
+    assert man["options"] == options
     assert man["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 

@@ -38,6 +38,21 @@ def test_unknown_key_rejected():
         parse_config(MINIMAL + "grid.cells = 10\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("grid.Nx 64", "line 5: expected 'key = value', got 'grid.Nx 64'"),
+        ("initial.preset = gaussian",
+         "initial.preset: must be one of 'paper-default', 'file', got 'gaussian'"),
+    ],
+    ids=["no-equals", "not-a-choice"],
+)
+def test_line_without_equals_or_value_outside_its_choices_rejected(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + line + "\n")
+    assert message in str(err.value)
+
+
 def test_all_violations_reported():
     bad = "model.alpha = 0.5\nmodel.kind = exp\nmodel.beta = -1\ngrid.Nx = 3\n"
     with pytest.raises(ConfigError) as err:

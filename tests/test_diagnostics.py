@@ -85,6 +85,8 @@ def test_l1_distance_metric(desk, rng):
     other = Field(np.zeros((4, 4)), PhaseGrid(1.0, 1.0, 4, 4))
     with pytest.raises(ValueError):
         l1_distance(f, other)
+    with pytest.raises(ValueError, match="weight shape does not match the fields"):
+        l1_distance(f, g, weight=np.ones((grid.Nv, grid.Nx + 1)))
 
 
 def test_l1_weighted_against_direct_sum(desk):
@@ -142,6 +144,12 @@ def test_energy_scatter_pure_energy_function_has_tiny_dispersion(desk):
     assert sc_ref.energies.size == grid.Nx * grid.Nv
     assert sc_f0.dispersion > 0.0
     assert sc_ref.dispersion < 0.2 * sc_f0.dispersion  # binning error only
+
+
+def test_energy_scatter_of_a_field_with_no_positive_cell_has_no_dispersion(desk):
+    params, grid = desk
+    sc = energy_scatter(Field(np.zeros((grid.Nx, grid.Nv)), grid), params)
+    assert sc.dispersion == 0.0 and sc.energies.size == grid.Nx * grid.Nv
 
 
 def test_energy_scatter_of_a_function_of_the_energy_is_binning_error():
@@ -213,6 +221,24 @@ def test_tail_comparison_rejects_nonpositive(desk):
         tail_comparison(x, rho, params, delta=1.15, window=(20.0, 40.0))
 
 
+@pytest.mark.parametrize(
+    "kind, window, message",
+    [
+        ("poly", (20.0, 40.0), "tail comparison needs an exp equilibrium"),
+        ("exp", (40.0, 20.0), "empty window"),
+        ("exp", (20.0, 21.5), "window contains fewer than two samples"),
+    ],
+)
+def test_tail_comparison_refuses_a_poly_model_or_a_window_without_two_samples(
+    desk, kind, window, message
+):
+    _, grid = desk
+    params = ModelParams(alpha=1.5, kind=kind, **({"beta": 0.5} if kind == "exp" else {"gamma": 2.0}))
+    x = grid.x_centers
+    with pytest.raises(ValueError, match=message):
+        tail_comparison(x, np.ones_like(x), params, delta=1.15, window=window)
+
+
 def test_rate_fit_exact_recovery():
     t = np.linspace(0.0, 40.0, 60)
     d = np.exp(-0.3 * t**0.5)
@@ -259,6 +285,9 @@ def test_rate_fit_input_validation():
         rate_fit(np.c_[t, np.exp(-t)], "weird")
     with pytest.raises(ValueError):
         rate_fit(np.c_[t, np.exp(-t)], "exp", theta=2.0)
+    for shape in [(t.size,), (t.size, 3)]:
+        with pytest.raises(ValueError, match=r"series must be an \(N, 2\) array"):
+            rate_fit(np.ones(shape), "poly")
     for fraction in (-0.1, 1.0, np.nan):
         with pytest.raises(ValueError, match="burn-in fraction must lie in"):
             rate_fit(np.c_[t, np.exp(-t)], "poly", burn_fraction=fraction)

@@ -139,6 +139,10 @@ def test_lyapunov_spec_validation():
         LyapunovSpec(1.6, 0.1, 0.0, 0.6, PolyWeight(k=1.7))
     with pytest.raises(ValueError):
         ExpWeight(theta=1.5, delta=0.1)
+    with pytest.raises(ValueError, match="delta must be positive, got 0.0"):
+        ExpWeight(theta=0.5, delta=0.0)
+    with pytest.raises(ValueError, match="k must exceed 1, got 1.0"):
+        PolyWeight(k=1.0)
     # comparability condition rejected at evaluation time
     p = ModelParams(alpha=1.1, kind="exp", beta=0.5)
     bad = LyapunovSpec(2.0, 0.1, 1.9, 0.9, ExpWeight(theta=0.25, delta=0.1))

@@ -49,7 +49,7 @@ def transport_increment(values, grid, dt):
         to_state(values), courant, kernels.state_array(values.shape),
         kernels.scratch_array(values.shape),
     )
-    increment = kernels.transport_increment(faces, courant, kernels.state_array(values.shape))
+    increment = kernels.transport_increment(faces, kernels.state_array(values.shape))
     return kernels.interior(increment).copy()
 
 
@@ -61,7 +61,7 @@ def velocity_steps(values, grid, params, dt, n=1):
     )
     state, scratch = to_state(values), kernels.scratch_array(values.shape)
     for _ in range(n):
-        kernels.velocity_rhs_kernel(state, weights, state, scratch)
+        kernels.velocity_rhs_kernel(state, weights, scratch)
     return kernels.interior(state).copy()
 
 
@@ -100,6 +100,12 @@ def test_field_refuses_a_negative_or_non_finite_time(time_stamp):
     grid = PhaseGrid(10.0, 10.0, 4, 4)
     with pytest.raises(ValueError, match="time_stamp must be nonnegative and finite"):
         Field(np.zeros((4, 4)), grid, time_stamp)
+
+
+def test_field_refuses_values_of_another_shape():
+    grid = PhaseGrid(10.0, 10.0, 4, 4)
+    with pytest.raises(ValueError, match=r"values shape \(4, 6\) does not match grid \(4, 4\)"):
+        Field(np.zeros((4, 6)), grid)
 
 
 def test_grid_rejects_odd_counts():
@@ -151,6 +157,9 @@ def test_cfl_production_configuration():
     assert cfl_timestep(g2, params, 1.0) == pytest.approx(0.0025, rel=1e-12)
     # safety scales linearly
     assert cfl_timestep(g, params, 0.5) == pytest.approx(0.0025, rel=1e-12)
+    for safety in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"cfl_safety must lie in \(0, 1\]"):
+            cfl_timestep(g, params, safety)
 
 
 # ---------------------------------------------------------------- transport substep
@@ -258,16 +267,9 @@ def test_cc_delta_monotone_in_unit_interval():
     np.testing.assert_allclose(d + cc_delta(-w), 1.0, rtol=0.0, atol=2.5e-12)
 
 
-def column_equilibria(grid, params):
-    """The discrete velocity equilibrium of each column x_n, as row n."""
-    return np.array(
-        [discrete_velocity_equilibrium(grid, params, x_value=x) for x in grid.x_centers]
-    )
-
-
 def test_velocity_equilibrium_zero_increment(desk):
     params, grid = desk
-    g = column_equilibria(grid, params)
+    g = discrete_velocity_equilibrium(grid, params)
     dt = cfl_timestep(grid, params, 0.45)
     r = velocity_steps(g, grid, params, dt) - g
     assert np.abs(r).max() <= 1e-12 * g.max() * dt / grid.dv**2
@@ -338,6 +340,22 @@ def test_step_default_leaves_input_untouched(desk):
     inplace = values.copy()
     assert stepper.advance(inplace, dt, 1) is inplace
     np.testing.assert_array_equal(inplace.view(np.uint64), out.view(np.uint64))
+
+
+def test_stepper_rebuilds_its_coefficients_at_a_new_dt(desk, rng):
+    """One stepper that steps dt1 and then dt2 gives the bits of a fresh
+    stepper at dt2, through ``step`` and through ``advance``, for a dt2
+    that fuses and one that does not."""
+    params, grid = desk
+    dt1 = cfl_timestep(grid, params, 0.45)
+    values = default_initial_condition(grid).values * (1.0 + 0.5 * rng.random((grid.Nx, grid.Nv)))
+    for dt2 in (0.5 * dt1, cfl_timestep(grid, params, 0.9)):
+        reused = Stepper(grid, params)
+        reused.advance(values.copy(), dt1, 3)
+        got = reused.advance(reused.step(values, dt2), dt2, 4)
+        fresh = Stepper(grid, params)
+        want = fresh.advance(fresh.step(values, dt2), dt2, 4)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_shared_stepper_matches_separate_steppers(desk, rng):
@@ -446,6 +464,20 @@ def _desk_config(t_final=0.5, **kw):
     )
     defaults.update(kw)
     return SolverConfig(**defaults)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"cfl_safety": 0.0}, r"cfl_safety must lie in \(0, 1\], got 0.0"),
+        ({"cfl_safety": 1.5}, r"cfl_safety must lie in \(0, 1\], got 1.5"),
+        ({"dt": 0.0}, "dt must be positive, got 0.0"),
+        ({"dt": -1e-3}, "dt must be positive, got -0.001"),
+    ],
+)
+def test_solver_config_refuses_a_safety_or_dt_outside_its_range(kw, message):
+    with pytest.raises(ValueError, match=message):
+        _desk_config(**kw)
 
 
 def test_solver_config_validates_explicit_dt():
@@ -676,6 +708,10 @@ def test_checkpoint_round_trip(tmp_path, desk):
     with pytest.raises(ValueError):
         (tmp_path / "bad.ckpt").write_bytes(b"not a checkpoint")
         read_checkpoint(tmp_path / "bad.ckpt")
+    # a whole header with another magic
+    (tmp_path / "bad.ckpt").write_bytes(b"NOTKINFP" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match="not a checkpoint file"):
+        read_checkpoint(tmp_path / "bad.ckpt")
 
 
 def test_checkpoint_refuses_trailing_bytes_and_non_finite_header(tmp_path, desk):
@@ -717,7 +753,7 @@ def test_steady_state_fixed_point_terminates_immediately(desk):
     params, grid = desk
     cfg = _desk_config(t_final=50.0)
     # velocity-only dynamics: its exact fixed point must be detected at once
-    eq = column_equilibria(grid, params)
+    eq = discrete_velocity_equilibrium(grid, params)
     dt, _ = cfg.resolve_dt()
     vals = velocity_steps(eq, grid, params, dt, cfg.diagnostics_cadence)
     rate = np.abs(vals - eq).sum() * grid.cell_volume / (cfg.diagnostics_cadence * dt)
@@ -735,7 +771,7 @@ def test_velocity_only_converges_to_column_equilibrium():
     vals = velocity_steps(f0.values, grid, params, dt, 4800)
     # velocity dynamics conserves each column's mass separately
     col_mass = f0.values.sum(axis=1) * grid.dv
-    target = col_mass[:, None] * column_equilibria(grid, params)
+    target = col_mass[:, None] * discrete_velocity_equilibrium(grid, params)
     dist = np.abs(vals - target).sum() * grid.cell_volume
     assert dist < 1e-8
 
@@ -960,6 +996,21 @@ def test_steady_state_refuses_non_finite_initial_data_at_step_zero(kernel_calls,
         steady_state_reference(cfg, tol_rate=1e-5, field0=Field(values, cfg.grid))
     assert err.value.step == 0
     assert kernel_calls == {"transport_rhs_kernel": 0, "velocity_rhs_kernel": 0}
+
+
+# the datum below overflows the velocity kernel on purpose, and the
+# transport stage then meets inf - inf, before the abort that this test checks
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_steady_state_aborts_at_the_end_of_the_window_that_overflows():
+    """A datum at the largest float in every cell passes the step-0
+    check; the first window's updates leave the float range, and the
+    march aborts at that window's end."""
+    cfg, _ = _small_steady_problem()
+    values = np.full((cfg.grid.Nx, cfg.grid.Nv), np.finfo(float).max)
+    with pytest.raises(NumericalAbort, match="non-finite values at step 20") as err:
+        steady_state_reference(cfg, tol_rate=1e-5, field0=Field(values, cfg.grid))
+    assert err.value.step == cfg.diagnostics_cadence // 5
 
 
 @pytest.mark.parametrize("tol_rate", [0.0, -1.0, np.inf, np.nan])

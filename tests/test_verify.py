@@ -102,6 +102,8 @@ def test_scan_config_validation():
         ScanConfig(exclusion_radii=(60.0,))  # radius outside the box
     with pytest.raises(ValueError):
         ScanConfig(x_half=-1.0)
+    with pytest.raises(ValueError, match="need at least one candidate radius"):
+        ScanConfig(exclusion_radii=())
 
 
 def test_scan_config_refuses_a_fractional_sample_count_and_casts_a_whole_one():
@@ -194,7 +196,7 @@ def _flat_scan(params, spec, cfg):
         chosen_C=max(float(np.max(s[~outside], initial=-np.inf)), 0.0),
         min_margin_outside=-worst,
         worst_point=(float(x[i]), float(v[i])),
-        spec_echo=spec,
+        spec=spec,
     )
     return s, report
 
@@ -395,6 +397,18 @@ def test_find_certified_spec_poly():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (ModelParams(alpha=2.0, kind="exp", beta=1.0), "exp search needs theta"),
+        (ModelParams(alpha=2.0, kind="poly", gamma=2.0), "poly search needs k"),
+    ],
+)
+def test_find_certified_spec_refuses_a_search_without_its_weight_exponent(params, message):
+    with pytest.raises(ValueError, match=message):
+        find_certified_spec(params, FAST_SCAN)
+
+
 def _recording_scan(monkeypatch, margins, passes_at=None):
     """Replace the scan with a recorder.  The fail-fast scan of candidate i
     records it and passes when i == passes_at; the full scan of recorded
@@ -416,7 +430,7 @@ def _recording_scan(monkeypatch, margins, passes_at=None):
             chosen_C=0.0,
             min_margin_outside=margins[i],
             worst_point=(0.0, 0.0),
-            spec_echo=spec,
+            spec=spec,
         )
 
     monkeypatch.setattr(verify, "_scan", scan)
@@ -449,7 +463,7 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
     assert all(s.ell == 2.0 and s.mode.theta == 1.0 for s in calls)
     assert spec is None
     assert report.min_margin_outside == -1.0
-    assert report.spec_echo is calls[2]
+    assert report.spec is calls[2]
     assert rescans == calls  # only a search that passes nothing rescans, in order
 
     poly_grid = {"eps": (0.3, 0.2), "a_exp": (0.0, 3.0), "b_exp": (0.9, 0.5)}
@@ -462,7 +476,7 @@ def test_search_candidate_order_and_least_bad(monkeypatch):
     ]
     assert all(s.ell == 1.75 and s.mode == PolyWeight(k=1.5) for s in calls)
     assert spec is None
-    assert report.spec_echo is calls[2]
+    assert report.spec is calls[2]
 
     # the first passing candidate ends the search
     calls, rescans = _recording_scan(monkeypatch, [-2.0, -3.0, -0.5, -1.0], passes_at=1)
